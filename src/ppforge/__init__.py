@@ -22,6 +22,7 @@ from .gf import (
 )
 from .poly import Poly, gcd, irreducible_first, format_poly, parse_poly
 from .linearized import (
+    CriteriaDisagreeError,
     LinPoly,
     SubfieldCoefficientError,
     circulant_det_is_nonzero,
@@ -84,6 +85,7 @@ from .oracle import (
     check_bijective,
     check_iff,
     cycle_structure,
+    scan_codes,
     format_cycle_type,
 )
 

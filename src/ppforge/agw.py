@@ -333,12 +333,13 @@ def check_fiber_shift(A: Sequence, psi: MapLike, psibar: MapLike,
 def wrap_family_instance(instance) -> AGWInstance:
     """Lift a family instance onto its commuting square.
 
+    The top map is the instance's code map, read back as elements.
     Families without a natural fiber map fall back to the identity square,
     for which the fiber criterion still applies (trivially: h is the map
     itself and all fibers are singletons).
     """
-    ctx = instance.ctx
-    A = ctx.elements()
+    A = instance.ctx.elements()
+    f = instance.code_map()
     psi = instance.psi if instance.psi is not None else (lambda x: x)
     psibar = instance.psibar if instance.psibar is not None else (lambda x: x)
-    return AGWInstance(A, psi, psibar, instance.evaluator)
+    return AGWInstance(A, psi, psibar, lambda x: A[f(x.code)])

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .agw import NotCommutingError, check_fiber_criterion, wrap_family_instance
@@ -24,7 +23,7 @@ from .families import (
     describe_value,
     instantiate_grid,
 )
-from .gf import FieldError, FieldSpecError, parse_field_spec
+from .gf import FieldError, FieldSpecError, field_spec_parts, parse_field_spec
 from .oracle import DEFAULT_CAP, FieldTooLargeError, check_iff, format_cycle_type
 
 SCHEMA_VERSION = 1
@@ -95,23 +94,26 @@ def _resolve_cap(args) -> int:
     return DEFAULT_CAP
 
 
-def _run_items(items, worker, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
+def _build_field(spec_text: str, cap: int):
+    """Build the field a spec names, refusing it from the spec text alone,
+    before any table is built, when its order p^(e*n) exceeds the cap."""
+    p, e, n, _ = field_spec_parts(spec_text)
+    d = e * n
+    # p >= 2 and d >= cap.bit_length() already give p^d >= 2^d > cap
+    if p >= 2 and (d >= cap.bit_length() or p ** d > cap):
+        raise FieldTooLargeError(f"field order {p}^{d} exceeds cap {cap}")
+    return parse_field_spec(spec_text)
 
 
-def _run_grid(spec: dict, cap: int, threads: int, seed: int):
-    ctx = parse_field_spec(spec["field"])
-    items = list(instantiate_grid(spec["family"], [ctx], spec["params"], seed=seed))
-
-    def worker(item):
+def _run_grid(spec: dict, cap: int, seed: int):
+    ctx = _build_field(spec["field"], cap)
+    results = []
+    for item in instantiate_grid(spec["family"], [ctx], spec["params"], seed=seed):
         if isinstance(item, SkippedInstance):
-            return item, None
-        return item, check_iff(item, cap=cap)
-
-    return _run_items(items, worker, threads)
+            results.append((item, None))
+        else:
+            results.append((item, check_iff(item, cap=cap)))
+    return results
 
 
 def _report_from_results(spec: dict, results, wall: float) -> RunReport:
@@ -192,7 +194,7 @@ def do_verify(args) -> int:
     spec = _load_spec(args.spec)
     cap = _resolve_cap(args)
     start = time.perf_counter()
-    results = _run_grid(spec, cap, args.threads, args.seed)
+    results = _run_grid(spec, cap, args.seed)
     report = _report_from_results(spec, results, time.perf_counter() - start)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -216,7 +218,7 @@ def do_census(args) -> int:
         spec["params"] = loaded
     cap = _resolve_cap(args)
     start = time.perf_counter()
-    results = _run_grid(spec, cap, args.threads, args.seed)
+    results = _run_grid(spec, cap, args.seed)
     report = _report_from_results(spec, results, time.perf_counter() - start)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         _write_rows(results, args.family, fh)
@@ -229,22 +231,18 @@ def do_census(args) -> int:
 def do_agw_check(args) -> int:
     spec = _load_spec(args.spec)
     cap = _resolve_cap(args)
-    ctx = parse_field_spec(spec["field"])
-    if ctx.order > cap:
-        raise FieldTooLargeError(f"field order {ctx.order} exceeds cap {cap}")
-    items = list(instantiate_grid(spec["family"], [ctx], spec["params"],
-                                  seed=args.seed))
-
-    def worker(item):
+    ctx = _build_field(spec["field"], cap)
+    results = []
+    for item in instantiate_grid(spec["family"], [ctx], spec["params"], seed=args.seed):
         if isinstance(item, SkippedInstance):
-            return item, "skipped", item.reason
+            results.append((item, "skipped", item.reason))
+            continue
         try:
             report = check_fiber_criterion(wrap_family_instance(item))
         except NotCommutingError as exc:
-            return item, "no_diagram", str(exc)
-        return item, ("ok" if report.equivalence_holds else "violated"), report
-
-    results = _run_items(items, worker, args.threads)
+            results.append((item, "no_diagram", str(exc)))
+            continue
+        results.append((item, "ok" if report.equivalence_holds else "violated", report))
     ok = sum(1 for _, status, _ in results if status == "ok")
     skipped = sum(1 for _, status, _ in results if status == "skipped")
     broken = [(item, status, info) for item, status, info in results
@@ -270,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cap", type=int, default=None,
                         help="field-size cap (default 2^20, env PPFORGE_CAP)")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for 'random_pp' grid entries")
 

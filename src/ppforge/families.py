@@ -1,24 +1,26 @@
 """Constructors for the permutation-polynomial families.
 
-Each constructor validates its hypotheses, builds a total evaluator on
-F_{q^n}, and computes the predicted verdict from the family's stated
-bijectivity condition alone; brute force never feeds the prediction.
-Instances carry the fiber maps of their commuting square so the diagram
-checkers can audit them independently.
+Each constructor validates its hypotheses and computes the predicted
+verdict from the family's stated bijectivity condition alone; brute force
+never feeds the prediction.  The map itself is a code map: a function on
+element codes compiled from the field's tables (exp/log/add, the
+log-Frobenius, the trace) and from tables of the parameters (g, h, L),
+each built once per field.  Instances carry the fiber maps of their
+commuting square so the diagram checkers can audit them independently.
 
-Shift arguments like x^q - x + delta are evaluated through Frobenius and
-powering; huge monomials such as x^((q^n+1)/2) are never materialized as
-coefficient vectors.
+Huge monomials such as x^((q^n+1)/2) are never materialized as coefficient
+vectors: they are power maps on logs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .gf import Elem, FieldCtx, ResidueClass
+from .gf import CtxMismatchError, Elem, FieldCtx, ResidueClass
 from .linearized import (
+    CriteriaDisagreeError,
     LinPoly,
     format_linpoly,
     gcd_criterion_is_pp,
@@ -27,255 +29,35 @@ from .linearized import (
     random_linearized_pp,
 )
 from .poly import Poly, parse_poly
-
-
-class FamilyError(Exception):
-    """Base class for family construction failures."""
-
-
-class FamilyParameterError(FamilyError):
-    """A constructor precondition failed; .reason is a stable code."""
-
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(reason + (f": {detail}" if detail else ""))
-        self.reason = reason
-
-
-class RecipeContractError(FamilyError):
-    """A g-recipe violated its symmetry contract g(x)^q = +-g(x)."""
-
-
-# ---------------------------------------------------------------------------
-# recipes for g with g^q = g (sign +1) or g^q = -g (sign -1)
-
-
-@dataclass(frozen=True)
-class GRecipe:
-    """Recipe for a polynomial map whose values commute with Frobenius up to sign."""
-
-    kind: str
-    h: Optional[Poly] = None
-    d: Optional[int] = None
-    s: Optional[int] = None
-    parts: tuple["GRecipe", ...] = ()
-
-    def describe(self) -> str:
-        args = []
-        if self.h is not None:
-            args.append(f"h={self.h}")
-        if self.d is not None:
-            args.append(f"d={self.d}")
-        if self.s is not None:
-            args.append(f"s={self.s}")
-        if self.parts:
-            args.append(",".join(p.describe() for p in self.parts))
-        return f"{self.kind}[{','.join(args)}]"
-
-
-def trace_of_h(h: Poly) -> GRecipe:
-    return GRecipe("trace_of_h", h=h)
-
-
-def norm_power(h: Poly, s: int = 1) -> GRecipe:
-    return GRecipe("norm_power", h=h, s=s)
-
-
-def m_sum(h: Poly, d: int) -> GRecipe:
-    return GRecipe("m_sum", h=h, d=d)
-
-
-def anti_alternating(h: Poly) -> GRecipe:
-    return GRecipe("anti_alternating", h=h)
-
-
-def anti_scaled(inner: GRecipe) -> GRecipe:
-    return GRecipe("anti_scaled", parts=(inner,))
-
-
-def anti_m_sum(h: Poly, d: int) -> GRecipe:
-    return GRecipe("anti_m_sum", h=h, d=d)
-
-
-def product_of(*parts: GRecipe) -> GRecipe:
-    return GRecipe("product", parts=tuple(parts))
-
-
-def sum_of(*parts: GRecipe) -> GRecipe:
-    return GRecipe("sum", parts=tuple(parts))
-
-
-_SIGNS = {
-    "trace_of_h": 1,
-    "norm_power": 1,
-    "m_sum": 1,
-    "anti_alternating": -1,
-    "anti_scaled": -1,
-    "anti_m_sum": -1,
-}
-
-
-def recipe_sign(recipe: GRecipe) -> int:
-    """Expected symmetry: +1 for g^q = g, -1 for g^q = -g."""
-    if recipe.kind in _SIGNS:
-        return _SIGNS[recipe.kind]
-    if recipe.kind == "product":
-        sign = 1
-        for part in recipe.parts:
-            sign *= recipe_sign(part)
-        return sign
-    if recipe.kind == "sum":
-        signs = {recipe_sign(part) for part in recipe.parts}
-        if len(signs) != 1:
-            raise FamilyParameterError("mixed_parity_sum",
-                                       "summands disagree on g^q = +-g")
-        return signs.pop()
-    raise FamilyParameterError("unknown_recipe", recipe.kind)
-
-
-def _need_h(recipe: GRecipe) -> Poly:
-    if recipe.h is None:
-        raise FamilyParameterError("missing_h", recipe.kind)
-    return recipe.h
-
-
-def _build_g_unverified(recipe: GRecipe, ctx: FieldCtx) -> Callable[[Elem], Elem]:
-    kind = recipe.kind
-    n, q = ctx.n, ctx.q
-
-    if kind in ("anti_alternating", "anti_scaled", "anti_m_sum") and ctx.p == 2:
-        raise FamilyParameterError("even_characteristic_anti",
-                                   "antisymmetric recipes need odd q")
-
-    if kind == "trace_of_h":
-        h = _need_h(recipe)
-        return lambda x: h.eval(x).trace()
-
-    if kind == "norm_power":
-        h = _need_h(recipe)
-        s = recipe.s if recipe.s is not None else 1
-        if s < 0:
-            raise FamilyParameterError("negative_exponent", "s must be nonnegative")
-        exponent = s * ((ctx.order - 1) // (q - 1))
-        return lambda x: h.eval(x) ** exponent
-
-    if kind == "m_sum":
-        h = _need_h(recipe)
-        d = recipe.d
-        if d is None or not (1 < d < n) or n % d != 0:
-            raise FamilyParameterError("bad_divisor",
-                                       f"need a proper divisor 1 < d < n, got d={d}, n={n}")
-        k = n // d
-        M = sum(q ** (i * d) for i in range(k))
-        exponents = [M * q ** j for j in range(d)]
-
-        def g(x: Elem) -> Elem:
-            y = h.eval(x)
-            acc = ctx.zero
-            for exp in exponents:
-                acc = acc + y ** exp
-            return acc
-
-        return g
-
-    if kind == "anti_alternating":
-        h = _need_h(recipe)
-        if n % 2 != 0:
-            raise FamilyParameterError("bad_divisor", "needs even tower degree")
-        k = n // 2
-
-        def g(x: Elem) -> Elem:
-            y = h.eval(x)
-            acc = ctx.zero
-            for i in range(k):
-                acc = acc + y.frobenius(2 * i + 1) - y.frobenius(2 * i)
-            return acc
-
-        return g
-
-    if kind == "anti_scaled":
-        if len(recipe.parts) != 1:
-            raise FamilyParameterError("missing_parts", "anti_scaled takes one part")
-        if recipe_sign(recipe.parts[0]) != 1:
-            raise FamilyParameterError("anti_scaled_needs_invariant_part")
-        kernel = ctx.frobenius_eigenspace(1, -1)
-        if len(kernel) < 2:
-            raise FamilyParameterError("no_antisymmetric_scalar",
-                                       "x^q = -x has only the zero solution")
-        a = kernel[1]  # smallest nonzero, canonical order
-        inner = _build_g_unverified(recipe.parts[0], ctx)
-        return lambda x: a * inner(x)
-
-    if kind == "anti_m_sum":
-        h = _need_h(recipe)
-        d = recipe.d
-        if d is None or d < 1 or n % (2 * d) != 0:
-            raise FamilyParameterError("bad_divisor",
-                                       f"need n = 2*k*d, got d={d}, n={n}")
-        k = n // (2 * d)
-        M = sum(q ** (2 * i * d) for i in range(k))
-        pos = [M * q ** (2 * j) for j in range(d)]
-        neg = [M * q ** (2 * j + 1) for j in range(d)]
-
-        def g(x: Elem) -> Elem:
-            y = h.eval(x)
-            acc = ctx.zero
-            for exp in pos:
-                acc = acc + y ** exp
-            for exp in neg:
-                acc = acc - y ** exp
-            return acc
-
-        return g
-
-    if kind == "product":
-        if len(recipe.parts) < 2:
-            raise FamilyParameterError("missing_parts", "product takes two or more parts")
-        fns = [_build_g_unverified(part, ctx) for part in recipe.parts]
-
-        def g(x: Elem) -> Elem:
-            acc = fns[0](x)
-            for fn in fns[1:]:
-                acc = acc * fn(x)
-            return acc
-
-        return g
-
-    if kind == "sum":
-        if len(recipe.parts) < 2:
-            raise FamilyParameterError("missing_parts", "sum takes two or more parts")
-        recipe_sign(recipe)  # rejects mixed parity
-        fns = [_build_g_unverified(part, ctx) for part in recipe.parts]
-
-        def g(x: Elem) -> Elem:
-            acc = fns[0](x)
-            for fn in fns[1:]:
-                acc = acc + fn(x)
-            return acc
-
-        return g
-
-    raise FamilyParameterError("unknown_recipe", kind)
-
-
-def build_g(recipe: GRecipe, ctx: FieldCtx) -> Callable[[Elem], Elem]:
-    """Build the map and verify its symmetry contract on every element."""
-    sign = recipe_sign(recipe)
-    g = _build_g_unverified(recipe, ctx)
-    for x in ctx.elements():
-        y = g(x)
-        expected = y if sign == 1 else -y
-        if y.frobenius(1) != expected:
-            raise RecipeContractError(
-                f"{recipe.describe()} fails g(x)^q = {'+' if sign == 1 else '-'}g(x) at x={x}")
-    return g
-
-
-# ---------------------------------------------------------------------------
+from .recipes import (  # the recipe names are part of this module's API
+    FamilyError,
+    FamilyParameterError,
+    GRecipe,
+    RecipeContractError,
+    anti_alternating,
+    anti_m_sum,
+    anti_scaled,
+    build_g,
+    g_codes,
+    h_codes,
+    m_sum,
+    norm_power,
+    product_of,
+    recipe_sign,
+    sum_of,
+    symmetric_codes,
+    trace_of_h,
+)
 
 
 @dataclass(frozen=True, eq=False)
 class FamilyInstance:
-    """A fully parameterized family member with its predicted verdict."""
+    """A fully parameterized family member with its predicted verdict.
+
+    The map itself is the family's code map, compiled from ``ctx`` and
+    ``params`` by :meth:`code_map` when it is needed and not stored on the
+    instance; ``evaluator`` is its ``Elem -> Elem`` edge.
+    """
 
     family_id: str
     ctx: FieldCtx
@@ -286,8 +68,33 @@ class FamilyInstance:
     psi: Optional[Callable[[Elem], Elem]] = None
     psibar: Optional[Callable[[Elem], Elem]] = None
 
+    def code_map(self) -> Callable[[int], int]:
+        """The map on element codes."""
+        return CODE_MAPS[self.family_id](self.ctx, self.params)
+
     def describe_params(self) -> str:
         return " ".join(f"{k}={describe_value(v)}" for k, v in self.params.items())
+
+
+class CodeMapEdge:
+    """The ``Elem -> Elem`` view of a family's code map, compiled on the
+    first call and kept for the later ones."""
+
+    __slots__ = ("family_id", "ctx", "params", "_fn")
+
+    def __init__(self, family_id: str, ctx: FieldCtx, params: dict):
+        self.family_id = family_id
+        self.ctx = ctx
+        self.params = params
+        self._fn: Optional[Callable[[int], int]] = None
+
+    def __call__(self, x: Elem) -> Elem:
+        ctx = self.ctx
+        if x.ctx is not ctx:
+            raise CtxMismatchError("argument from a different field")
+        if self._fn is None:
+            self._fn = CODE_MAPS[self.family_id](ctx, self.params)
+        return ctx._wrap(self._fn(x.code))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,24 +138,17 @@ def _linpoly_fixed_by(L: LinPoly, k: int) -> bool:
     return all(ctx._frob(c, k) == c for c in L.codes)
 
 
-def _symmetric_fn(ctx: FieldCtx, h) -> Callable[[Elem], Elem]:
-    """Normalize h (recipe or polynomial) to a verified g^q = g map."""
-    if isinstance(h, GRecipe):
-        if recipe_sign(h) != 1:
-            raise FamilyParameterError("h_contract", "h must satisfy h^q = h")
-        try:
-            return build_g(h, ctx)
-        except RecipeContractError as exc:
-            raise FamilyParameterError("h_contract", str(exc))
-    if isinstance(h, Poly):
-        fn = h.eval
-        for x in ctx.elements():
-            y = fn(x)
-            if y.frobenius(1) != y:
-                raise FamilyParameterError("h_contract",
-                                           f"h(x)^q != h(x) at x={x}")
-        return fn
-    raise FamilyParameterError("h_contract", "h must be a GRecipe or Poly")
+def _permutes(L: LinPoly) -> bool:
+    """is_permutation(L), decided once per field and coefficient vector."""
+    return L.ctx.derived(("permutes", L.codes), lambda: is_permutation(L))
+
+
+def _instance(family_id: str, ctx: FieldCtx, params: dict, predicted: bool,
+              hypotheses: tuple, psi=None, psibar=None) -> FamilyInstance:
+    return FamilyInstance(family_id=family_id, ctx=ctx, params=params,
+                          evaluator=CodeMapEdge(family_id, ctx, params),
+                          predicted_pp=predicted, hypotheses=hypotheses,
+                          psi=psi, psibar=psibar)
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +160,10 @@ def family_additive_g(ctx: FieldCtx, g: GRecipe, L: LinPoly, delta: Elem) -> Fam
     delta = _check_elem(ctx, delta, "delta")
     _require(recipe_sign(g) == 1, "recipe_not_invariant", "needs g^q = g")
     _require(L.subfield_flag, "linearized_coeffs_outside_base")
-    g_fn = build_g(g, ctx)
-    predicted = is_permutation(L)
-
-    def evaluator(x: Elem) -> Elem:
-        return g_fn(x.frobenius() - x + delta) + L.apply(x)
-
-    return FamilyInstance(
-        family_id="additive_g",
-        ctx=ctx,
-        params={"g": g, "L": L, "delta": delta},
-        evaluator=evaluator,
-        predicted_pp=predicted,
-        hypotheses=(("g_frobenius_invariant", True), ("L_over_base_field", True)),
+    g_codes(g, ctx)  # tabulated and contract-checked once per field; raises if broken
+    return _instance(
+        "additive_g", ctx, {"g": g, "L": L, "delta": delta}, _permutes(L),
+        (("g_frobenius_invariant", True), ("L_over_base_field", True)),
         psi=lambda x: x.frobenius() - x + delta,
         psibar=lambda x: x.frobenius() - x,
     )
@@ -388,19 +179,10 @@ def family_even_t(ctx: FieldCtx, t: int, delta: Elem, L: LinPoly) -> FamilyInsta
     _require(delta.frobenius(k) == -delta, "bad_delta",
              "delta must satisfy delta^(q^k) = -delta")
     _require(_linpoly_fixed_by(L, k), "linearized_coeffs_outside_intermediate")
-    predicted = is_permutation(L)
-
-    def evaluator(x: Elem) -> Elem:
-        return (x.frobenius(k) - x + delta) ** t + L.apply(x)
-
-    return FamilyInstance(
-        family_id="even_t",
-        ctx=ctx,
-        params={"t": t, "delta": delta, "L": L},
-        evaluator=evaluator,
-        predicted_pp=predicted,
-        hypotheses=(("t_even", True), ("delta_antisymmetric", True),
-                    ("L_over_intermediate_field", True)),
+    return _instance(
+        "even_t", ctx, {"t": t, "delta": delta, "L": L}, _permutes(L),
+        (("t_even", True), ("delta_antisymmetric", True),
+         ("L_over_intermediate_field", True)),
         psi=lambda x: x.frobenius(k) - x,
         psibar=lambda x: x.frobenius(k) - x,
     )
@@ -423,29 +205,19 @@ def family_trace_gamma(ctx: FieldCtx, t: int, delta: Elem, beta: Elem,
     _require(beta.in_subfield(k), "beta_outside_intermediate")
     _require(not gamma.is_zero, "gamma_zero")
     _require(gamma.in_subfield(1), "gamma_outside_base")
-    predicted = bool((beta * gamma.inv()).trace() + ctx.one)
-
-    def evaluator(x: Elem) -> Elem:
-        return ((x.frobenius(k) - x + delta) ** t
-                + beta * x.trace() + gamma * x.frobenius(s))
-
-    return FamilyInstance(
-        family_id="trace_gamma",
-        ctx=ctx,
-        params={"t": t, "delta": delta, "beta": beta, "gamma": gamma, "s": s},
-        evaluator=evaluator,
-        predicted_pp=predicted,
-        hypotheses=(("t_even", True), ("delta_antisymmetric", True),
-                    ("beta_in_intermediate", True), ("gamma_nonzero_in_base", True)),
+    return _instance(
+        "trace_gamma", ctx,
+        {"t": t, "delta": delta, "beta": beta, "gamma": gamma, "s": s},
+        bool((beta * gamma.inv()).trace() + ctx.one),
+        (("t_even", True), ("delta_antisymmetric", True),
+         ("beta_in_intermediate", True), ("gamma_nonzero_in_base", True)),
         psi=lambda x: x.frobenius(k) - x,
         psibar=lambda x: x.frobenius(k) - x,
     )
 
 
-def family_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
-                      beta: Elem, L: LinPoly) -> FamilyInstance:
-    """f(x) = alpha*(x^(q^k) + x + delta)^t + beta*Tr(x) + L(x), q odd;
-    bijective iff L is."""
+def _check_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
+                      beta: Elem) -> tuple[Elem, Elem, Elem]:
     _require(ctx.p != 2, "even_characteristic")
     _require(ctx.n % 2 == 0, "n_not_even", f"n={ctx.n}")
     k = ctx.n // 2
@@ -456,24 +228,30 @@ def family_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
     _require(delta.in_subfield(k), "delta_outside_intermediate")
     _require(alpha.frobenius(k) == -alpha, "bad_alpha")
     _require(beta.frobenius(k) == -beta, "bad_beta")
-    _require(_linpoly_fixed_by(L, k), "linearized_coeffs_outside_intermediate")
-    predicted = is_permutation(L)
+    return delta, alpha, beta
 
-    def evaluator(x: Elem) -> Elem:
-        return (alpha * (x.frobenius(k) + x + delta) ** t
-                + beta * x.trace() + L.apply(x))
 
-    return FamilyInstance(
-        family_id="alpha_beta",
-        ctx=ctx,
-        params={"t": t, "delta": delta, "alpha": alpha, "beta": beta, "L": L},
-        evaluator=evaluator,
-        predicted_pp=predicted,
-        hypotheses=(("odd_characteristic", True), ("alpha_antisymmetric", True),
-                    ("beta_antisymmetric", True), ("delta_in_intermediate", True),
-                    ("L_over_intermediate_field", True)),
-        psi=lambda x: x.frobenius(k) + x,
-        psibar=lambda x: x.frobenius(k) + x,
+_ALPHA_BETA_HYPOTHESES = (("odd_characteristic", True), ("alpha_antisymmetric", True),
+                          ("beta_antisymmetric", True), ("delta_in_intermediate", True),
+                          ("L_over_intermediate_field", True))
+
+
+def _intermediate_sum(ctx: FieldCtx):
+    k = ctx.n // 2
+    return lambda x: x.frobenius(k) + x
+
+
+def family_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
+                      beta: Elem, L: LinPoly) -> FamilyInstance:
+    """f(x) = alpha*(x^(q^k) + x + delta)^t + beta*Tr(x) + L(x), q odd;
+    bijective iff L is."""
+    delta, alpha, beta = _check_alpha_beta(ctx, t, delta, alpha, beta)
+    _require(_linpoly_fixed_by(L, ctx.n // 2), "linearized_coeffs_outside_intermediate")
+    psi = _intermediate_sum(ctx)
+    return _instance(
+        "alpha_beta", ctx,
+        {"t": t, "delta": delta, "alpha": alpha, "beta": beta, "L": L},
+        _permutes(L), _ALPHA_BETA_HYPOTHESES, psi=psi, psibar=psi,
     )
 
 
@@ -485,20 +263,18 @@ def family_alpha_beta_gamma(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
     _require(s >= 0, "negative_s")
     k = ctx.n // 2
     _require(gamma.in_subfield(k), "gamma_outside_intermediate")
-    L = LinPoly.frobenius_term(ctx, s, gamma)
-    base = family_alpha_beta(ctx, t, delta, alpha, beta, L)
+    delta, alpha, beta = _check_alpha_beta(ctx, t, delta, alpha, beta)
     predicted = not gamma.is_zero
-    assert is_permutation(L) == predicted
-    return FamilyInstance(
-        family_id="alpha_beta_gamma",
-        ctx=ctx,
-        params={"t": t, "delta": delta, "alpha": alpha, "beta": beta,
-                "gamma": gamma, "s": s},
-        evaluator=base.evaluator,
-        predicted_pp=predicted,
-        hypotheses=base.hypotheses + (("gamma_in_intermediate", True),),
-        psi=base.psi,
-        psibar=base.psibar,
+    if is_permutation(LinPoly.frobenius_term(ctx, s, gamma)) != predicted:
+        raise CriteriaDisagreeError(
+            f"gamma*x^(q^{s}) with gamma={gamma}: the linearized criterion "
+            f"disagrees with gamma != 0")
+    psi = _intermediate_sum(ctx)
+    return _instance(
+        "alpha_beta_gamma", ctx,
+        {"t": t, "delta": delta, "alpha": alpha, "beta": beta, "gamma": gamma, "s": s},
+        predicted, _ALPHA_BETA_HYPOTHESES + (("gamma_in_intermediate", True),),
+        psi=psi, psibar=psi,
     )
 
 
@@ -512,20 +288,12 @@ def family_anti_g(ctx: FieldCtx, g: GRecipe, delta: Elem, beta: Elem,
     _require(recipe_sign(g) == -1, "recipe_not_antisymmetric", "needs g^q = -g")
     _require(beta.frobenius(1) == -beta, "bad_beta")
     _require(L.subfield_flag, "linearized_coeffs_outside_base")
-    g_fn = build_g(g, ctx)
-    predicted = is_permutation(L)
-
-    def evaluator(x: Elem) -> Elem:
-        return g_fn(x.frobenius() + x + delta) + beta * x.trace() + L.apply(x)
-
-    return FamilyInstance(
-        family_id="anti_g",
-        ctx=ctx,
-        params={"g": g, "delta": delta, "beta": beta, "L": L},
-        evaluator=evaluator,
-        predicted_pp=predicted,
-        hypotheses=(("odd_characteristic", True), ("g_frobenius_antisymmetric", True),
-                    ("beta_antisymmetric", True), ("L_over_base_field", True)),
+    g_codes(g, ctx)  # tabulated and contract-checked once per field; raises if broken
+    return _instance(
+        "anti_g", ctx, {"g": g, "delta": delta, "beta": beta, "L": L},
+        _permutes(L),
+        (("odd_characteristic", True), ("g_frobenius_antisymmetric", True),
+         ("beta_antisymmetric", True), ("L_over_base_field", True)),
         psi=lambda x: x.frobenius() + x + delta,
         psibar=lambda x: x.frobenius() + x,
     )
@@ -542,35 +310,14 @@ def family_n4k(ctx: FieldCtx, variant: str, delta: Elem, a: Elem) -> FamilyInsta
     """
     _require(ctx.n % 4 == 0, "n_not_multiple_of_4", f"n={ctx.n}")
     _require(variant in ("plain", "qtwist"), "unknown_variant", str(variant))
-    k = ctx.n // 4
     delta = _check_elem(ctx, delta, "delta")
     a = _check_elem(ctx, a, "a")
     _require(not a.is_zero, "zero_a")
     _require(a.in_subfield(1), "a_outside_base")
-
-    if variant == "plain":
-        pairs = [(2 * i, 2 * i + 2 * k) for i in range(k)]
-        predicted = delta.trace() != a
-    else:
-        pairs = [(2 * i + 1, 2 * i + 1 + 2 * k) for i in range(k)]
-        predicted = delta.trace() != -a
-
-    def g_fn(y: Elem) -> Elem:
-        acc = ctx.zero
-        for u, v in pairs:
-            acc = acc + y.frobenius(u) * y.frobenius(v)
-        return acc
-
-    def evaluator(x: Elem) -> Elem:
-        return g_fn(x.frobenius() - x + delta) + a * x
-
-    return FamilyInstance(
-        family_id="n4k",
-        ctx=ctx,
-        params={"variant": variant, "delta": delta, "a": a},
-        evaluator=evaluator,
-        predicted_pp=predicted,
-        hypotheses=(("n_multiple_of_4", True), ("a_nonzero_in_base", True)),
+    predicted = delta.trace() != (a if variant == "plain" else -a)
+    return _instance(
+        "n4k", ctx, {"variant": variant, "delta": delta, "a": a}, predicted,
+        (("n_multiple_of_4", True), ("a_nonzero_in_base", True)),
         psi=lambda x: x.frobenius() - x + delta,
         psibar=lambda x: x.frobenius() - x,
     )
@@ -591,37 +338,15 @@ def family_q6(ctx: FieldCtx, variant: str, h: Poly, L: LinPoly,
     if h.ctx is not ctx:
         raise FamilyParameterError("wrong_field", "h must live in the tower field")
     _require(L.subfield_flag, "linearized_coeffs_outside_base")
-    predicted = is_permutation(L)
-
     if variant == "minus":
-        def evaluator(x: Elem) -> Elem:
-            w = x.frobenius(2) - x.frobenius(1) + x + delta
-            y = h.eval(w)
-            return (y.frobenius(4) + y.frobenius(3)
-                    - y.frobenius(1) - y + L.apply(x))
-
-        psi = lambda x: x.frobenius(2) - x.frobenius(1) + x + delta
         psibar = lambda x: x.frobenius(2) - x.frobenius(1) + x
     else:
-        def evaluator(x: Elem) -> Elem:
-            wp = x.frobenius(2) + x.frobenius(1) + x + delta
-            wm = x.frobenius(2) - x.frobenius(1) + x + delta
-            yp = h.eval(wp)
-            ym = h.eval(wm)
-            return (yp.frobenius(4) - yp.frobenius(3)
-                    + ym.frobenius(1) - ym + L.apply(x))
-
-        psi = lambda x: x.frobenius(2) + x.frobenius(1) + x + delta
         psibar = lambda x: x.frobenius(2) + x.frobenius(1) + x
-
-    return FamilyInstance(
-        family_id="q6",
-        ctx=ctx,
-        params={"variant": variant, "h": h, "L": L, "delta": delta},
-        evaluator=evaluator,
-        predicted_pp=predicted,
-        hypotheses=(("tower_degree_six", True), ("L_over_base_field", True)),
-        psi=psi,
+    return _instance(
+        "q6", ctx, {"variant": variant, "h": h, "L": L, "delta": delta},
+        _permutes(L),
+        (("tower_degree_six", True), ("L_over_base_field", True)),
+        psi=lambda x: psibar(x) + delta,
         psibar=psibar,
     )
 
@@ -638,22 +363,14 @@ def family_generic_L(ctx: FieldCtx, L: LinPoly, a: Elem, h,
     _require(not a.is_zero and L.apply(a).is_zero, "bad_kernel_element",
              "a must be a nonzero root of L")
     _require(L1.subfield_flag, "linearized_coeffs_outside_base")
-    h_fn = _symmetric_fn(ctx, h)
-    predicted = is_permutation(L1)
-
-    def evaluator(x: Elem) -> Elem:
-        return a * h_fn(L.apply(x) + delta) + L1.apply(x)
-
-    return FamilyInstance(
-        family_id="generic_L",
-        ctx=ctx,
-        params={"L": L, "a": a, "h": h, "L1": L1, "delta": delta},
-        evaluator=evaluator,
-        predicted_pp=predicted,
-        hypotheses=(("L_has_nontrivial_kernel", True), ("a_in_kernel", True),
-                    ("h_frobenius_invariant", True), ("L1_over_base_field", True)),
+    symmetric_codes(ctx, h)  # checked once per field; raises if h^q != h
+    return _instance(
+        "generic_L", ctx, {"L": L, "a": a, "h": h, "L1": L1, "delta": delta},
+        _permutes(L1),
+        (("L_has_nontrivial_kernel", True), ("a_in_kernel", True),
+         ("h_frobenius_invariant", True), ("L1_over_base_field", True)),
         psi=lambda x: L.apply(x) + delta,
-        psibar=lambda x: L.apply(x),
+        psibar=L.apply,
     )
 
 
@@ -667,23 +384,152 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
     b = _check_elem(ctx, b, "b")
     delta = _check_elem(ctx, delta, "delta")
     _require(not a.is_zero and not b.is_zero, "zero_coefficient")
-    half = (ctx.order + 1) // 2
-    predicted = (a * b).residue_class() == ResidueClass.D0
-
-    def evaluator(x: Elem) -> Elem:
-        xk = x.frobenius(k)
-        return (a * xk - b * x + delta) ** half + a * xk + b * x
-
-    return FamilyInstance(
-        family_id="half_power",
-        ctx=ctx,
-        params={"k": k, "a": a, "b": b, "delta": delta},
-        evaluator=evaluator,
-        predicted_pp=predicted,
-        hypotheses=(("odd_characteristic", True), ("ab_nonzero", True)),
-        psi=None,
-        psibar=None,
+    return _instance(
+        "half_power", ctx, {"k": k, "a": a, "b": b, "delta": delta},
+        (a * b).residue_class() == ResidueClass.D0,
+        (("odd_characteristic", True), ("ab_nonzero", True)),
     )
+
+
+# ---------------------------------------------------------------------------
+# code maps: each family's map on element codes, compiled from (ctx, params).
+#
+# Most families have the shape x -> outer[inner[x] + delta] + lin[x] with
+# inner and lin F_p-linear.  Tables that depend only on the field and on
+# grid-wide parameters (g and h tables, L tables, powers, Frobenius shifts)
+# are built once per field; tables that depend on an instance's elements
+# are built for one compile and dropped with the code map.
+
+
+def _linear(ctx: FieldCtx, coeffs) -> Sequence[int]:
+    """sum(coeffs[i] * x^(q^i)) on every code, for one compile."""
+    return ctx.linear_table(LinPoly(ctx, coeffs).apply_code)
+
+
+def _frob_shift(ctx: FieldCtx, k: int, sign: int) -> Sequence[int]:
+    """x^(q^k) + sign*x on every code, built once per field."""
+    coeffs = [0] * ctx.n
+    coeffs[0] = sign % ctx.p  # the code p - 1 is the element -1
+    coeffs[k % ctx.n] = ctx._add(coeffs[k % ctx.n], 1)
+    return LinPoly(ctx, coeffs).tabulate()
+
+
+def _plus_trace(ctx: FieldCtx, beta: int, coeffs) -> Sequence[int]:
+    """beta*Tr(x) + sum(coeffs[i] * x^(q^i)) on every code."""
+    return _linear(ctx, [ctx._add(beta, c) for c in coeffs])
+
+
+def _compose(ctx: FieldCtx, outer: Sequence[int], inner: Sequence[int], delta: int,
+             lin: Sequence[int]) -> Callable[[int], int]:
+    """x -> outer[inner[x] + delta] + lin[x]."""
+    add = ctx._add
+    return lambda x: add(outer[add(inner[x], delta)], lin[x])
+
+
+def _codes_additive_g(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    return _compose(ctx, g_codes(params["g"], ctx), _frob_shift(ctx, 1, -1),
+                    params["delta"].code, params["L"].tabulate())
+
+
+def _codes_even_t(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    return _compose(ctx, ctx.power_table(params["t"]), _frob_shift(ctx, ctx.n // 2, -1),
+                    params["delta"].code, params["L"].tabulate())
+
+
+def _codes_trace_gamma(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    gamma_term = [0] * ctx.n
+    gamma_term[params["s"] % ctx.n] = params["gamma"].code
+    return _compose(ctx, ctx.power_table(params["t"]), _frob_shift(ctx, ctx.n // 2, -1),
+                    params["delta"].code,
+                    _plus_trace(ctx, params["beta"].code, gamma_term))
+
+
+def _codes_alpha_beta(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    mul, alpha = ctx._mul, params["alpha"].code
+    outer = [mul(alpha, y) for y in ctx.power_table(params["t"])]
+    return _compose(ctx, outer, _frob_shift(ctx, ctx.n // 2, 1), params["delta"].code,
+                    _plus_trace(ctx, params["beta"].code, params["L"].codes))
+
+
+def _codes_alpha_beta_gamma(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    L = LinPoly.frobenius_term(ctx, params["s"], params["gamma"])
+    return _codes_alpha_beta(ctx, {**params, "L": L})
+
+
+def _codes_anti_g(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    return _compose(ctx, g_codes(params["g"], ctx), _frob_shift(ctx, 1, 1),
+                    params["delta"].code,
+                    _plus_trace(ctx, params["beta"].code, params["L"].codes))
+
+
+def _codes_n4k(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    # g(y) = sum of y^(q^u) * y^(q^v) = y^(q^u + q^v) over the variant's pairs
+    k, q = ctx.n // 4, ctx.q
+    first = 0 if params["variant"] == "plain" else 1
+    g = ctx.power_sum_table([(q ** (2 * i + first) + q ** (2 * i + first + 2 * k), 1)
+                             for i in range(k)])
+    return _compose(ctx, g, _frob_shift(ctx, 1, -1), params["delta"].code,
+                    _linear(ctx, [params["a"].code]))
+
+
+def _q6_outer(ctx: FieldCtx, h: Poly, terms) -> list[int]:
+    """w -> sum(sign * h(w)^(q^j)) over (j, sign) in terms."""
+    powers = ctx.power_sum_table([(ctx.q ** j, sign) for j, sign in terms])
+    return [powers[y] for y in h_codes(h, ctx)]
+
+
+def _codes_q6(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    h, delta, lin = params["h"], params["delta"].code, params["L"].tabulate()
+    minus = LinPoly(ctx, [1, ctx._neg(1), 1]).tabulate()
+    if params["variant"] == "minus":
+        outer = _q6_outer(ctx, h, ((4, 1), (3, 1), (1, -1), (0, -1)))
+        return _compose(ctx, outer, minus, delta, lin)
+    plus = LinPoly(ctx, [1, 1, 1]).tabulate()
+    lead = _q6_outer(ctx, h, ((4, 1), (3, -1)))
+    trail = _q6_outer(ctx, h, ((1, 1), (0, -1)))
+    add = ctx._add
+    return lambda x: add(add(lead[add(plus[x], delta)], trail[add(minus[x], delta)]), lin[x])
+
+
+def _codes_generic_L(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    mul, a = ctx._mul, params["a"].code
+    outer = [mul(a, y) for y in symmetric_codes(ctx, params["h"])]
+    return _compose(ctx, outer, params["L"].tabulate(), params["delta"].code,
+                    params["L1"].tabulate())
+
+
+def _codes_half_power(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    # evaluated on logs rather than composed from tables: the grid's fields
+    # are small, so per-instance tables would cost more than they save
+    exp, log, om1, add = ctx._exp, ctx._log, ctx._om1, ctx._add
+    qk = ctx._qpow[params["k"] % ctx.n]
+    la, lb = log[params["a"].code], log[params["b"].code]
+    lnb = (lb + om1 // 2) % om1  # log of -b
+    power = ctx.power_table((ctx.order + 1) // 2)
+    delta = params["delta"].code
+
+    def f(x: int) -> int:
+        if x == 0:
+            return power[delta]
+        lx = log[x]
+        axk = exp[la + lx * qk % om1]  # a*x^(q^k)
+        return add(power[add(add(axk, exp[lnb + lx]), delta)], add(axk, exp[lb + lx]))
+
+    return f
+
+
+CODE_MAPS: dict[str, Callable[[FieldCtx, dict], Callable[[int], int]]] = {
+    "additive_g": _codes_additive_g,
+    "even_t": _codes_even_t,
+    "trace_gamma": _codes_trace_gamma,
+    "alpha_beta": _codes_alpha_beta,
+    "alpha_beta_gamma": _codes_alpha_beta_gamma,
+    "anti_g": _codes_anti_g,
+    "n4k": _codes_n4k,
+    "q6": _codes_q6,
+    "generic_L": _codes_generic_L,
+    "half_power": _codes_half_power,
+}
 
 
 FAMILY_BUILDERS: dict[str, Callable[..., FamilyInstance]] = {

@@ -9,20 +9,31 @@ therefore bit-exact.
 Multiplication, inversion and powering run on exp/log tables built from a
 deterministically chosen primitive element; addition uses a full table for
 small odd-characteristic fields (XOR in characteristic 2) and a digit loop
-otherwise.  Frobenius maps are applied through precomputed basis images.
-Everything is exact integer arithmetic; contexts are immutable after
-construction and safe to share across threads.
+otherwise.  Frobenius is the power map on logs,
+x^(q^j) = exp[log[x] * q^j mod (q^n - 1)].  Everything is exact integer
+arithmetic on element codes; `Elem` is the boxed view of a code used at the
+API edge.  Contexts never change after construction apart from lazily
+filled caches of derived tables.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from typing import Iterator, Optional, Sequence
+import operator
+from array import array
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 _ADD_TABLE_MAX = 512      # full add table for odd characteristic up to this order
 _ELEM_CACHE_MAX = 1 << 16  # interned Elem objects up to this order
 _TRACE_TABLE_MAX = 1 << 16
+
+
+def code_table(values: Iterable[int]) -> array:
+    """A table indexed by element code.  Unsigned 32-bit integers in an
+    array (codes stay far below 2^32: the field's exp table must fit in
+    memory), so a table costs 4 bytes per element and no int objects."""
+    return array("I", values)
 
 
 class FieldError(Exception):
@@ -316,6 +327,21 @@ class Elem:
         return ",".join(map(str, self.coords))
 
 
+class TabulatedMap:
+    """A map on one field given by its table of codes; callable on elements."""
+
+    __slots__ = ("ctx", "codes")
+
+    def __init__(self, ctx: "FieldCtx", codes: Sequence[int]):
+        self.ctx = ctx
+        self.codes = codes
+
+    def __call__(self, x: Elem) -> Elem:
+        if x.ctx is not self.ctx:
+            raise CtxMismatchError("argument from a different field")
+        return self.ctx._wrap(self.codes[x.code])
+
+
 class FieldCtx:
     """Immutable description of F_{q^n} over F_q with q = p^e.
 
@@ -335,6 +361,8 @@ class FieldCtx:
         self._default_modulus = default_modulus
         self._om1 = self.order - 1
         self._mod_list = list(modulus_coeffs)
+        # q^j mod (q^n - 1): the log multiplier of x -> x^(q^j)
+        self._qpow = tuple(pow(self.q, j, self._om1) for j in range(n))
 
         self.generator_code = self._find_primitive_code()
         self._build_mul_tables()
@@ -342,12 +370,19 @@ class FieldCtx:
         if self.order <= _ELEM_CACHE_MAX:
             self._elems = tuple(Elem(self, c) for c in range(self.order))
         self._add_table: Optional[list[list[int]]] = None
-        if self.p != 2 and self.order <= _ADD_TABLE_MAX:
-            self._add_table = self._build_add_table()
-        self._frob_basis = self._build_frobenius_basis()
+        if self.p == 2:
+            self._add = self._sub = operator.xor
+        else:
+            if self.order <= _ADD_TABLE_MAX:
+                table = self._add_table = self._build_add_table()
+                self._add = lambda a, b: table[a][b]
+            else:
+                self._add = self._add_codes_slow
+            self._sub = lambda a, b: self._add(a, self._neg(b))
         self._subfield_codes = self._build_subfield_codes()
         self._subfield_set = frozenset(self._subfield_codes)
-        self._trace_table: Optional[list[int]] = None
+        self._trace_table: Optional[array] = None
+        self._derived: dict = {}
 
         self.zero = self._wrap(0)
         self.one = self._wrap(1)
@@ -413,28 +448,6 @@ class FieldCtx:
             shift *= p
         return out
 
-    def _build_frobenius_basis(self) -> list[list[int]]:
-        """Basis images of x -> x^(q^j) for j in [0, n)."""
-        dim = self.dim
-        tables = [[self.p ** i for i in range(dim)]]
-        frob1 = [self._pow(self.p ** i, self.q) for i in range(dim)]
-        tables.append(frob1)
-        for _ in range(2, self.n):
-            prev = tables[-1]
-            tables.append([self._apply_basis_map(frob1, c) for c in prev])
-        return tables[: self.n]
-
-    def _apply_basis_map(self, images: list[int], code: int) -> int:
-        acc = 0
-        i = 0
-        p = self.p
-        while code:
-            code, d = divmod(code, p)
-            if d:
-                acc = self._add(acc, self._mul(d, images[i]))
-            i += 1
-        return acc
-
     def _build_subfield_codes(self) -> tuple[int, ...]:
         if self.n == 1:
             return tuple(range(self.order))
@@ -444,28 +457,27 @@ class FieldCtx:
         return tuple(sorted(codes))
 
     # -- code-level arithmetic ---------------------------------------------
+    #
+    # _add and _sub are bound per field in __init__: XOR in characteristic 2,
+    # the add table for small odd fields, the digit loop otherwise.
 
     def _wrap(self, code: int) -> Elem:
         if self._elems is not None:
             return self._elems[code]
         return Elem(self, code)
 
-    def _add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_codes_slow(a, b)
-
     def _neg(self, a: int) -> int:
         if self.p == 2 or a == 0:
             return a
-        return self._mul(self.p - 1, a)  # p-1 encodes -1
+        return self._exp[self._log[a] + self._om1 // 2]  # -1 = g^((q^n-1)/2)
 
-    def _sub(self, a: int, b: int) -> int:
+    def _add_const(self, b: int) -> Callable[[int], int]:
+        """v -> v + b on codes."""
         if self.p == 2:
-            return a ^ b
-        return self._add(a, self._neg(b))
+            return b.__xor__
+        if self._add_table is not None:
+            return self._add_table[b].__getitem__
+        return functools.partial(self._add, b)
 
     def _mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -478,53 +490,82 @@ class FieldCtx:
         return self._exp[self._om1 - self._log[a]]
 
     def _pow(self, c: int, k: int) -> int:
-        """Square-and-multiply; the exponent of a nonzero base is reduced
-        modulo q^n - 1 first.  0^0 = 1 by convention."""
+        """Power on logs; the exponent of a nonzero base is reduced modulo
+        q^n - 1.  0^0 = 1 by convention."""
         if k < 0:
             raise ValueError("exponent must be nonnegative")
         if c == 0:
             return 1 if k == 0 else 0
-        k %= self._om1
-        result = 1
-        base = c
-        while k:
-            if k & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            k >>= 1
-        return result
+        return self._exp[self._log[c] * (k % self._om1) % self._om1]
 
     def _frob(self, c: int, j: int) -> int:
-        j %= self.n
-        if j == 0 or c <= 1:
-            return c
-        images = self._frob_basis[j]
-        acc = 0
-        i = 0
-        p = self.p
-        while c:
-            c, d = divmod(c, p)
-            if d:
-                acc = self._add(acc, self._mul(d, images[i]))
-            i += 1
-        return acc
+        """x -> x^(q^j) as the power map on logs."""
+        if c == 0:
+            return 0
+        return self._exp[self._log[c] * self._qpow[j % self.n] % self._om1]
 
-    def _trace(self, c: int) -> int:
-        if self._trace_table is not None:
-            return self._trace_table[c]
-        if self.order <= _TRACE_TABLE_MAX:
-            table = [0] * self.order
-            for code in range(self.order):
-                acc = code
-                for j in range(1, self.n):
-                    acc = self._add(acc, self._frob(code, j))
-                table[code] = acc
-            self._trace_table = table
-            return table[c]
+    def _trace_slow(self, c: int) -> int:
         acc = c
         for j in range(1, self.n):
             acc = self._add(acc, self._frob(c, j))
         return acc
+
+    def _trace_codes(self) -> Optional[array]:
+        """The trace table, built on first use up to the table bound."""
+        if self._trace_table is None and self.order <= _TRACE_TABLE_MAX:
+            self._trace_table = self.linear_table(self._trace_slow)
+        return self._trace_table
+
+    def _trace(self, c: int) -> int:
+        table = self._trace_codes()
+        return table[c] if table is not None else self._trace_slow(c)
+
+    def trace_fn(self) -> Callable[[int], int]:
+        """The trace on codes: a table lookup up to the table bound."""
+        table = self._trace_codes()
+        return table.__getitem__ if table is not None else self._trace_slow
+
+    def power_sum_table(self, terms: Sequence[tuple[int, int]]) -> array:
+        """y -> sum of sign * y^e over (e, sign) in terms, on every code;
+        built once per field and terms."""
+        terms = tuple(terms)
+        pw, add, sub = self._pow, self._add, self._sub
+
+        def value(y: int) -> int:
+            acc = 0
+            for e, sign in terms:
+                acc = (add if sign == 1 else sub)(acc, pw(y, e))
+            return acc
+
+        return self.derived(("powers", terms),
+                            lambda: code_table(value(y) for y in range(self.order)))
+
+    def power_table(self, t: int) -> array:
+        """y -> y^t on every code, built once per field and exponent."""
+        return self.power_sum_table(((t, 1),))
+
+    def linear_table(self, image: Callable[[int], int]) -> array:
+        """Table over every code of an F_p-linear map, given by its value
+        on codes; only the basis codes p^i are evaluated.  The codes in
+        [j*p^i, (j+1)*p^i) are those in [0, p^i) plus j*p^i digit by digit,
+        so each block is the previous one shifted by image(p^i)."""
+        table = [0]
+        for _ in range(self.dim):
+            plus = self._add_const(image(len(table)))
+            block = table
+            for _ in range(self.p - 1):
+                block = list(map(plus, block))
+                table += block
+        return code_table(table)
+
+    def derived(self, key: Hashable, build: Callable[[], object]):
+        """build() memoized on this field under key.  Holds the tables other
+        modules derive from the field (g recipes, linearized maps), so each is
+        built once per field however many instances share it."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
 
     # -- public API ----------------------------------------------------------
 
@@ -652,8 +693,9 @@ def make_field(p: int, e: int = 1, n: int = 1, modulus=None) -> FieldCtx:
     return ctx
 
 
-def parse_field_spec(text: str) -> FieldCtx:
-    """Parse "p^e:n" with optional ":mod=c0,c1,...,1" and build the field."""
+def field_spec_parts(text: str) -> tuple[int, int, int, Optional[tuple[int, ...]]]:
+    """Read "p^e:n" with optional ":mod=c0,c1,...,1" into (p, e, n, modulus)
+    without building anything, so callers can size the field first."""
 
     def fail(msg: str, pos: int):
         raise FieldSpecError(msg, pos)
@@ -688,6 +730,12 @@ def parse_field_spec(text: str) -> FieldCtx:
                 fail("expected ','", pos)
             pos += 1
         modulus = tuple(coeffs)
+    return p, e, n, modulus
+
+
+def parse_field_spec(text: str) -> FieldCtx:
+    """Parse "p^e:n" with optional ":mod=c0,c1,...,1" and build the field."""
+    p, e, n, modulus = field_spec_parts(text)
     try:
         return make_field(p, e, n, modulus)
     except ValueError as exc:

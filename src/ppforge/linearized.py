@@ -21,6 +21,14 @@ class SubfieldCoefficientError(Exception):
     """Raised when an operation needs coefficients in the base field F_q."""
 
 
+class CriteriaDisagreeError(Exception):
+    """Two exact permutation criteria gave different answers for one map.
+
+    That is a defect in the implementation, never a property of the input,
+    so it is raised rather than reported as a verdict.
+    """
+
+
 class LinPoly:
     """q-polynomial stored as its length-n coefficient vector (a_0..a_{n-1})."""
 
@@ -93,15 +101,24 @@ class LinPoly:
 
     def apply(self, x: Elem) -> Elem:
         """Evaluate sum(a_i * x^(q^i))."""
-        ctx = self.ctx
-        if x.ctx is not ctx:
+        if x.ctx is not self.ctx:
             raise CtxMismatchError("argument from a different field")
-        acc = 0
-        for i, a in self._terms:
-            acc = ctx._add(acc, ctx._mul(a, ctx._frob(x.code, i)))
-        return ctx._wrap(acc)
+        return self.ctx._wrap(self.apply_code(x.code))
 
     __call__ = apply
+
+    def apply_code(self, c: int) -> int:
+        ctx = self.ctx
+        acc = 0
+        for i, a in self._terms:
+            acc = ctx._add(acc, ctx._mul(a, ctx._frob(c, i)))
+        return acc
+
+    def tabulate(self):
+        """L on every element code, built once per field and coefficient
+        vector from the images of the F_p basis (L is F_p-linear)."""
+        ctx = self.ctx
+        return ctx.derived(("lin", self.codes), lambda: ctx.linear_table(self.apply_code))
 
     def conventional(self) -> Poly:
         """The conventional associate sum(a_i * x^i)."""
@@ -181,8 +198,9 @@ def gcd_criterion_is_pp(L: LinPoly) -> bool:
 def is_permutation(L: LinPoly) -> bool:
     """Criterion dispatch: circulant always; gcd cross-checked when it applies."""
     circ = circulant_det_is_nonzero(L)
-    if L.subfield_flag:
-        assert gcd_criterion_is_pp(L) == circ
+    if L.subfield_flag and gcd_criterion_is_pp(L) != circ:
+        raise CriteriaDisagreeError(
+            f"circulant criterion says {circ}, gcd criterion disagrees for {L!r}")
     return circ
 
 

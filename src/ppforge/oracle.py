@@ -1,13 +1,15 @@
 """Ground truth: exhaustive bijection testing of maps on a finite field.
 
-Scans are deterministic over the canonical element order, so the reported
-first collision and the cycle decomposition are reproducible bit for bit.
+A map is scanned as the list of its values on the codes 0, 1, ...,
+q^n - 1: bijective exactly when the list holds q^n distinct codes.  Scans
+follow the canonical element order, so the reported first collision and
+the cycle decomposition are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .gf import Elem, FieldCtx
 
@@ -36,6 +38,33 @@ class Verdict:
     cycle_type: Optional[tuple[int, ...]] = None
 
 
+def _check_cap(ctx: FieldCtx, cap: int) -> None:
+    if ctx.order > cap:
+        raise FieldTooLargeError(f"field order {ctx.order} exceeds cap {cap}")
+
+
+def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
+    """Verdict on the map x -> codes[x], scanned in canonical order.
+
+    The collision is the first repeated value together with its first
+    preimage; the missed value is the smallest code not hit.  For a
+    bijection the cycle type is included.
+    """
+    if len(codes) != ctx.order:
+        raise ValueError(f"expected {ctx.order} values, got {len(codes)}")
+    hit = bytearray(ctx.order)
+    for x, y in enumerate(codes):
+        if hit[y]:
+            break
+        hit[y] = 1
+    else:
+        return Verdict(bijective=True, cycle_type=_cycles_from_table(codes))
+    collision = (ctx._wrap(codes.index(y)), ctx._wrap(x))
+    for y in codes[x:]:
+        hit[y] = 1
+    return Verdict(bijective=False, collision=collision, missed=ctx._wrap(hit.index(0)))
+
+
 def check_bijective(evaluator: Callable[[Elem], Elem], ctx: FieldCtx,
                     cap: int = DEFAULT_CAP) -> Verdict:
     """Scan every element once; report the first collision in canonical order.
@@ -43,38 +72,22 @@ def check_bijective(evaluator: Callable[[Elem], Elem], ctx: FieldCtx,
     For bijections the cycle type (sorted multiset of cycle lengths) is
     included in the verdict.
     """
-    if ctx.order > cap:
-        raise FieldTooLargeError(
-            f"field order {ctx.order} exceeds cap {cap}")
-    order = ctx.order
-    preimage = [-1] * order
-    collision = None
-    for x in ctx.elements():
-        y = evaluator(x)
-        c = y.code
-        if preimage[c] >= 0:
-            if collision is None:
-                collision = (ctx._wrap(preimage[c]), x)
-        else:
-            preimage[c] = x.code
-    if collision is not None:
-        missed = next(ctx._wrap(c) for c in range(order) if preimage[c] < 0)
-        return Verdict(bijective=False, collision=collision, missed=missed)
-    return Verdict(bijective=True, cycle_type=_cycles_from_table(preimage))
+    _check_cap(ctx, cap)
+    return scan_codes([evaluator(x).code for x in ctx.iter_elements()], ctx)
 
 
-def _cycles_from_table(preimage: list[int]) -> tuple[int, ...]:
-    # preimage is the inverse permutation; cycle lengths match the forward map
-    seen = bytearray(len(preimage))
+def _cycles_from_table(perm: Sequence[int]) -> tuple[int, ...]:
+    # a permutation and its inverse have the same cycle lengths
+    seen = bytearray(len(perm))
     lengths = []
-    for start in range(len(preimage)):
+    for start in range(len(perm)):
         if seen[start]:
             continue
         length = 0
         c = start
         while not seen[c]:
             seen[c] = 1
-            c = preimage[c]
+            c = perm[c]
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths))
@@ -117,12 +130,16 @@ class IffRecord:
 
 
 def check_iff(instance, cap: int = DEFAULT_CAP) -> IffRecord:
-    """Compare a family instance's predicted verdict with brute force."""
+    """Compare a family instance's predicted verdict with brute force: one
+    scan over the instance's code map, without calling its evaluator."""
     failed = [name for name, ok in instance.hypotheses if not ok]
     if failed:
         raise HypothesisUnsatisfiedError(
             f"unsatisfied hypotheses: {', '.join(failed)}")
-    verdict = check_bijective(instance.evaluator, instance.ctx, cap=cap)
+    ctx = instance.ctx
+    _check_cap(ctx, cap)
+    f = instance.code_map()
+    verdict = scan_codes([f(c) for c in range(ctx.order)], ctx)
     return IffRecord(
         family_id=instance.family_id,
         predicted=instance.predicted_pp,

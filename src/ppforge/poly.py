@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .gf import CtxMismatchError, Elem, FieldCtx, first_irreducible_coeffs, make_field
+from .gf import (
+    CtxMismatchError,
+    Elem,
+    FieldCtx,
+    code_table,
+    first_irreducible_coeffs,
+    make_field,
+)
 
 
 class Poly:
@@ -175,13 +182,23 @@ class Poly:
             raise TypeError("evaluation point must be an Elem")
         if x.ctx is not self.ctx:
             raise CtxMismatchError("evaluation point from a different field")
+        return self.ctx._wrap(self.eval_code(x.code))
+
+    __call__ = eval
+
+    def eval_code(self, x: int) -> int:
         ctx = self.ctx
         acc = 0
         for c in reversed(self.codes):
-            acc = ctx._add(ctx._mul(acc, x.code), c)
-        return ctx._wrap(acc)
+            acc = ctx._add(ctx._mul(acc, x), c)
+        return acc
 
-    __call__ = eval
+    def tabulate(self):
+        """The polynomial on every element code, built once per field and
+        coefficient vector."""
+        ctx = self.ctx
+        return ctx.derived(("poly", self.codes),
+                           lambda: code_table(map(self.eval_code, range(ctx.order))))
 
     # -- display ---------------------------------------------------------------
 

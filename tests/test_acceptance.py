@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from ppforge import families as fam
-from ppforge.agw import NotCommutingError, check_fiber_criterion, wrap_family_instance
+from ppforge.agw import check_fiber_criterion, wrap_family_instance
 from ppforge.cli import main as cli_main
 from ppforge.families import SkippedInstance, instantiate_grid
 from ppforge.gf import ResidueClass, make_field
@@ -274,7 +274,7 @@ def test_criterion_06_n4k_census_split(grid_n4k):
 
 def test_criterion_07_q6_families(grid_q6):
     with criterion(7, 30.0, "order-64 tower-degree-6 families; plus-variant "
-                            "agreement reported"):
+                            "refutation at q=3 pinned"):
         records, instances, skipped = run_all(grid_q6)
         assert not skipped
         assert len(instances) == 2 * 2 * 3 * 8
@@ -285,29 +285,23 @@ def test_criterion_07_q6_families(grid_q6):
         assert_full_agreement([r for _, r in minus], "q6 minus")
         agree_plus = sum(r.agree for _, r in plus)
         print(f"\n  q6 plus variant at q=2: {agree_plus}/{len(plus)} agree")
-        assert len(plus) == 48
+        assert len(plus) == 48 and agree_plus == 48  # w_+ = w_- when q = 2
 
-        # odd-characteristic probe of the mixed-argument form: reported, not
-        # asserted; a systematic disagreement here is a documented finding
+        # odd characteristic: the mixed-argument plus form is refuted at
+        # 3^1:6 on every probed delta, always with the same witness, while
+        # its commuting square stays sound (pinned finding, see README)
         f729 = make_field(3, 1, 6)
         g = f729.generator
-        probe = []
         for dc in (f729.zero, g, g * g, g * g * g):
             inst = fam.family_q6(f729, "plus", Poly.x(f729),
                                  LinPoly.identity(f729), dc)
             rec = check_iff(inst)
-            try:
-                wrapped = wrap_family_instance(inst)
-                square = "commutes" if check_fiber_criterion(wrapped).equivalence_holds \
-                    else "criterion-violated"
-            except NotCommutingError:
-                square = "no-commuting-square"
-            probe.append((rec.agree, square))
-        agree_odd = sum(a for a, _ in probe)
-        print(f"  q6 plus variant probe at q=3 (order 729): "
-              f"{agree_odd}/{len(probe)} agree; squares: "
-              f"{[s for _, s in probe]}")
-        assert len(probe) == 4  # the probe ran; its outcome is a finding
+            assert rec.predicted is True and rec.observed is False
+            first, second = rec.verdict.collision
+            assert (first.code, second.code) == (9, 27)
+            assert (str(first), str(second)) == ("0,0,1,0,0,0", "0,0,0,1,0,0")
+            assert rec.verdict.missed.code == 3
+            assert check_fiber_criterion(wrap_family_instance(inst)).equivalence_holds
 
 
 def test_criterion_08_generic_l_family(grid_generic_l):

@@ -84,14 +84,6 @@ def test_verify_csv(tmp_path, capsys):
     assert len(rows) == 577
 
 
-def test_verify_threads_match_sequential(tmp_path):
-    one = tmp_path / "one.csv"
-    four = tmp_path / "four.csv"
-    assert main(["verify", HALF_POWER_SPEC, "--csv", str(one)]) == 0
-    assert main(["verify", HALF_POWER_SPEC, "--csv", str(four), "--threads", "4"]) == 0
-    assert one.read_bytes() == four.read_bytes()
-
-
 def test_census_default_grid(tmp_path, capsys):
     out_csv = tmp_path / "census.csv"
     assert main(["census", "n4k", "3^1:4", "-o", str(out_csv)]) == 0
@@ -155,6 +147,26 @@ def test_cap_env(capsys, monkeypatch):
     assert main(["verify", HALF_POWER_SPEC]) == 2
     monkeypatch.setenv("PPFORGE_CAP", "1000")
     assert main(["verify", HALF_POWER_SPEC]) == 0
+
+
+def test_oversized_field_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    import ppforge.gf
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("make_field must not run for an oversized field")
+
+    monkeypatch.setattr(ppforge.gf, "make_field", fail)
+    spec = json.dumps({"family": "half_power", "field": "2^1:24"})
+    assert main(["verify", spec]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+    assert main(["agw-check", spec]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+    out_csv = tmp_path / "rows.csv"
+    assert main(["census", "n4k", "2^1:24", "-o", str(out_csv)]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+    # a huge tower degree is refused without computing p^(e*n)
+    assert main(["census", "n4k", "3^1:100000000000", "-o", str(out_csv)]) == 2
+    assert not out_csv.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -249,6 +249,16 @@ def test_alpha_beta_rejects_bad_alpha():
     assert exc.value.reason == "bad_alpha"
 
 
+def test_alpha_beta_gamma_cross_check_raises(monkeypatch):
+    # the linearized criterion disagreeing with gamma != 0 is a defect,
+    # reported by an exception rather than an assert
+    from ppforge.linearized import CriteriaDisagreeError
+
+    monkeypatch.setattr(fam, "is_permutation", lambda L: False)
+    with pytest.raises(CriteriaDisagreeError):
+        fam.family_alpha_beta_gamma(F9, 2, F9.one, KERNEL9[1], KERNEL9[1], F9.elem(2), 1)
+
+
 def test_alpha_beta_gamma_corollary():
     alpha, beta = KERNEL9[1], KERNEL9[1]
     rec = assert_agrees(

@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from ppforge.gf import make_field
+from ppforge import linearized
 from ppforge.linearized import (
+    CriteriaDisagreeError,
     LinPoly,
     SubfieldCoefficientError,
     circulant_det_is_nonzero,
@@ -158,6 +160,16 @@ def test_is_permutation_cross_checks():
     w = F9.from_coords([0, 1])
     assert is_permutation(LinPoly(F9, (0, w))) == check_bijective(
         LinPoly(F9, (0, w)).apply, F9).bijective
+
+
+def test_is_permutation_raises_when_criteria_disagree(monkeypatch):
+    # a real exception, so the cross-check also runs under python -O
+    monkeypatch.setattr(linearized, "gcd_criterion_is_pp", lambda L: False)
+    with pytest.raises(CriteriaDisagreeError):
+        is_permutation(LinPoly.identity(F27))
+    # general coefficients: only the circulant criterion applies
+    w = F9.from_coords([0, 1])
+    assert is_permutation(LinPoly(F9, (0, w)))
 
 
 def test_text_round_trip():

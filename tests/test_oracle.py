@@ -8,6 +8,7 @@ from ppforge.oracle import (
     NotBijectiveError,
     check_bijective,
     check_iff,
+    scan_codes,
     cycle_structure,
     format_cycle_type,
 )
@@ -74,6 +75,18 @@ def test_presence_recount():
     assert v.bijective
     images = {(x.frobenius() + F9.one).code for x in F9.elements()}
     assert len(images) == 9
+
+
+def test_scan_codes_on_value_lists():
+    # 2 -> 4 and 3 -> 4: first repeat at x = 3, codes 0 and 2 never hit
+    v = scan_codes([1, 3, 4, 4, 1], F5)
+    assert not v.bijective
+    assert v.collision == (F5.elem(2), F5.elem(3))
+    assert v.missed == F5.elem(0)
+    # (0 1 2)(3 4)
+    assert scan_codes([1, 2, 0, 4, 3], F5).cycle_type == (2, 3)
+    with pytest.raises(ValueError):
+        scan_codes([0, 1, 2], F5)
 
 
 def test_format_cycle_type():
