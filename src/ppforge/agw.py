@@ -7,6 +7,9 @@ is injective on every fiber psi^-1(s).  The checkers below confirm that
 equivalence, and its corollaries for maps perturbed by fiber-constant
 kernel-valued terms, on concrete finite instances, reporting
 counterexamples rather than bare booleans.
+
+Maps are held as lists by position in A: a family's square as lists of
+element codes, any other domain numbered once, at the API edge.
 """
 
 from __future__ import annotations
@@ -43,99 +46,143 @@ MapLike = Union["FiniteMap", Callable, Mapping]
 
 
 class FiniteMap:
-    """A total map on an ordered finite domain."""
+    """A total map on an ordered finite domain: its values by position."""
 
-    __slots__ = ("domain", "table")
+    __slots__ = ("domain", "values", "_index")
 
-    def __init__(self, domain: Sequence, table: Mapping):
+    def __init__(self, domain: Sequence, table: Union[Mapping, Sequence]):
         self.domain = tuple(domain)
-        if set(table) != set(self.domain):
-            raise ValueError("table keys must match the domain exactly")
-        self.table = dict(table)
+        if isinstance(table, Mapping):
+            if set(table) != set(self.domain):
+                raise ValueError("table keys must match the domain exactly")
+            table = [table[x] for x in self.domain]
+        elif len(table) != len(self.domain):
+            raise ValueError("need one value per domain element")
+        self.values = list(table)
+        self._index: Optional[dict] = None
 
     @classmethod
     def from_callable(cls, domain: Sequence, fn: Callable) -> "FiniteMap":
         domain = tuple(domain)
-        return cls(domain, {x: fn(x) for x in domain})
+        return cls(domain, [fn(x) for x in domain])
 
     @classmethod
     def ensure(cls, domain: Sequence, m: MapLike) -> "FiniteMap":
+        domain = tuple(domain)
         if isinstance(m, FiniteMap):
-            return m
+            if m.domain == domain:
+                return m
+            m = dict(zip(m.domain, m.values))
         if callable(m):
             return cls.from_callable(domain, m)
         return cls(domain, m)
 
     def __call__(self, x):
-        return self.table[x]
+        if self._index is None:
+            self._index = {y: i for i, y in enumerate(self.domain)}
+        return self.values[self._index[x]]
 
     def image(self) -> tuple:
-        seen = set()
-        out = []
-        for x in self.domain:
-            y = self.table[x]
-            if y not in seen:
-                seen.add(y)
-                out.append(y)
-        return tuple(out)
+        """The distinct values, in order of first appearance."""
+        return tuple(dict.fromkeys(self.values))
 
     def is_bijective_onto(self, codomain: Sequence) -> bool:
-        image = {self.table[x] for x in self.domain}
-        return len(image) == len(self.domain) and image == set(codomain)
+        return _bijective_onto(self.values, codomain)
 
 
-def _fibers(A: Sequence, psi: FiniteMap) -> dict:
+def _bijective_onto(values: Sequence, codomain) -> bool:
+    image = set(values)
+    return len(image) == len(values) and image == set(codomain)
+
+
+def _descend(psi: Sequence, values: list) -> tuple[dict, Optional[object]]:
+    """values as a map {s: value} on the fibers of psi, and the first fiber
+    (in order of first appearance) on which values varies, or None."""
+    h = dict(zip(psi, values))
+    if list(map(h.__getitem__, psi)) == values:
+        return h, None
+    varies = {s for s, v in zip(psi, values) if h[s] != v}
+    return h, next(s for s in h if s in varies)
+
+
+def _fibers(psi: Sequence) -> dict:
+    """The positions over each point, in order of first appearance."""
     fibers: dict = {}
-    for x in A:
-        fibers.setdefault(psi(x), []).append(x)
+    for x, s in enumerate(psi):
+        fibers.setdefault(s, []).append(x)
     return fibers
 
 
-def _induce_h(fibers: dict, f: FiniteMap, psibar: FiniteMap) -> dict:
-    """h(s) = psibar(f(x)) for x in the fiber over s, checked well-defined."""
-    h = {}
-    for s, fiber in fibers.items():
-        values = {psibar(f(x)) for x in fiber}
-        if len(values) != 1:
-            raise NotCommutingError(
-                f"no induced map: psibar(f(.)) not constant on the fiber over {s!r}")
-        h[s] = values.pop()
-    return h
+def _fiber_collision(psi: Sequence, f: Sequence, S: Sequence) -> Optional[tuple]:
+    """The first (s, x1, x2), x1 < x2 in the fiber over s and f[x1] == f[x2],
+    in the order S and then domain order; None if f is fiber-injective."""
+    if len(set(zip(psi, f))) == len(f):
+        return None
+    fibers = _fibers(psi)
+    for s in S:
+        seen: dict = {}
+        for x in fibers[s]:
+            first = seen.setdefault(f[x], x)
+            if first != x:
+                return s, first, x
+    return None
 
 
 class AGWInstance:
-    """A validated commuting square over a finite ground set A.
-
-    When h is omitted it is induced fiberwise from f, with well-definedness
-    checked across every fiber.
-    """
+    """A validated commuting square over a finite ground set A.  When h is
+    omitted it is induced fiberwise from f, checked well defined on every fiber."""
 
     def __init__(self, A: Sequence, psi: MapLike, psibar: MapLike,
                  f: MapLike, h: Optional[MapLike] = None,
                  S: Optional[Sequence] = None, Sbar: Optional[Sequence] = None):
-        self.A = tuple(A)
-        self.psi = FiniteMap.ensure(self.A, psi)
-        self.psibar = FiniteMap.ensure(self.A, psibar)
-        self.f = FiniteMap.ensure(self.A, f)
+        A = tuple(A)
+        position = {x: i for i, x in enumerate(A)}
+        f = [position.get(y, -1) for y in FiniteMap.ensure(A, f).values]
+        if len(position) != len(A) or -1 in f:
+            raise ValueError("A must hold distinct points and f must map A into A")
+        self._build(A, f, FiniteMap.ensure(A, psi).values, FiniteMap.ensure(A, psibar).values,
+                    S, Sbar, h, lambda s: s)
 
-        self.S = tuple(S) if S is not None else self.psi.image()
-        self.Sbar = tuple(Sbar) if Sbar is not None else self.psibar.image()
-        if set(self.psi.image()) != set(self.S):
+    @classmethod
+    def from_codes(cls, A: Sequence, f: Sequence[int], psi: Sequence[int],
+                   psibar: Sequence[int], point: Callable[[int], object]) -> "AGWInstance":
+        """The square of code lists on A, A[c] having code c; point wraps a code."""
+        inst = cls.__new__(cls)
+        inst._build(tuple(A), f, psi, psibar, None, None, None, point)
+        return inst
+
+    def _build(self, A, f, psi, psibar, S, Sbar, h, point) -> None:
+        self._S = list(dict.fromkeys(psi)) if S is None else tuple(S)
+        self._Sbar = list(dict.fromkeys(psibar)) if Sbar is None else tuple(Sbar)
+        if S is not None and set(self._S) != set(psi):
             raise NotSurjectiveError("psi does not cover S")
-        if set(self.psibar.image()) != set(self.Sbar):
+        if Sbar is not None and set(self._Sbar) != set(psibar):
             raise NotSurjectiveError("psibar does not cover Sbar")
-        if len(self.S) != len(self.Sbar):
+        if len(self._S) != len(self._Sbar):
             raise HypothesisViolatedError("cardinality", "#S != #Sbar")
-
-        self.fibers = _fibers(self.A, self.psi)
+        self.A, self._f, self._psi, self._point = A, f, psi, point
+        values = list(map(psibar.__getitem__, f))  # psibar(f(x)) by position
         if h is None:
-            self.h = FiniteMap(self.S, _induce_h(self.fibers, self.f, self.psibar))
-        else:
-            self.h = FiniteMap.ensure(self.S, h)
-            for x in self.A:
-                if self.psibar(self.f(x)) != self.h(self.psi(x)):
-                    raise NotCommutingError(
-                        f"psibar(f({x!r})) != h(psi({x!r}))")
+            self._h, varies = _descend(psi, values)
+            if varies is not None:
+                raise NotCommutingError(
+                    "no induced map: psibar(f(.)) not constant on the fiber over "
+                    f"{point(varies)!r}")
+            return
+        self._h = dict(zip(self._S, FiniteMap.ensure(self._S, h).values))
+        for x, s in enumerate(psi):
+            if self._h[s] != values[x]:
+                raise NotCommutingError(f"psibar(f({A[x]!r})) != h(psi({A[x]!r}))")
+
+    @property
+    def S(self) -> tuple:
+        return tuple(map(self._point, self._S))
+
+    @property
+    def fibers(self) -> dict:
+        """psi^-1(s) for every s, in order of first appearance."""
+        return {self._point(s): [self.A[x] for x in fiber]
+                for s, fiber in _fibers(self._psi).items()}
 
 
 @dataclass(frozen=True)
@@ -152,47 +199,49 @@ class FiberReport:
 
 def check_fiber_criterion(inst: AGWInstance) -> FiberReport:
     """Confirm: f bijective <=> h bijective and f injective on every fiber."""
-    f_bij = inst.f.is_bijective_onto(inst.A)
-    h_bij = inst.h.is_bijective_onto(inst.Sbar)
-    witness = None
-    for s in inst.S:
-        fiber = inst.fibers[s]
-        seen = {}
-        for x in fiber:
-            y = inst.f(x)
-            if y in seen:
-                witness = (s, seen[y], x)
-                break
-            seen[y] = x
-        if witness:
-            break
+    found = _fiber_collision(inst._psi, inst._f, inst._S)
+    witness = found and (inst._point(found[0]), inst.A[found[1]], inst.A[found[2]])
     return FiberReport(
-        f_bijective=f_bij,
-        h_bijective=h_bij,
+        f_bijective=_bijective_onto(inst._f, range(len(inst.A))),
+        h_bijective=_bijective_onto(list(inst._h.values()), inst._Sbar),
         fiber_injective=witness is None,
         fiber_witness=witness,
     )
 
 
-def _check_additive(A: Sequence, psibar: FiniteMap, seed: int = 0) -> None:
-    if len(A) <= _ADDITIVITY_EXHAUSTIVE_MAX:
-        pairs = ((x, y) for x in A for y in A)
+def _kernel_square(A: Sequence, psi: MapLike, psibar: MapLike, *maps: MapLike):
+    """The maps on A, once #S = #Sbar and psibar is additive."""
+    A = tuple(A)
+    psi, psibar, *maps = (FiniteMap.ensure(A, m) for m in (psi, psibar) + maps)
+    if len(psi.image()) != len(psibar.image()):
+        raise HypothesisViolatedError("cardinality", "#S != #Sbar")
+    _check_additive(A, psibar.values)
+    return A, psi, psibar, maps
+
+
+def _check_additive(A: tuple, psibar: list, seed: int = 0) -> None:
+    """psibar(x + y) = psibar(x) + psibar(y), adding element codes in the field."""
+    n, add = len(A), A[0].ctx._add
+    codes, bar = [x.code for x in A], [y.code for y in psibar]
+    position = {c: i for i, c in enumerate(codes)}
+    if n <= _ADDITIVITY_EXHAUSTIVE_MAX:
+        pairs = ((i, j) for i in range(n) for j in range(n))
     else:
         rng = random.Random(seed)
-        pairs = ((rng.choice(A), rng.choice(A)) for _ in range(_ADDITIVITY_SAMPLES))
-    table = psibar.table
-    for x, y in pairs:
-        if table[x + y] != table[x] + table[y]:
-            raise HypothesisViolatedError("additivity", f"at ({x!r}, {y!r})")
+        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(_ADDITIVITY_SAMPLES))
+    for i, j in pairs:
+        if bar[position[add(codes[i], codes[j])]] != add(bar[i], bar[j]):
+            raise HypothesisViolatedError("additivity", f"at ({A[i]!r}, {A[j]!r})")
 
 
-def _check_fiber_constant(fibers: dict, v: FiniteMap) -> None:
-    for s, fiber in fibers.items():
-        first = v(fiber[0])
-        for x in fiber[1:]:
-            if v(x) != first:
-                raise HypothesisViolatedError(
-                    "fiber_constant", f"v varies on the fiber over {s!r}")
+def _commuting(A, psi, psibar, f, h) -> AGWInstance:
+    """The square of f; a given h that does not commute violates 'commutes'."""
+    try:
+        return AGWInstance(A, psi, psibar, f, h)
+    except NotCommutingError as exc:
+        if h is None:
+            raise
+        raise HypothesisViolatedError("commutes", str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -215,38 +264,18 @@ def check_perturbed_bijection(A: Sequence, psi: MapLike, psibar: MapLike,
     on each fiber of psi; violations raise HypothesisViolatedError naming
     the failed precondition.
     """
-    A = tuple(A)
-    psi = FiniteMap.ensure(A, psi)
-    psibar = FiniteMap.ensure(A, psibar)
-    u = FiniteMap.ensure(A, u)
-    v = FiniteMap.ensure(A, v)
-
-    S, Sbar = psi.image(), psibar.image()
-    if len(S) != len(Sbar):
-        raise HypothesisViolatedError("cardinality", "#S != #Sbar")
-    _check_additive(A, psibar)
-    zero = A[0] - A[0]
-    for x in A:
-        if psibar(v(x)) != zero:
+    A, psi, psibar, (u, v) = _kernel_square(A, psi, psibar, u, v)
+    for x, y in zip(A, v.values):
+        if psibar(y):
             raise HypothesisViolatedError("kernel_value", f"psibar(v({x!r})) != 0")
-    fibers = _fibers(A, psi)
-    _check_fiber_constant(fibers, v)
-
-    f = FiniteMap(A, {x: u(x) + v(x) for x in A})
-    if h is not None:
-        h = FiniteMap.ensure(S, h)
-        for x in A:
-            if psibar(f(x)) != h(psi(x)):
-                raise HypothesisViolatedError("commutes", f"at {x!r}")
-    else:
-        _induce_h(fibers, f, psibar)  # well-definedness is the hypothesis
-
-    perturbed = f.is_bijective_onto(A)
-    base = u.is_bijective_onto(A)
-    counterexample = None
-    if perturbed != base:
-        counterexample = ("verdict_mismatch", perturbed, base)
-    return PerturbReport(perturbed, base, counterexample)
+    varies = _descend(psi.values, v.values)[1]
+    if varies is not None:
+        raise HypothesisViolatedError("fiber_constant", f"v varies on the fiber over {varies!r}")
+    f = [a + b for a, b in zip(u.values, v.values)]
+    _commuting(A, psi, psibar, f, h)
+    perturbed, base = _bijective_onto(f, A), u.is_bijective_onto(A)
+    mismatch = ("verdict_mismatch", perturbed, base) if perturbed != base else None
+    return PerturbReport(perturbed, base, mismatch)
 
 
 @dataclass(frozen=True)
@@ -279,67 +308,35 @@ def check_fiber_shift(A: Sequence, psi: MapLike, psibar: MapLike,
     on every fiber.  When additionally psibar(g(psi(x))) = 0 everywhere,
     p permutes A exactly when f does.
     """
-    A = tuple(A)
-    psi = FiniteMap.ensure(A, psi)
-    psibar = FiniteMap.ensure(A, psibar)
-    f = FiniteMap.ensure(A, f)
-
-    S, Sbar = psi.image(), psibar.image()
-    if len(S) != len(Sbar):
-        raise HypothesisViolatedError("cardinality", "#S != #Sbar")
-    _check_additive(A, psibar)
-    g_of_s = FiniteMap.ensure(S, g_of_s)
-
-    p = FiniteMap(A, {x: f(x) + g_of_s(psi(x)) for x in A})
-    fibers = _fibers(A, psi)
-    if h is not None:
-        h = FiniteMap.ensure(S, h)
-        for x in A:
-            if psibar(p(x)) != h(psi(x)):
-                raise HypothesisViolatedError("commutes", f"at {x!r}")
-    else:
-        h = FiniteMap(S, _induce_h(fibers, p, psibar))
-
-    shifted = p.is_bijective_onto(A)
-    h_bij = h.is_bijective_onto(Sbar)
-    witness = None
-    for s in S:
-        seen = {}
-        for x in fibers[s]:
-            y = f(x)
-            if y in seen:
-                witness = (s, seen[y], x)
-                break
-            seen[y] = x
-        if witness:
-            break
-
-    zero = A[0] - A[0]
-    kernel = all(psibar(g_of_s(psi(x))) == zero for x in A)
-    base = f.is_bijective_onto(A) if kernel else None
-    counterexample = None
-    if shifted != (h_bij and witness is None):
-        counterexample = ("verdict_mismatch", witness)
+    A, psi, psibar, (f,) = _kernel_square(A, psi, psibar, f)
+    g = FiniteMap.ensure(psi.image(), g_of_s)
+    p = [y + g(s) for y, s in zip(f.values, psi.values)]
+    # p and f differ by g(psi(x)), constant on each fiber, so inside a fiber
+    # they collide at the same points: the square of p shows where f does
+    report = check_fiber_criterion(_commuting(A, psi, psibar, p, h))
+    kernel = not any(psibar(y) for y in g.values)
     return ShiftReport(
-        shifted_bijective=shifted,
-        h_bijective=h_bij,
-        base_fiber_injective=witness is None,
+        shifted_bijective=report.f_bijective,
+        h_bijective=report.h_bijective,
+        base_fiber_injective=report.fiber_injective,
         kernel_condition=kernel,
-        base_bijective=base,
-        counterexample=counterexample,
+        base_bijective=f.is_bijective_onto(A) if kernel else None,
+        counterexample=None if report.equivalence_holds
+        else ("verdict_mismatch", report.fiber_witness),
     )
 
 
 def wrap_family_instance(instance) -> AGWInstance:
     """Lift a family instance onto its commuting square.
 
-    The top map is the instance's code map, read back as elements.
+    The maps are the instance's code map and its fiber-map code tables.
     Families without a natural fiber map fall back to the identity square,
     for which the fiber criterion still applies (trivially: h is the map
     itself and all fibers are singletons).
     """
-    A = instance.ctx.elements()
-    f = instance.code_map()
-    psi = instance.psi if instance.psi is not None else (lambda x: x)
-    psibar = instance.psibar if instance.psibar is not None else (lambda x: x)
-    return AGWInstance(A, psi, psibar, lambda x: A[f(x.code)])
+    ctx = instance.ctx
+    codes = range(ctx.order)
+    fibers = instance.fiber_codes()
+    psi, psibar = (codes, codes) if fibers is None else fibers
+    return AGWInstance.from_codes(ctx.elements(), list(map(instance.code_map(), codes)),
+                                  psi, psibar, ctx._wrap)

@@ -7,7 +7,9 @@ a disagreement is found, 2 on usage or schema errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
@@ -42,6 +44,23 @@ class RunReport:
     disagreements: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
     wall_time: float = 0.0
+
+    def add(self, item, record) -> None:
+        """Fold one checked grid point in; record is None for a skipped one."""
+        self.grid_size += 1
+        if record is None:
+            self.skipped.append({"params": item.describe_params(), "reason": item.reason})
+        elif record.agree:
+            self.agreements += 1
+        else:
+            verdict = record.verdict
+            self.disagreements.append(
+                {"params": item.describe_params(),
+                 "predicted": record.predicted,
+                 "observed": record.observed,
+                 "collision": None if verdict.collision is None
+                 else [str(x) for x in verdict.collision],
+                 "missed": None if verdict.missed is None else str(verdict.missed)})
 
     def to_dict(self) -> dict:
         return {
@@ -105,50 +124,46 @@ def _build_field(spec_text: str, cap: int):
     return parse_field_spec(spec_text)
 
 
-def _run_grid(spec: dict, cap: int, seed: int):
+def _run_grid(spec: dict, cap: int, seed: int, csv_path=None) -> RunReport:
+    """Check every grid point, folding each into the report and, with
+    csv_path, writing its row as soon as it is checked.  The file is opened
+    only once the field is built and the grid's parameters resolve."""
+    start = time.perf_counter()
     ctx = _build_field(spec["field"], cap)
-    results = []
-    for item in instantiate_grid(spec["family"], [ctx], spec["params"], seed=seed):
-        if isinstance(item, SkippedInstance):
-            results.append((item, None))
-        else:
-            results.append((item, check_iff(item, cap=cap)))
-    return results
-
-
-def _report_from_results(spec: dict, results, wall: float) -> RunReport:
     report = RunReport(family_id=spec["family"], field_spec=spec["field"])
-    report.grid_size = len(results)
-    report.wall_time = wall
-    for item, record in results:
-        if record is None:
-            report.skipped.append(
-                {"params": item.describe_params(), "reason": item.reason})
-        elif record.agree:
-            report.agreements += 1
-        else:
-            report.disagreements.append(
-                {"params": item.describe_params(),
-                 "predicted": record.predicted,
-                 "observed": record.observed})
+    items = instantiate_grid(spec["family"], [ctx], spec["params"], seed=seed)
+    first = next(items, None)  # a malformed grid raises here, before any file is opened
+    with (open(csv_path, "w", encoding="utf-8", newline="") if csv_path
+          else contextlib.nullcontext()) as fh:
+        write_row = _row_writer(spec["family"], fh) if fh else None
+        for item in itertools.chain([] if first is None else [first], items):
+            record = None if isinstance(item, SkippedInstance) else check_iff(item, cap=cap)
+            report.add(item, record)
+            if write_row:
+                write_row(item, record)
+    report.wall_time = time.perf_counter() - start
     return report
 
 
-def _write_rows(results, family_id: str, out) -> None:
+def _row_writer(family_id: str, out):
+    """Write the CSV header to out; return the function writing one row."""
     names = PARAM_ORDER[family_id]
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(names) + ["predicted", "observed", "status", "cycle_type"])
-    for item, record in results:
+
+    def write_row(item, record) -> None:
         values = [describe_value(item.params[name]) for name in names]
         if record is None:
             writer.writerow(values + ["", "", f"skipped:{item.reason}", ""])
-            continue
+            return
         status = "agree" if record.agree else "disagree"
         cycles = ""
         if record.verdict.cycle_type is not None:
             cycles = format_cycle_type(record.verdict.cycle_type)
         writer.writerow(values + [str(record.predicted).lower(),
                                   str(record.observed).lower(), status, cycles])
+
+    return write_row
 
 
 def _print_report(report: RunReport) -> None:
@@ -160,7 +175,11 @@ def _print_report(report: RunReport) -> None:
     print(f"skipped      {len(report.skipped)}")
     print(f"wall time    {report.wall_time:.2f}s")
     for dis in report.disagreements:
-        print(f"  DISAGREE predicted={dis['predicted']} observed={dis['observed']} {dis['params']}")
+        witness = ""
+        if dis["collision"]:
+            witness = f"; collision={'/'.join(dis['collision'])} missed={dis['missed']}"
+        print(f"  DISAGREE predicted={dis['predicted']} observed={dis['observed']} "
+              f"{dis['params']}{witness}")
     reasons: dict[str, int] = {}
     for sk in report.skipped:
         reasons[sk["reason"]] = reasons.get(sk["reason"], 0) + 1
@@ -192,13 +211,7 @@ def do_field_info(args) -> int:
 
 def do_verify(args) -> int:
     spec = _load_spec(args.spec)
-    cap = _resolve_cap(args)
-    start = time.perf_counter()
-    results = _run_grid(spec, cap, args.seed)
-    report = _report_from_results(spec, results, time.perf_counter() - start)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            _write_rows(results, spec["family"], fh)
+    report = _run_grid(spec, _resolve_cap(args), args.seed, args.csv)
     if args.json:
         doc = report.to_dict()
         doc["spec"] = spec
@@ -216,12 +229,7 @@ def do_census(args) -> int:
         if not isinstance(loaded, dict):
             raise SchemaError("'--params' must be a JSON object")
         spec["params"] = loaded
-    cap = _resolve_cap(args)
-    start = time.perf_counter()
-    results = _run_grid(spec, cap, args.seed)
-    report = _report_from_results(spec, results, time.perf_counter() - start)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        _write_rows(results, args.family, fh)
+    report = _run_grid(spec, _resolve_cap(args), args.seed, args.output)
     print(f"wrote {report.grid_size} rows to {args.output} "
           f"({report.agreements} agree, {len(report.disagreements)} disagree, "
           f"{len(report.skipped)} skipped)")
@@ -232,22 +240,23 @@ def do_agw_check(args) -> int:
     spec = _load_spec(args.spec)
     cap = _resolve_cap(args)
     ctx = _build_field(spec["field"], cap)
-    results = []
+    checked = ok = skipped = 0
+    broken = []
     for item in instantiate_grid(spec["family"], [ctx], spec["params"], seed=args.seed):
+        checked += 1
         if isinstance(item, SkippedInstance):
-            results.append((item, "skipped", item.reason))
+            skipped += 1
             continue
         try:
             report = check_fiber_criterion(wrap_family_instance(item))
         except NotCommutingError as exc:
-            results.append((item, "no_diagram", str(exc)))
+            broken.append((item, "no_diagram", str(exc)))
             continue
-        results.append((item, "ok" if report.equivalence_holds else "violated", report))
-    ok = sum(1 for _, status, _ in results if status == "ok")
-    skipped = sum(1 for _, status, _ in results if status == "skipped")
-    broken = [(item, status, info) for item, status, info in results
-              if status in ("violated", "no_diagram")]
-    print(f"checked {len(results)} instances: {ok} satisfy the fiber criterion, "
+        if report.equivalence_holds:
+            ok += 1
+        else:
+            broken.append((item, "violated", report))
+    print(f"checked {checked} instances: {ok} satisfy the fiber criterion, "
           f"{skipped} skipped, {len(broken)} problems")
     for item, status, info in broken:
         print(f"  {status}: {item.describe_params()} ({info})")

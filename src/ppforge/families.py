@@ -5,8 +5,9 @@ verdict from the family's stated bijectivity condition alone; brute force
 never feeds the prediction.  The map itself is a code map: a function on
 element codes compiled from the field's tables (exp/log/add, the
 log-Frobenius, the trace) and from tables of the parameters (g, h, L),
-each built once per field.  Instances carry the fiber maps of their
-commuting square so the diagram checkers can audit them independently.
+each built once per field.  The fiber maps psi and psibar of a family's
+commuting square are code tables too (FIBER_MAPS), built only when the
+diagram checkers ask for them.
 
 Huge monomials such as x^((q^n+1)/2) are never materialized as coefficient
 vectors: they are power maps on logs.
@@ -18,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .gf import CtxMismatchError, Elem, FieldCtx, ResidueClass
+from .gf import CtxMismatchError, Elem, FieldCtx, ResidueClass, TabulatedMap
 from .linearized import (
     CriteriaDisagreeError,
     LinPoly,
@@ -56,7 +57,8 @@ class FamilyInstance:
 
     The map itself is the family's code map, compiled from ``ctx`` and
     ``params`` by :meth:`code_map` when it is needed and not stored on the
-    instance; ``evaluator`` is its ``Elem -> Elem`` edge.
+    instance; ``evaluator`` is its ``Elem -> Elem`` edge.  The fiber maps
+    are compiled the same way, by :meth:`fiber_codes`.
     """
 
     family_id: str
@@ -65,12 +67,34 @@ class FamilyInstance:
     evaluator: Callable[[Elem], Elem]
     predicted_pp: bool
     hypotheses: tuple[tuple[str, bool], ...]
-    psi: Optional[Callable[[Elem], Elem]] = None
-    psibar: Optional[Callable[[Elem], Elem]] = None
 
     def code_map(self) -> Callable[[int], int]:
         """The map on element codes."""
         return CODE_MAPS[self.family_id](self.ctx, self.params)
+
+    def fiber_codes(self) -> Optional[tuple[Sequence[int], Sequence[int]]]:
+        """(psi, psibar) of the family's commuting square as code tables, psi
+        being psibar plus delta; None for a family without fiber maps."""
+        fiber_map = FIBER_MAPS.get(self.family_id)
+        if fiber_map is None:
+            return None
+        psibar, delta = fiber_map(self.ctx, self.params)
+        if delta == 0:
+            return psibar, psibar
+        return list(map(self.ctx._add_const(delta), psibar)), psibar
+
+    @property
+    def psi(self) -> Optional[TabulatedMap]:
+        """The ``Elem -> Elem`` view of psi, or None; tabulated on each
+        access, so keep the view rather than reading the property per call."""
+        codes = self.fiber_codes()
+        return None if codes is None else TabulatedMap(self.ctx, codes[0])
+
+    @property
+    def psibar(self) -> Optional[TabulatedMap]:
+        """The ``Elem -> Elem`` view of psibar, or None (see :attr:`psi`)."""
+        codes = self.fiber_codes()
+        return None if codes is None else TabulatedMap(self.ctx, codes[1])
 
     def describe_params(self) -> str:
         return " ".join(f"{k}={describe_value(v)}" for k, v in self.params.items())
@@ -144,11 +168,10 @@ def _permutes(L: LinPoly) -> bool:
 
 
 def _instance(family_id: str, ctx: FieldCtx, params: dict, predicted: bool,
-              hypotheses: tuple, psi=None, psibar=None) -> FamilyInstance:
+              hypotheses: tuple) -> FamilyInstance:
     return FamilyInstance(family_id=family_id, ctx=ctx, params=params,
                           evaluator=CodeMapEdge(family_id, ctx, params),
-                          predicted_pp=predicted, hypotheses=hypotheses,
-                          psi=psi, psibar=psibar)
+                          predicted_pp=predicted, hypotheses=hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +187,6 @@ def family_additive_g(ctx: FieldCtx, g: GRecipe, L: LinPoly, delta: Elem) -> Fam
     return _instance(
         "additive_g", ctx, {"g": g, "L": L, "delta": delta}, _permutes(L),
         (("g_frobenius_invariant", True), ("L_over_base_field", True)),
-        psi=lambda x: x.frobenius() - x + delta,
-        psibar=lambda x: x.frobenius() - x,
     )
 
 
@@ -183,8 +204,6 @@ def family_even_t(ctx: FieldCtx, t: int, delta: Elem, L: LinPoly) -> FamilyInsta
         "even_t", ctx, {"t": t, "delta": delta, "L": L}, _permutes(L),
         (("t_even", True), ("delta_antisymmetric", True),
          ("L_over_intermediate_field", True)),
-        psi=lambda x: x.frobenius(k) - x,
-        psibar=lambda x: x.frobenius(k) - x,
     )
 
 
@@ -211,8 +230,6 @@ def family_trace_gamma(ctx: FieldCtx, t: int, delta: Elem, beta: Elem,
         bool((beta * gamma.inv()).trace() + ctx.one),
         (("t_even", True), ("delta_antisymmetric", True),
          ("beta_in_intermediate", True), ("gamma_nonzero_in_base", True)),
-        psi=lambda x: x.frobenius(k) - x,
-        psibar=lambda x: x.frobenius(k) - x,
     )
 
 
@@ -236,22 +253,16 @@ _ALPHA_BETA_HYPOTHESES = (("odd_characteristic", True), ("alpha_antisymmetric", 
                           ("L_over_intermediate_field", True))
 
 
-def _intermediate_sum(ctx: FieldCtx):
-    k = ctx.n // 2
-    return lambda x: x.frobenius(k) + x
-
-
 def family_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
                       beta: Elem, L: LinPoly) -> FamilyInstance:
     """f(x) = alpha*(x^(q^k) + x + delta)^t + beta*Tr(x) + L(x), q odd;
     bijective iff L is."""
     delta, alpha, beta = _check_alpha_beta(ctx, t, delta, alpha, beta)
     _require(_linpoly_fixed_by(L, ctx.n // 2), "linearized_coeffs_outside_intermediate")
-    psi = _intermediate_sum(ctx)
     return _instance(
         "alpha_beta", ctx,
         {"t": t, "delta": delta, "alpha": alpha, "beta": beta, "L": L},
-        _permutes(L), _ALPHA_BETA_HYPOTHESES, psi=psi, psibar=psi,
+        _permutes(L), _ALPHA_BETA_HYPOTHESES,
     )
 
 
@@ -269,12 +280,10 @@ def family_alpha_beta_gamma(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
         raise CriteriaDisagreeError(
             f"gamma*x^(q^{s}) with gamma={gamma}: the linearized criterion "
             f"disagrees with gamma != 0")
-    psi = _intermediate_sum(ctx)
     return _instance(
         "alpha_beta_gamma", ctx,
         {"t": t, "delta": delta, "alpha": alpha, "beta": beta, "gamma": gamma, "s": s},
         predicted, _ALPHA_BETA_HYPOTHESES + (("gamma_in_intermediate", True),),
-        psi=psi, psibar=psi,
     )
 
 
@@ -294,8 +303,6 @@ def family_anti_g(ctx: FieldCtx, g: GRecipe, delta: Elem, beta: Elem,
         _permutes(L),
         (("odd_characteristic", True), ("g_frobenius_antisymmetric", True),
          ("beta_antisymmetric", True), ("L_over_base_field", True)),
-        psi=lambda x: x.frobenius() + x + delta,
-        psibar=lambda x: x.frobenius() + x,
     )
 
 
@@ -318,8 +325,6 @@ def family_n4k(ctx: FieldCtx, variant: str, delta: Elem, a: Elem) -> FamilyInsta
     return _instance(
         "n4k", ctx, {"variant": variant, "delta": delta, "a": a}, predicted,
         (("n_multiple_of_4", True), ("a_nonzero_in_base", True)),
-        psi=lambda x: x.frobenius() - x + delta,
-        psibar=lambda x: x.frobenius() - x,
     )
 
 
@@ -338,16 +343,10 @@ def family_q6(ctx: FieldCtx, variant: str, h: Poly, L: LinPoly,
     if h.ctx is not ctx:
         raise FamilyParameterError("wrong_field", "h must live in the tower field")
     _require(L.subfield_flag, "linearized_coeffs_outside_base")
-    if variant == "minus":
-        psibar = lambda x: x.frobenius(2) - x.frobenius(1) + x
-    else:
-        psibar = lambda x: x.frobenius(2) + x.frobenius(1) + x
     return _instance(
         "q6", ctx, {"variant": variant, "h": h, "L": L, "delta": delta},
         _permutes(L),
         (("tower_degree_six", True), ("L_over_base_field", True)),
-        psi=lambda x: psibar(x) + delta,
-        psibar=psibar,
     )
 
 
@@ -369,8 +368,6 @@ def family_generic_L(ctx: FieldCtx, L: LinPoly, a: Elem, h,
         _permutes(L1),
         (("L_has_nontrivial_kernel", True), ("a_in_kernel", True),
          ("h_frobenius_invariant", True), ("L1_over_base_field", True)),
-        psi=lambda x: L.apply(x) + delta,
-        psibar=L.apply,
     )
 
 
@@ -478,13 +475,18 @@ def _q6_outer(ctx: FieldCtx, h: Poly, terms) -> list[int]:
     return [powers[y] for y in h_codes(h, ctx)]
 
 
+def _q6_shift(ctx: FieldCtx, sign: int) -> Sequence[int]:
+    """x^(q^2) + sign*x^q + x on every code, built once per field."""
+    return LinPoly(ctx, [1, sign % ctx.p, 1]).tabulate()
+
+
 def _codes_q6(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
     h, delta, lin = params["h"], params["delta"].code, params["L"].tabulate()
-    minus = LinPoly(ctx, [1, ctx._neg(1), 1]).tabulate()
+    minus = _q6_shift(ctx, -1)
     if params["variant"] == "minus":
         outer = _q6_outer(ctx, h, ((4, 1), (3, 1), (1, -1), (0, -1)))
         return _compose(ctx, outer, minus, delta, lin)
-    plus = LinPoly(ctx, [1, 1, 1]).tabulate()
+    plus = _q6_shift(ctx, 1)
     lead = _q6_outer(ctx, h, ((4, 1), (3, -1)))
     trail = _q6_outer(ctx, h, ((1, 1), (0, -1)))
     add = ctx._add
@@ -529,6 +531,24 @@ CODE_MAPS: dict[str, Callable[[FieldCtx, dict], Callable[[int], int]]] = {
     "q6": _codes_q6,
     "generic_L": _codes_generic_L,
     "half_power": _codes_half_power,
+}
+
+
+# fiber maps: each family's commuting square as (psibar, delta) over the same
+# per-field tables, psi being psibar + delta.  half_power has none; the
+# diagram checkers audit it on the identity square.
+
+FIBER_MAPS: dict[str, Callable[[FieldCtx, dict], tuple[Sequence[int], int]]] = {
+    "additive_g": lambda ctx, P: (_frob_shift(ctx, 1, -1), P["delta"].code),
+    "even_t": lambda ctx, P: (_frob_shift(ctx, ctx.n // 2, -1), 0),
+    "trace_gamma": lambda ctx, P: (_frob_shift(ctx, ctx.n // 2, -1), 0),
+    "alpha_beta": lambda ctx, P: (_frob_shift(ctx, ctx.n // 2, 1), 0),
+    "alpha_beta_gamma": lambda ctx, P: (_frob_shift(ctx, ctx.n // 2, 1), 0),
+    "anti_g": lambda ctx, P: (_frob_shift(ctx, 1, 1), P["delta"].code),
+    "n4k": lambda ctx, P: (_frob_shift(ctx, 1, -1), P["delta"].code),
+    "q6": lambda ctx, P: (_q6_shift(ctx, -1 if P["variant"] == "minus" else 1),
+                          P["delta"].code),
+    "generic_L": lambda ctx, P: (P["L"].tabulate(), P["delta"].code),
 }
 
 

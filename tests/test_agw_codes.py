@@ -1,0 +1,117 @@
+"""The commuting-square checkers on integer codes: the additivity
+hypothesis adds in the field, and the error paths hold with assertions
+stripped (python -O)."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import ppforge
+from ppforge.agw import (
+    AGWInstance,
+    FiniteMap,
+    HypothesisViolatedError,
+    check_fiber_criterion,
+    check_fiber_shift,
+    check_perturbed_bijection,
+)
+from ppforge.gf import make_field
+
+F9 = make_field(3, 1, 2)
+A9 = F9.elements()
+
+
+def psi9(x):
+    return x.frobenius() - x
+
+
+def test_additive_map_passes_although_codes_do_not_add():
+    # x^3 - x is additive on F_9, but the codes of 1 and 2 sum to 3 as
+    # integers and to 0 in the field: integer addition would refute it
+    assert F9.elem(1) + F9.elem(2) == F9.zero
+    perturbed = check_perturbed_bijection(A9, psi9, psi9, lambda x: x, lambda x: F9.zero)
+    assert perturbed.equivalence_holds and perturbed.perturbed_bijective
+    shifted = check_fiber_shift(A9, psi9, psi9, lambda x: x, lambda s: F9.zero)
+    assert shifted.equivalence_holds and shifted.kernel_condition
+
+
+def test_map_additive_on_integer_codes_is_refused():
+    # c -> 2c mod 9 is additive on the integers mod 9 but not on F_9:
+    # codes 1 + 1 = 2 in both, and 2 -> 4 while 2*(2,0) = (1,0) in the field
+    doubled = lambda x: F9.elem(2 * x.code % 9)
+    identity = lambda x: x
+    with pytest.raises(HypothesisViolatedError) as exc:
+        check_perturbed_bijection(A9, identity, doubled, identity, lambda x: F9.zero)
+    assert exc.value.name == "additivity"
+    with pytest.raises(HypothesisViolatedError) as exc:
+        check_fiber_shift(A9, identity, doubled, identity, lambda s: F9.zero)
+    assert exc.value.name == "additivity"
+
+
+def test_witness_follows_the_order_of_S_and_of_each_fiber():
+    # a constant map descends along x^3 - x and collapses all three fibers
+    S = FiniteMap.from_callable(A9, psi9).image()
+    const = lambda x: F9.zero
+    first = check_fiber_criterion(AGWInstance(A9, psi9, psi9, const)).fiber_witness
+    fiber = [x for x in A9 if psi9(x) == S[0]]
+    assert first == (S[0], fiber[0], fiber[1])
+    last = check_fiber_criterion(AGWInstance(A9, psi9, psi9, const, S=S[::-1])).fiber_witness
+    fiber = [x for x in A9 if psi9(x) == S[-1]]
+    assert last == (S[-1], fiber[0], fiber[1])
+    backwards = check_fiber_criterion(AGWInstance(A9[::-1], psi9, psi9, const)).fiber_witness
+    fiber = [x for x in A9[::-1] if psi9(x) == psi9(A9[-1])]
+    assert backwards == (psi9(A9[-1]), fiber[0], fiber[1])
+
+
+OPTIMIZED_SCRIPT = textwrap.dedent("""
+    import sys
+    from ppforge import agw, cli
+    from ppforge.gf import make_field
+
+    F9 = make_field(3, 1, 2)
+    A9 = F9.elements()
+    psi = lambda x: x.frobenius() - x
+
+    def raised(fn, error, name=None):
+        try:
+            fn()
+        except error as exc:
+            return name is None or exc.name == name
+        return False
+
+    print("optimize", sys.flags.optimize)
+    print("not_commuting",
+          raised(lambda: agw.AGWInstance(A9, psi, psi, lambda x: x * x),
+                 agw.NotCommutingError))
+    print("kernel_value",
+          raised(lambda: agw.check_perturbed_bijection(
+              A9, psi, psi, lambda x: x, lambda x: F9.generator),
+              agw.HypothesisViolatedError, "kernel_value"))
+    print("fiber_constant",
+          raised(lambda: agw.check_perturbed_bijection(
+              A9, psi, psi, lambda x: x, lambda x: F9.subfield_elements()[x.code % 3]),
+              agw.HypothesisViolatedError, "fiber_constant"))
+    violated = agw.FiberReport(f_bijective=True, h_bijective=False, fiber_injective=True)
+    print("report_violated", not violated.equivalence_holds)
+    cli.check_fiber_criterion = lambda inst: violated
+    print("cli_exit", cli.main(["agw-check", '{"family": "even_t", "field": "3^1:2"}']))
+""")
+
+
+def test_error_paths_hold_under_python_O():
+    src = str(Path(ppforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "optimize 1" in lines
+    for check in ("not_commuting", "kernel_value", "fiber_constant", "report_violated"):
+        assert f"{check} True" in lines, proc.stdout
+    assert "cli_exit 1" in lines
+    assert any(line.startswith("  violated: ") for line in lines)

@@ -181,3 +181,68 @@ def test_seed_flag_feeds_random_pp(capsys):
                    "L": ["random_pp"], "delta": "all"},
     })
     assert main(["verify", spec, "--seed", "5"]) == 0
+
+
+Q6_PLUS_SPEC = json.dumps({
+    "family": "q6",
+    "field": "3^1:6",
+    "params": {"variant": ["plus"], "h": [{"mono": 1}], "L": ["identity"], "delta": [0]},
+})
+Q6_COLLISION = ["0,0,1,0,0,0", "0,0,0,1,0,0"]
+Q6_MISSED = "0,1,0,0,0,0"
+
+
+def test_verify_reports_the_witness_of_a_disagreement(capsys):
+    # the pinned q6 'plus' refutation at 3^1:6: predicted bijective, it is not
+    assert main(["verify", Q6_PLUS_SPEC, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    [dis] = doc["disagreements"]
+    assert dis["predicted"] is True and dis["observed"] is False
+    assert dis["collision"] == Q6_COLLISION
+    assert dis["missed"] == Q6_MISSED
+    assert main(["verify", Q6_PLUS_SPEC]) == 1
+    [line] = [line for line in capsys.readouterr().out.splitlines() if "DISAGREE" in line]
+    assert line.endswith(f"; collision={'/'.join(Q6_COLLISION)} missed={Q6_MISSED}")
+
+
+def test_grid_points_are_not_kept_once_written(tmp_path, monkeypatch):
+    import weakref
+
+    import ppforge.cli
+
+    out_csv = tmp_path / "rows.csv"
+    refs, alive = [], []
+    check_iff = ppforge.cli.check_iff
+
+    def spy(item, cap):
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(item))
+        return check_iff(item, cap=cap)
+
+    monkeypatch.setattr(ppforge.cli, "check_iff", spy)
+    assert main(["verify", HALF_POWER_SPEC, "--csv", str(out_csv)]) == 0
+    assert len(refs) == 576 and max(alive) <= 2
+    assert out_csv.read_text().count("\n") == 577
+
+
+def test_malformed_grid_leaves_no_csv(tmp_path, capsys):
+    out_csv = tmp_path / "rows.csv"
+    assert main(["census", "half_power", "3^1:2", "-o", str(out_csv),
+                 "--params", '{"k": 1}']) == 2
+    assert "missing parameters" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_report_keeps_a_zero_missed_value():
+    from ppforge.cli import RunReport
+    from ppforge.families import family_half_power
+    from ppforge.gf import make_field
+    from ppforge.oracle import IffRecord, Verdict
+
+    f9 = make_field(3, 1, 2)
+    inst = family_half_power(f9, 1, f9.one, f9.one, f9.zero)
+    verdict = Verdict(bijective=False, collision=(f9.elem(1), f9.elem(2)), missed=f9.zero)
+    report = RunReport("half_power", "3^1:2")
+    report.add(inst, IffRecord("half_power", True, False, verdict))
+    [dis] = json.loads(json.dumps(report.to_dict()))["disagreements"]
+    assert dis["collision"] == ["1,0", "2,0"] and dis["missed"] == "0,0"

@@ -1,12 +1,23 @@
-"""Differential tests: every family's code map against a reference written
-here with Elem arithmetic only, on random small fields and random grid
-points; and the Elem-edge scan against the code-list scan."""
+"""Differential tests: every family's code map and fiber maps against a
+reference written here with Elem arithmetic only, on random small fields
+and random grid points; the Elem-edge scan against the code-list scan; and
+the commuting-square audit against an Elem-keyed reference."""
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ppforge import families as fam
+from ppforge.agw import (
+    AGWError,
+    AGWInstance,
+    FiberReport,
+    HypothesisViolatedError,
+    NotCommutingError,
+    NotSurjectiveError,
+    check_fiber_criterion,
+    wrap_family_instance,
+)
 from ppforge.families import FamilyParameterError, RecipeContractError
 from ppforge.gf import make_field
 from ppforge.linearized import LinPoly, random_linearized_pp
@@ -304,3 +315,192 @@ def test_log_frobenius_is_the_q_power_map(spec):
             y = x.frobenius(j)
             assert y == x ** (ctx.q ** j)
             assert y == slow_pow(x, ctx.q ** j)
+
+
+# ---------------------------------------------------------------------------
+# commuting squares: the fiber-map code tables against their formulas, and
+# the integer-list audit against the Elem-keyed audit it replaced
+
+
+def ref_fiber_maps(inst):
+    """(psi, psibar) of the family's square by their defining formulas, or
+    None for a family without fiber maps."""
+    ctx, P, n = inst.ctx, inst.params, inst.ctx.n
+    family, delta = inst.family_id, inst.params.get("delta")
+    if family in ("additive_g", "n4k"):
+        bar = lambda x: ref_frob(x, 1) - x
+    elif family in ("even_t", "trace_gamma"):
+        bar, delta = (lambda x: ref_frob(x, n // 2) - x), ctx.zero
+    elif family in ("alpha_beta", "alpha_beta_gamma"):
+        bar, delta = (lambda x: ref_frob(x, n // 2) + x), ctx.zero
+    elif family == "anti_g":
+        bar = lambda x: ref_frob(x, 1) + x
+    elif family == "q6":
+        if P["variant"] == "minus":
+            bar = lambda x: ref_frob(x, 2) - ref_frob(x, 1) + x
+        else:
+            bar = lambda x: ref_frob(x, 2) + ref_frob(x, 1) + x
+    elif family == "generic_L":
+        bar = lambda x: ref_lin(P["L"], x)
+    else:
+        return None
+    return (lambda x: bar(x) + delta), bar
+
+
+def ref_audit(A, psi, psibar, f, h=None, S=None, Sbar=None):
+    """FiberReport of the commuting-square audit on Elem-keyed dicts, as
+    AGWInstance and check_fiber_criterion computed it before maps became
+    integer lists; raises the errors that audit raised."""
+    A = tuple(A)
+
+    def table(domain, m):
+        if isinstance(m, dict):
+            if set(m) != set(domain):
+                raise ValueError("table keys must match the domain exactly")
+            return dict(m)
+        return {x: m(x) for x in domain}
+
+    def image(t, domain):
+        return tuple(dict.fromkeys(t[x] for x in domain))
+
+    psi, psibar, f = table(A, psi), table(A, psibar), table(A, f)
+    S = tuple(S) if S is not None else image(psi, A)
+    Sbar = tuple(Sbar) if Sbar is not None else image(psibar, A)
+    if set(image(psi, A)) != set(S):
+        raise NotSurjectiveError("psi does not cover S")
+    if set(image(psibar, A)) != set(Sbar):
+        raise NotSurjectiveError("psibar does not cover Sbar")
+    if len(S) != len(Sbar):
+        raise HypothesisViolatedError("cardinality", "#S != #Sbar")
+    fibers = {}
+    for x in A:
+        fibers.setdefault(psi[x], []).append(x)
+    if h is None:
+        h = {}
+        for s, fiber in fibers.items():
+            values = {psibar[f[x]] for x in fiber}
+            if len(values) != 1:
+                raise NotCommutingError(
+                    f"no induced map: psibar(f(.)) not constant on the fiber over {s!r}")
+            h[s] = values.pop()
+    else:
+        h = table(S, h)
+        for x in A:
+            if psibar[f[x]] != h[psi[x]]:
+                raise NotCommutingError(f"psibar(f({x!r})) != h(psi({x!r}))")
+    f_image, h_image = set(f.values()), {h[s] for s in S}
+    witness = None
+    for s in S:
+        seen = {}
+        for x in fibers[s]:
+            if f[x] in seen:
+                witness = (s, seen[f[x]], x)
+                break
+            seen[f[x]] = x
+        if witness:
+            break
+    return FiberReport(
+        f_bijective=len(f_image) == len(A) and f_image == set(A),
+        h_bijective=len(h_image) == len(S) and h_image == set(Sbar),
+        fiber_injective=witness is None,
+        fiber_witness=witness,
+    )
+
+
+def outcome(audit):
+    """The report, or the error's type, hypothesis name and message."""
+    try:
+        return audit()
+    except (AGWError, ValueError) as exc:
+        return type(exc), getattr(exc, "name", None), str(exc)
+
+
+@pytest.mark.parametrize("family", sorted(fam.FAMILY_BUILDERS))
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(data=st.data())
+def test_family_square_matches_element_reference(family, data):
+    ctx, params = draw_params(data, family)
+    try:
+        inst = fam.FAMILY_BUILDERS[family](ctx, **params)
+    except (FamilyParameterError, RecipeContractError):
+        assume(False)
+    maps, ref = inst.fiber_codes(), ref_fiber_maps(inst)
+    A = ctx.elements()
+    if ref is None:
+        assert maps is None and inst.psi is None and inst.psibar is None
+        ref = (lambda x: x, lambda x: x)
+    else:
+        ref = ({x: ref[0](x) for x in A}, {x: ref[1](x) for x in A})
+        views = (inst.psi, inst.psibar)
+        for x in A:
+            for codes, want, view in zip(maps, ref, views):
+                assert codes[x.code] == want[x].code, f"{inst.describe_params()} at {x}"
+                assert view(x) == want[x]
+    f = reference(inst)
+    assert (outcome(lambda: check_fiber_criterion(wrap_family_instance(inst)))
+            == outcome(lambda: ref_audit(A, ref[0], ref[1], f)))
+
+
+SQUARE_FIELDS = [(2, 1, 2), (3, 1, 1), (2, 1, 3), (5, 1, 1), (3, 1, 2), (2, 1, 4)]
+
+
+def draw_square(data):
+    """A domain of field elements in a drawn order and maps on it: random
+    maps (mostly not commuting), descending maps (the square commutes, h
+    and the fibers drawn to be bijective, collapsing or neither) or the
+    identity square; with S and h passed explicitly or left to the audit."""
+    ctx = make_field(*pick(data, SQUARE_FIELDS, "field"))
+    A = data.draw(st.permutations(ctx.elements()), label="A")
+    n = len(A)
+
+    def elem(pool, label):
+        return pool[data.draw(st.integers(0, len(pool) - 1), label=label)]
+
+    kind = data.draw(st.sampled_from(["random", "descending", "identity"]), label="kind")
+    if kind == "identity":
+        ident = {x: x for x in A}
+        return A, ident, ident, ident, {}
+    pool = A[:data.draw(st.integers(1, n), label="k")]
+    psi = {x: elem(pool, "psi") for x in A}
+    if kind == "random":
+        psibar = {x: elem(pool, "psibar") for x in A}
+        f = {x: elem(A, "f") for x in A}
+    else:
+        # psibar(x) = tau(psi(pi^-1(x))): its fiber over tau(s) is pi(psi^-1(s))
+        S = list(dict.fromkeys(psi.values()))
+        pi = dict(zip(A, data.draw(st.permutations(A), label="pi")))
+        tau = dict(zip(S, data.draw(st.permutations(A), label="tau")))
+        psibar = {pi[x]: tau[psi[x]] for x in A}
+        f = {}
+        for s in S:
+            fiber = [x for x in A if psi[x] == s]
+            target = elem(S, "h") if data.draw(st.booleans(), label="rehome") else s
+            image = [pi[x] for x in A if psi[x] == target]
+            f.update((x, elem(image, "f")) for x in fiber)
+            if len(image) == len(fiber) and data.draw(st.booleans(), label="bijective"):
+                f.update(zip(fiber, data.draw(st.permutations(image), label="onto")))
+    extra = {}
+    S = list(dict.fromkeys(psi.values()))
+    how = data.draw(st.sampled_from(["none", "shuffled", "shuffled", "missing", "extra"]),
+                    label="S")
+    if how == "shuffled":
+        extra["S"] = data.draw(st.permutations(S), label="order")
+    elif how == "missing" and len(S) > 1:
+        extra["S"] = S[1:]
+    elif how == "extra" and len(S) < n:
+        extra["S"] = S + [next(x for x in A if x not in S)]
+    if data.draw(st.booleans(), label="explicit_h"):
+        extra["h"] = {s: elem(A, "h_value") for s in extra.get("S", S)}
+        if kind == "descending" and data.draw(st.booleans(), label="induced_h"):
+            extra["h"] = {psi[x]: psibar[f[x]] for x in reversed(A)}
+            extra["h"].update((s, A[0]) for s in extra.get("S", S) if s not in extra["h"])
+    return A, psi, psibar, f, extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_audit_matches_element_reference(data):
+    A, psi, psibar, f, extra = draw_square(data)
+    assert (outcome(lambda: check_fiber_criterion(AGWInstance(A, psi, psibar, f, **extra)))
+            == outcome(lambda: ref_audit(A, psi, psibar, f, **extra)))
