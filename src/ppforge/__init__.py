@@ -78,7 +78,6 @@ from .families import (
 from .oracle import (
     DEFAULT_CAP,
     FieldTooLargeError,
-    HypothesisUnsatisfiedError,
     IffRecord,
     NotBijectiveError,
     Verdict,

@@ -105,12 +105,20 @@ def _load_spec(arg: str) -> dict:
 
 
 def _resolve_cap(args) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
-    env = os.environ.get("PPFORGE_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_CAP
+    """The field-size cap: --cap, else PPFORGE_CAP (unset or empty means
+    none), else DEFAULT_CAP.  Either setting must be a positive integer."""
+    source, text = "--cap", getattr(args, "cap", None)
+    if text is None:
+        source, text = "PPFORGE_CAP", os.environ.get("PPFORGE_CAP") or None
+    if text is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return cap
 
 
 def _build_field(spec_text: str, cap: int):
@@ -192,7 +200,7 @@ def _print_report(report: RunReport) -> None:
 
 
 def do_field_info(args) -> int:
-    ctx = parse_field_spec(args.spec)
+    ctx = _build_field(args.spec, _resolve_cap(args))
     print(f"field          {ctx.label}")
     print(f"p              {ctx.p}")
     print(f"e              {ctx.e}")
@@ -275,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.set_defaults(func=do_field_info)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=None,
-                        help="field-size cap (default 2^20, env PPFORGE_CAP)")
+    common.add_argument("--cap", default=None,
+                        help="field-size cap, a positive integer "
+                             "(default 2^20, env PPFORGE_CAP)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for 'random_pp' grid entries")
 

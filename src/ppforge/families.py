@@ -28,6 +28,7 @@ from .linearized import (
     is_permutation,
     parse_linpoly,
     random_linearized_pp,
+    tabulate_linear,
 )
 from .poly import Poly, parse_poly
 from .recipes import (  # the recipe names are part of this module's API
@@ -66,7 +67,6 @@ class FamilyInstance:
     params: dict
     evaluator: Callable[[Elem], Elem]
     predicted_pp: bool
-    hypotheses: tuple[tuple[str, bool], ...]
 
     def code_map(self) -> Callable[[int], int]:
         """The map on element codes."""
@@ -167,11 +167,11 @@ def _permutes(L: LinPoly) -> bool:
     return L.ctx.derived(("permutes", L.codes), lambda: is_permutation(L))
 
 
-def _instance(family_id: str, ctx: FieldCtx, params: dict, predicted: bool,
-              hypotheses: tuple) -> FamilyInstance:
+def _instance(family_id: str, ctx: FieldCtx, params: dict,
+              predicted: bool) -> FamilyInstance:
     return FamilyInstance(family_id=family_id, ctx=ctx, params=params,
                           evaluator=CodeMapEdge(family_id, ctx, params),
-                          predicted_pp=predicted, hypotheses=hypotheses)
+                          predicted_pp=predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +184,7 @@ def family_additive_g(ctx: FieldCtx, g: GRecipe, L: LinPoly, delta: Elem) -> Fam
     _require(recipe_sign(g) == 1, "recipe_not_invariant", "needs g^q = g")
     _require(L.subfield_flag, "linearized_coeffs_outside_base")
     g_codes(g, ctx)  # tabulated and contract-checked once per field; raises if broken
-    return _instance(
-        "additive_g", ctx, {"g": g, "L": L, "delta": delta}, _permutes(L),
-        (("g_frobenius_invariant", True), ("L_over_base_field", True)),
-    )
+    return _instance("additive_g", ctx, {"g": g, "L": L, "delta": delta}, _permutes(L))
 
 
 def family_even_t(ctx: FieldCtx, t: int, delta: Elem, L: LinPoly) -> FamilyInstance:
@@ -200,11 +197,7 @@ def family_even_t(ctx: FieldCtx, t: int, delta: Elem, L: LinPoly) -> FamilyInsta
     _require(delta.frobenius(k) == -delta, "bad_delta",
              "delta must satisfy delta^(q^k) = -delta")
     _require(_linpoly_fixed_by(L, k), "linearized_coeffs_outside_intermediate")
-    return _instance(
-        "even_t", ctx, {"t": t, "delta": delta, "L": L}, _permutes(L),
-        (("t_even", True), ("delta_antisymmetric", True),
-         ("L_over_intermediate_field", True)),
-    )
+    return _instance("even_t", ctx, {"t": t, "delta": delta, "L": L}, _permutes(L))
 
 
 def family_trace_gamma(ctx: FieldCtx, t: int, delta: Elem, beta: Elem,
@@ -228,8 +221,6 @@ def family_trace_gamma(ctx: FieldCtx, t: int, delta: Elem, beta: Elem,
         "trace_gamma", ctx,
         {"t": t, "delta": delta, "beta": beta, "gamma": gamma, "s": s},
         bool((beta * gamma.inv()).trace() + ctx.one),
-        (("t_even", True), ("delta_antisymmetric", True),
-         ("beta_in_intermediate", True), ("gamma_nonzero_in_base", True)),
     )
 
 
@@ -248,11 +239,6 @@ def _check_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
     return delta, alpha, beta
 
 
-_ALPHA_BETA_HYPOTHESES = (("odd_characteristic", True), ("alpha_antisymmetric", True),
-                          ("beta_antisymmetric", True), ("delta_in_intermediate", True),
-                          ("L_over_intermediate_field", True))
-
-
 def family_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
                       beta: Elem, L: LinPoly) -> FamilyInstance:
     """f(x) = alpha*(x^(q^k) + x + delta)^t + beta*Tr(x) + L(x), q odd;
@@ -262,7 +248,7 @@ def family_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
     return _instance(
         "alpha_beta", ctx,
         {"t": t, "delta": delta, "alpha": alpha, "beta": beta, "L": L},
-        _permutes(L), _ALPHA_BETA_HYPOTHESES,
+        _permutes(L),
     )
 
 
@@ -283,7 +269,7 @@ def family_alpha_beta_gamma(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
     return _instance(
         "alpha_beta_gamma", ctx,
         {"t": t, "delta": delta, "alpha": alpha, "beta": beta, "gamma": gamma, "s": s},
-        predicted, _ALPHA_BETA_HYPOTHESES + (("gamma_in_intermediate", True),),
+        predicted,
     )
 
 
@@ -301,8 +287,6 @@ def family_anti_g(ctx: FieldCtx, g: GRecipe, delta: Elem, beta: Elem,
     return _instance(
         "anti_g", ctx, {"g": g, "delta": delta, "beta": beta, "L": L},
         _permutes(L),
-        (("odd_characteristic", True), ("g_frobenius_antisymmetric", True),
-         ("beta_antisymmetric", True), ("L_over_base_field", True)),
     )
 
 
@@ -322,10 +306,7 @@ def family_n4k(ctx: FieldCtx, variant: str, delta: Elem, a: Elem) -> FamilyInsta
     _require(not a.is_zero, "zero_a")
     _require(a.in_subfield(1), "a_outside_base")
     predicted = delta.trace() != (a if variant == "plain" else -a)
-    return _instance(
-        "n4k", ctx, {"variant": variant, "delta": delta, "a": a}, predicted,
-        (("n_multiple_of_4", True), ("a_nonzero_in_base", True)),
-    )
+    return _instance("n4k", ctx, {"variant": variant, "delta": delta, "a": a}, predicted)
 
 
 def family_q6(ctx: FieldCtx, variant: str, h: Poly, L: LinPoly,
@@ -346,7 +327,6 @@ def family_q6(ctx: FieldCtx, variant: str, h: Poly, L: LinPoly,
     return _instance(
         "q6", ctx, {"variant": variant, "h": h, "L": L, "delta": delta},
         _permutes(L),
-        (("tower_degree_six", True), ("L_over_base_field", True)),
     )
 
 
@@ -366,8 +346,6 @@ def family_generic_L(ctx: FieldCtx, L: LinPoly, a: Elem, h,
     return _instance(
         "generic_L", ctx, {"L": L, "a": a, "h": h, "L1": L1, "delta": delta},
         _permutes(L1),
-        (("L_has_nontrivial_kernel", True), ("a_in_kernel", True),
-         ("h_frobenius_invariant", True), ("L1_over_base_field", True)),
     )
 
 
@@ -384,7 +362,6 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
     return _instance(
         "half_power", ctx, {"k": k, "a": a, "b": b, "delta": delta},
         (a * b).residue_class() == ResidueClass.D0,
-        (("odd_characteristic", True), ("ab_nonzero", True)),
     )
 
 
@@ -393,14 +370,17 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
 #
 # Most families have the shape x -> outer[inner[x] + delta] + lin[x] with
 # inner and lin F_p-linear.  Tables that depend only on the field and on
-# grid-wide parameters (g and h tables, L tables, powers, Frobenius shifts)
-# are built once per field; tables that depend on an instance's elements
+# grid-wide parameters (g and h tables, powers) are built once per field,
+# and every linear table once per field and coefficient vector, since a grid
+# holds few distinct vectors; outer tables scaled by an instance's element
 # are built for one compile and dropped with the code map.
 
 
-def _linear(ctx: FieldCtx, coeffs) -> Sequence[int]:
-    """sum(coeffs[i] * x^(q^i)) on every code, for one compile."""
-    return ctx.linear_table(LinPoly(ctx, coeffs).apply_code)
+def _frob_term(ctx: FieldCtx, s: int, coeff: int) -> list[int]:
+    """The coefficient vector of coeff * x^(q^s)."""
+    coeffs = [0] * ctx.n
+    coeffs[s % ctx.n] = coeff
+    return coeffs
 
 
 def _frob_shift(ctx: FieldCtx, k: int, sign: int) -> Sequence[int]:
@@ -408,12 +388,13 @@ def _frob_shift(ctx: FieldCtx, k: int, sign: int) -> Sequence[int]:
     coeffs = [0] * ctx.n
     coeffs[0] = sign % ctx.p  # the code p - 1 is the element -1
     coeffs[k % ctx.n] = ctx._add(coeffs[k % ctx.n], 1)
-    return LinPoly(ctx, coeffs).tabulate()
+    return tabulate_linear(ctx, coeffs)
 
 
 def _plus_trace(ctx: FieldCtx, beta: int, coeffs) -> Sequence[int]:
-    """beta*Tr(x) + sum(coeffs[i] * x^(q^i)) on every code."""
-    return _linear(ctx, [ctx._add(beta, c) for c in coeffs])
+    """beta*Tr(x) + sum(coeffs[i] * x^(q^i)) on every code, built once per
+    field and resulting coefficient vector."""
+    return tabulate_linear(ctx, [ctx._add(beta, c) for c in coeffs])
 
 
 def _compose(ctx: FieldCtx, outer: Sequence[int], inner: Sequence[int], delta: int,
@@ -434,23 +415,27 @@ def _codes_even_t(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
 
 
 def _codes_trace_gamma(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
-    gamma_term = [0] * ctx.n
-    gamma_term[params["s"] % ctx.n] = params["gamma"].code
+    gamma_term = _frob_term(ctx, params["s"], params["gamma"].code)
     return _compose(ctx, ctx.power_table(params["t"]), _frob_shift(ctx, ctx.n // 2, -1),
                     params["delta"].code,
                     _plus_trace(ctx, params["beta"].code, gamma_term))
 
 
-def _codes_alpha_beta(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+def _alpha_beta_map(ctx: FieldCtx, params: dict, lin: Sequence[int]) -> Callable[[int], int]:
+    """alpha_beta's map with L given by its coefficient vector lin."""
     mul, alpha = ctx._mul, params["alpha"].code
     outer = [mul(alpha, y) for y in ctx.power_table(params["t"])]
     return _compose(ctx, outer, _frob_shift(ctx, ctx.n // 2, 1), params["delta"].code,
-                    _plus_trace(ctx, params["beta"].code, params["L"].codes))
+                    _plus_trace(ctx, params["beta"].code, lin))
+
+
+def _codes_alpha_beta(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+    return _alpha_beta_map(ctx, params, params["L"].codes)
 
 
 def _codes_alpha_beta_gamma(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
-    L = LinPoly.frobenius_term(ctx, params["s"], params["gamma"])
-    return _codes_alpha_beta(ctx, {**params, "L": L})
+    return _alpha_beta_map(ctx, params,
+                           _frob_term(ctx, params["s"], params["gamma"].code))
 
 
 def _codes_anti_g(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
@@ -466,7 +451,7 @@ def _codes_n4k(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
     g = ctx.power_sum_table([(q ** (2 * i + first) + q ** (2 * i + first + 2 * k), 1)
                              for i in range(k)])
     return _compose(ctx, g, _frob_shift(ctx, 1, -1), params["delta"].code,
-                    _linear(ctx, [params["a"].code]))
+                    tabulate_linear(ctx, [params["a"].code]))
 
 
 def _q6_outer(ctx: FieldCtx, h: Poly, terms) -> list[int]:
@@ -477,7 +462,7 @@ def _q6_outer(ctx: FieldCtx, h: Poly, terms) -> list[int]:
 
 def _q6_shift(ctx: FieldCtx, sign: int) -> Sequence[int]:
     """x^(q^2) + sign*x^q + x on every code, built once per field."""
-    return LinPoly(ctx, [1, sign % ctx.p, 1]).tabulate()
+    return tabulate_linear(ctx, [1, sign % ctx.p, 1])
 
 
 def _codes_q6(ctx: FieldCtx, params: dict) -> Callable[[int], int]:

@@ -14,6 +14,12 @@ x^(q^j) = exp[log[x] * q^j mod (q^n - 1)].  Everything is exact integer
 arithmetic on element codes; `Elem` is the boxed view of a code used at the
 API edge.  Contexts never change after construction apart from lazily
 filled caches of derived tables.
+
+The module has no polynomial arithmetic of its own.  The modulus search,
+the validation of a given modulus and the primitive element search run on
+`poly.Poly` over F_p, where Rabin's irreducibility test and modular powering
+live; the exp table iterates x -> g*x, an F_p-linear map whose table takes
+dim products.
 """
 
 from __future__ import annotations
@@ -124,96 +130,11 @@ def _undigits(digits: Sequence[int], p: int) -> int:
     return code
 
 
-# ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p on plain coefficient lists (ascending),
-# used only for construction-time work: modulus search and validation,
-# primitive element search, and Frobenius basis images.
+def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
+    """Rabin's irreducibility test for coeffs as a polynomial over F_p."""
+    from .poly import Poly, is_irreducible  # deferred: poly depends on this module
 
-def _pp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pp_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _pp_trim(out)
-
-
-def _pp_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
-
-
-def _pp_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    r = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(r) - 1 >= dm and r:
-        coef = (r[-1] * inv_lead) % p
-        shift = len(r) - 1 - dm
-        for i, mi in enumerate(m):
-            r[shift + i] = (r[shift + i] - coef * mi) % p
-        _pp_trim(r)
-    return r
-
-
-def _pp_mulmod(a, b, m, p) -> list[int]:
-    return _pp_mod(_pp_mul(a, b, p), m, p)
-
-
-def _pp_powmod(a: Sequence[int], k: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _pp_mod(a, m, p)
-    while k:
-        if k & 1:
-            result = _pp_mulmod(result, base, m, p)
-        base = _pp_mulmod(base, base, m, p)
-        k >>= 1
-    return result
-
-
-def _pp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pp_mod(a, b, p)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [(c * inv_lead) % p for c in a]
-    return a
-
-
-def _is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Standard Frobenius-power irreducibility test for monic m over F_p."""
-    d = len(m) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    x = [0, 1]
-    powers = {0: x}
-    u = x
-    for i in range(1, d + 1):
-        u = _pp_powmod(u, p, m, p)
-        powers[i] = u
-    if powers[d] != x:
-        return False
-    for r in prime_factors(d):
-        g = _pp_gcd(_pp_sub(powers[d // r], x, p), m, p)
-        if g != [1]:
-            return False
-    return True
+    return is_irreducible(Poly(make_field(p), coeffs))
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,17 +142,20 @@ def first_irreducible_coeffs(p: int, d: int) -> tuple[int, ...]:
     """Lexicographically first monic irreducible of degree d over F_p.
 
     Coefficient vectors (c_0, ..., c_{d-1}, 1) are compared constant term
-    first, so the scan runs c_0 as the slowest index.
+    first, so the scan runs c_0 as the slowest index.  For d >= 2 it starts
+    at c_0 = 1, since every candidate with c_0 = 0 is divisible by x; x
+    itself is the answer for d = 1.
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    for m in range(p ** d):
+    if d == 1:
+        return (0, 1)
+    for m in range(p ** (d - 1), p ** d):
         coeffs = _digits(m, p)
-        coeffs += [0] * (d - len(coeffs))
         coeffs.reverse()  # most significant digit of m becomes c_0
-        cand = coeffs + [1]
+        cand = tuple(coeffs) + (1,)
         if _is_irreducible(cand, p):
-            return tuple(cand)
+            return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -360,15 +284,11 @@ class FieldCtx:
         self.modulus_coeffs = modulus_coeffs
         self._default_modulus = default_modulus
         self._om1 = self.order - 1
-        self._mod_list = list(modulus_coeffs)
         # q^j mod (q^n - 1): the log multiplier of x -> x^(q^j)
         self._qpow = tuple(pow(self.q, j, self._om1) for j in range(n))
 
-        self.generator_code = self._find_primitive_code()
-        self._build_mul_tables()
-        self._elems: Optional[tuple[Elem, ...]] = None
-        if self.order <= _ELEM_CACHE_MAX:
-            self._elems = tuple(Elem(self, c) for c in range(self.order))
+        # addition first: the exp table is built with linear_table, which
+        # adds codes; _sub calls _neg, which needs the logs built after it
         self._add_table: Optional[list[list[int]]] = None
         if self.p == 2:
             self._add = self._sub = operator.xor
@@ -379,6 +299,11 @@ class FieldCtx:
             else:
                 self._add = self._add_codes_slow
             self._sub = lambda a, b: self._add(a, self._neg(b))
+        self.generator_code = self._find_primitive_code()
+        self._build_mul_tables()
+        self._elems: Optional[tuple[Elem, ...]] = None
+        if self.order <= _ELEM_CACHE_MAX:
+            self._elems = tuple(Elem(self, c) for c in range(self.order))
         self._subfield_codes = self._build_subfield_codes()
         self._subfield_set = frozenset(self._subfield_codes)
         self._trace_table: Optional[array] = None
@@ -389,21 +314,28 @@ class FieldCtx:
         self.generator = self._wrap(self.generator_code)
 
     # -- construction ------------------------------------------------------
+    #
+    # Before the exp/log tables exist, products are taken directly: a * b % p
+    # in the prime field, and in an extension as Polys over F_p modulo the
+    # modulus (Poly needs the prime field, which is therefore built first).
+
+    def _as_poly(self, c: int):
+        from .poly import Poly  # deferred: poly depends on this module
+
+        return Poly(make_field(self.p), _digits(c, self.p))
 
     def _raw_mul(self, a: int, b: int) -> int:
-        prod = _pp_mulmod(_digits(a, self.p), _digits(b, self.p),
-                          self._mod_list, self.p)
-        return _undigits(prod, self.p)
+        if self.dim == 1:
+            return a * b % self.p
+        prod = self._as_poly(a) * self._as_poly(b) % self.modulus
+        return _undigits(prod.codes, self.p)
 
     def _raw_pow(self, c: int, k: int) -> int:
-        result = 1
-        base = c
-        while k:
-            if k & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            k >>= 1
-        return result
+        if self.dim == 1:
+            return pow(c, k, self.p)
+        from .poly import powmod  # deferred: poly depends on this module
+
+        return _undigits(powmod(self._as_poly(c), k, self.modulus).codes, self.p)
 
     def _find_primitive_code(self) -> int:
         """Smallest code whose multiplicative order is q^n - 1."""
@@ -414,15 +346,17 @@ class FieldCtx:
         raise AssertionError("no primitive element found")  # unreachable
 
     def _build_mul_tables(self) -> None:
-        om1 = self._om1
+        """exp/log by iterating x -> g*x, an F_p-linear map whose table
+        linear_table builds from dim products."""
+        om1, g = self._om1, self.generator_code
+        times_g = self.linear_table(lambda c: self._raw_mul(c, g))
         exp = [0] * (2 * om1)
         log = [0] * self.order
         cur = 1
         for i in range(om1):
-            exp[i] = cur
-            exp[i + om1] = cur
+            exp[i] = exp[i + om1] = cur
             log[cur] = i
-            cur = self._raw_mul(cur, self.generator_code)
+            cur = times_g[cur]
         self._exp = exp
         self._log = log
 

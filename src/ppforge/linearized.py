@@ -11,6 +11,7 @@ polynomials and a deterministic generator of linearized permutations.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Iterable
 
 from .gf import CtxMismatchError, Elem, FieldCtx
@@ -115,14 +116,22 @@ class LinPoly:
         return acc
 
     def tabulate(self):
-        """L on every element code, built once per field and coefficient
-        vector from the images of the F_p basis (L is F_p-linear)."""
-        ctx = self.ctx
-        return ctx.derived(("lin", self.codes), lambda: ctx.linear_table(self.apply_code))
+        """L on every element code (see :func:`tabulate_linear`)."""
+        return tabulate_linear(self.ctx, self.codes)
 
     def conventional(self) -> Poly:
         """The conventional associate sum(a_i * x^i)."""
         return Poly(self.ctx, self.codes)
+
+
+def tabulate_linear(ctx: FieldCtx, coeffs) -> array:
+    """sum(coeffs[i] * x^(q^i)) on every element code, zero-padded to n
+    coefficients; built once per field and coefficient vector from the
+    images of the F_p basis (the map is F_p-linear), so no LinPoly is made
+    for a vector whose table exists."""
+    codes = tuple(coeffs) + (0,) * (ctx.n - len(coeffs))
+    return ctx.derived(("lin", codes),
+                       lambda: ctx.linear_table(LinPoly(ctx, codes).apply_code))
 
 
 def to_linearized(l: Poly) -> LinPoly:

@@ -24,10 +24,6 @@ class NotBijectiveError(Exception):
     """Raised when a cycle decomposition is requested for a non-bijection."""
 
 
-class HypothesisUnsatisfiedError(Exception):
-    """Raised when an instance with failed hypotheses reaches the oracle."""
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of an exhaustive bijection scan."""
@@ -132,10 +128,6 @@ class IffRecord:
 def check_iff(instance, cap: int = DEFAULT_CAP) -> IffRecord:
     """Compare a family instance's predicted verdict with brute force: one
     scan over the instance's code map, without calling its evaluator."""
-    failed = [name for name, ok in instance.hypotheses if not ok]
-    if failed:
-        raise HypothesisUnsatisfiedError(
-            f"unsatisfied hypotheses: {', '.join(failed)}")
     ctx = instance.ctx
     _check_cap(ctx, cap)
     f = instance.code_map()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ppforge.cli import main
 
 HALF_POWER_SPEC = json.dumps({
@@ -145,6 +147,8 @@ def test_cap_flag(capsys):
 def test_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("PPFORGE_CAP", "4")
     assert main(["verify", HALF_POWER_SPEC]) == 2
+    assert main(["field-info", "3^1:2"]) == 2
+    assert "exceeds cap 4" in capsys.readouterr().err
     monkeypatch.setenv("PPFORGE_CAP", "1000")
     assert main(["verify", HALF_POWER_SPEC]) == 0
 
@@ -161,11 +165,30 @@ def test_oversized_field_refused_before_it_is_built(tmp_path, capsys, monkeypatc
     assert "exceeds cap" in capsys.readouterr().err
     assert main(["agw-check", spec]) == 2
     assert "exceeds cap" in capsys.readouterr().err
+    assert main(["field-info", "2^1:24"]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+    assert main(["field-info", "3^1:100000000000"]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
     out_csv = tmp_path / "rows.csv"
     assert main(["census", "n4k", "2^1:24", "-o", str(out_csv)]) == 2
     assert "exceeds cap" in capsys.readouterr().err
     # a huge tower degree is refused without computing p^(e*n)
     assert main(["census", "n4k", "3^1:100000000000", "-o", str(out_csv)]) == 2
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_cap_must_be_a_positive_integer(value, tmp_path, capsys, monkeypatch):
+    out_csv = tmp_path / "rows.csv"
+    census = ["census", "n4k", "2^1:8", "-o", str(out_csv)]
+    assert main(census + ["--cap", value]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --cap must be a positive integer, got {value!r}\n"
+    monkeypatch.setenv("PPFORGE_CAP", value)
+    for argv in (census, ["verify", HALF_POWER_SPEC], ["field-info", "3^1:2"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: PPFORGE_CAP must be a positive integer, got {value!r}\n"
     assert not out_csv.exists()
 
 

@@ -1,7 +1,16 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ppforge
 
 from ppforge.gf import (
     CtxMismatchError,
@@ -322,3 +331,109 @@ def test_parse_field_spec():
 def test_modulus_poly_view():
     assert str(F9.modulus) == "x^2 + 1"
     assert F9.modulus.ctx.order == 3
+
+
+# Field identity: the default modulus, the generator and the exp/log tables
+# of these fields, as built before field construction moved onto Poly.
+GOLDEN_FIELDS = [
+    ((2, 8), (1, 0, 0, 0, 1, 1, 0, 1, 1), 6),
+    ((2, 12), (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 6),
+    ((2, 16), (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1), 6),
+    ((3, 4), (1, 0, 1, 1, 1), 10),
+    ((3, 6), (1, 0, 0, 0, 1, 1, 1), 4),
+    ((3, 8), (1, 0, 0, 0, 0, 1, 1, 0, 1), 4),
+    ((3, 10), (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1), 34),
+    ((5, 2), (1, 1, 1), 7),
+    ((7, 5), (1, 0, 0, 0, 3, 1), 11),
+]
+
+EXP_LOG_SHA256 = {
+    (2, 8): "900dd8874b037efe1d6d993df8991ac77bac94749d222cf4f4cb03755aa0cc3c",
+    (2, 12): "cecc23ef1a0dbb324c5ba0ee863d33f12f9174832efbe810f1701a6e864fc99d",
+    (3, 4): "6cbe37b14d947dbb37f79529335b0b49485b36d70e06375540bd6b2a68909298",
+    (3, 6): "8b1645d6ffed0ddeb8e9cc71007fc920927532c809c01fa0811c3155e0b446f2",
+    (5, 2): "bf5f64fd9e38cdb459a1bc496a6b2840b4c800890dbd3427b76a9d08ff838464",
+    (7, 5): "c2d7cb670447043da54d32e7af85cddddfd5bbc3f5a79024112baaf46ca44306",
+}
+
+
+@pytest.mark.parametrize("pd, modulus, generator", GOLDEN_FIELDS)
+def test_default_modulus_and_generator_are_pinned(pd, modulus, generator):
+    assert first_irreducible_coeffs(*pd) == modulus
+    ctx = make_field(pd[0], 1, pd[1])
+    assert ctx.modulus_coeffs == modulus
+    assert ctx.generator_code == generator
+
+
+@pytest.mark.parametrize("pd", sorted(EXP_LOG_SHA256))
+def test_exp_log_tables_are_pinned(pd):
+    ctx = make_field(pd[0], 1, pd[1])
+    om1 = ctx.order - 1
+    assert ctx._exp[om1:] == ctx._exp[:om1]
+    text = ",".join(map(str, ctx._exp[:om1])) + "|" + ",".join(map(str, ctx._log))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXP_LOG_SHA256[pd]
+
+
+def _remainder(a, m, p):
+    """a mod m over F_p; ascending coefficient lists, m monic."""
+    a = list(a)
+    while len(a) >= len(m):
+        lead = a[-1]
+        shift = len(a) - len(m)
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - lead * mi) % p
+        a.pop()
+    return a
+
+
+def _has_factor(m, p):
+    """Trial division by every monic polynomial of degree 1 .. deg(m) // 2."""
+    for k in range(1, (len(m) - 1) // 2 + 1):
+        for low in itertools.product(range(p), repeat=k):
+            if not any(_remainder(m, list(low) + [1], p)):
+                return True
+    return False
+
+
+def _first_irreducible_by_trial_division(p, d):
+    # product() runs its first position slowest: c_0, as the spec orders them
+    for low in itertools.product(range(p), repeat=d):
+        if not _has_factor(low + (1,), p):
+            return low + (1,)
+    raise AssertionError("no irreducible polynomial")
+
+
+SMALL_DEGREES = [(p, d) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+                 for d in range(1, 10) if p ** d <= 729]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_modulus_search_and_validation_match_trial_division(data):
+    p, d = data.draw(st.sampled_from(SMALL_DEGREES))
+    assert first_irreducible_coeffs(p, d) == _first_irreducible_by_trial_division(p, d)
+    modulus = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)))
+    modulus += (1,)
+    if _has_factor(modulus, p):
+        with pytest.raises(ReducibleModulusError):
+            make_field(p, 1, d, modulus=modulus)
+    else:
+        assert make_field(p, 1, d, modulus=modulus).modulus_coeffs == modulus
+
+
+def test_field_of_order_2_20_builds_in_seconds():
+    # a separate process, so the 2^20 tables are not kept for later tests
+    script = ("import time; from ppforge.gf import make_field; t = time.perf_counter(); "
+              "ctx = make_field(2, 1, 20); "
+              "print(ctx.modulus_coeffs, ctx.generator_code, time.perf_counter() - t)")
+    src = str(Path(ppforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modulus, generator, seconds = proc.stdout.rsplit(" ", 2)
+    x20_x17_1 = (1,) + (0,) * 16 + (1, 0, 0, 1)
+    assert modulus == str(x20_x17_1)
+    assert int(generator) == 2
+    assert float(seconds) < 10.0

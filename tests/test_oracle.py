@@ -1,10 +1,9 @@
 import pytest
 
-from ppforge.families import FamilyInstance, family_half_power
+from ppforge.families import family_half_power
 from ppforge.gf import make_field
 from ppforge.oracle import (
     FieldTooLargeError,
-    HypothesisUnsatisfiedError,
     NotBijectiveError,
     check_bijective,
     check_iff,
@@ -100,15 +99,3 @@ def test_check_iff_agreement():
     assert rec.agree and rec.predicted and rec.observed
     assert rec.family_id == "half_power"
 
-
-def test_check_iff_rejects_violated_hypotheses():
-    broken = FamilyInstance(
-        family_id="half_power",
-        ctx=F9,
-        params={},
-        evaluator=lambda x: x,
-        predicted_pp=True,
-        hypotheses=(("odd_characteristic", False),),
-    )
-    with pytest.raises(HypothesisUnsatisfiedError):
-        check_iff(broken)

@@ -1,9 +1,18 @@
+import itertools
 import random
 
 import pytest
 
 from ppforge.gf import CtxMismatchError, make_field
-from ppforge.poly import Poly, format_poly, gcd, irreducible_first, parse_poly
+from ppforge.poly import (
+    Poly,
+    format_poly,
+    gcd,
+    irreducible_first,
+    is_irreducible,
+    parse_poly,
+    powmod,
+)
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -95,6 +104,29 @@ def test_irreducible_first_examples():
     assert irreducible_first(2, 1).codes == (0, 1)
     assert irreducible_first(2, 2).codes == (1, 1, 1)
     assert irreducible_first(2, 1).ctx.order == 2
+
+
+def test_powmod_matches_repeated_multiplication():
+    rng = random.Random(41)
+    for ctx in (F5, F9):
+        for _ in range(5):
+            m = rand_poly(ctx, rng, 5) + Poly.monomial(ctx, 6)
+            f = rand_poly(ctx, rng, 8)
+            acc = Poly.one(ctx)
+            for k in range(12):
+                assert powmod(f, k, m) == acc
+                acc = acc * f % m
+    with pytest.raises(ValueError):
+        powmod(f, -1, m)
+
+
+def test_is_irreducible_over_an_extension_field():
+    # a quadratic over F_9 is irreducible exactly when it has no root there
+    for b, c in itertools.product(range(F9.order), repeat=2):
+        f = Poly(F9, [c, b, 1])
+        has_root = any(f.eval(x).is_zero for x in F9.elements())
+        assert is_irreducible(f) == (not has_root)
+    assert not is_irreducible(Poly.one(F9))
 
 
 def test_text_round_trip_prime():
