@@ -7,9 +7,13 @@ reduced), packed into the integer sum(c_i * p^i).  Equality and hashing are
 therefore bit-exact.
 
 Multiplication, inversion and powering run on exp/log tables built from a
-deterministically chosen primitive element; addition uses a full table for
-small odd-characteristic fields (XOR in characteristic 2) and a digit loop
-otherwise.  Frobenius is the power map on logs,
+deterministically chosen primitive element.  Addition is XOR in
+characteristic 2, a full add table for odd-characteristic fields up to 512
+elements, and above that Zech logarithms: a + b = g^(log a + z[log b -
+log a]) with z[d] = log(1 + g^d), a table built once with the exp/log
+tables.  Adding a constant, as linear tables and the exp table's own build
+do, looks the result up in rows built digit by digit.  Frobenius is the
+power map on logs,
 x^(q^j) = exp[log[x] * q^j mod (q^n - 1)].  Everything is exact integer
 arithmetic on element codes; `Elem` is the boxed view of a code used at the
 API edge.  Contexts never change after construction apart from lazily
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import operator
 from array import array
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
@@ -287,8 +292,9 @@ class FieldCtx:
         # q^j mod (q^n - 1): the log multiplier of x -> x^(q^j)
         self._qpow = tuple(pow(self.q, j, self._om1) for j in range(n))
 
-        # addition first: the exp table is built with linear_table, which
-        # adds codes; _sub calls _neg, which needs the logs built after it
+        # the add table first: the exp table is built with linear_table,
+        # which adds constants to codes (_add_const); the Zech table and _neg
+        # need the logs built after it
         self._add_table: Optional[list[list[int]]] = None
         if self.p == 2:
             self._add = self._sub = operator.xor
@@ -296,11 +302,11 @@ class FieldCtx:
             if self.order <= _ADD_TABLE_MAX:
                 table = self._add_table = self._build_add_table()
                 self._add = lambda a, b: table[a][b]
-            else:
-                self._add = self._add_codes_slow
             self._sub = lambda a, b: self._add(a, self._neg(b))
         self.generator_code = self._find_primitive_code()
         self._build_mul_tables()
+        if self.p != 2 and self._add_table is None:
+            self._add = self._zech_add()
         self._elems: Optional[tuple[Elem, ...]] = None
         if self.order <= _ELEM_CACHE_MAX:
             self._elems = tuple(Elem(self, c) for c in range(self.order))
@@ -360,27 +366,51 @@ class FieldCtx:
         self._exp = exp
         self._log = log
 
+    def _shift_row(self, b: int, size: int) -> list[int]:
+        """v -> v + b on the codes v < size, a power of p, with b < size.
+        Built a digit at a time: the codes below p*step are the p blocks
+        j*step + (codes below step), so the next row is the lane of those
+        blocks over the last row, rotated by the next digit of b."""
+        p, row, step = self.p, [0], 1
+        while step < size:
+            b, d = divmod(b, p)
+            lane = [j * step + v for j in range(p) for v in row]
+            row = lane[d * step:] + lane[:d * step]
+            step *= p
+        return row
+
     def _build_add_table(self) -> list[list[int]]:
-        order = self.order
-        table = []
-        for a in range(order):
-            row = [self._add_codes_slow(a, b) for b in range(order)]
-            table.append(row)
+        """table[b][v] = v + b, built as in _shift_row for every b at once:
+        the b that share their lower digits share one lane, whose rotations
+        (slices of the lane laid twice) are their rows."""
+        p, table, step = self.p, [[0]], 1
+        while step < self.order:
+            lanes = [[j * step + v for j in range(p) for v in row] * 2 for row in table]
+            table = [lane[d * step:(d + p) * step] for d in range(p) for lane in lanes]
+            step *= p
         return table
 
-    def _add_codes_slow(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        shift = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            s = ra + rb
-            if s >= p:
-                s -= p
-            out += s * shift
-            shift *= p
-        return out
+    def _zech_add(self) -> Callable[[int, int], int]:
+        """Addition on logs: a + b = g^(log a + z[log b - log a]), with the
+        Zech logarithm z[d] = log(1 + g^d) built in one pass over the exp
+        table (1 + c only bumps the lowest digit of c).  1 + g^d = 0 only
+        at d = (q^n - 1)/2, where z holds log[0] = 0, which no other d
+        has (1 + g^d = 1 would need g^d = 0), so z[d] = 0 means b = -a.
+        z refers to the int objects of the log table, and a negative index
+        log b - log a wraps modulo q^n - 1 by itself."""
+        p, exp, log = self.p, self._exp, self._log
+        zech = [log[c - c % p + (c + 1) % p] for c in itertools.islice(exp, self._om1)]
+
+        def add(a: int, b: int) -> int:
+            if a == 0:
+                return b
+            if b == 0:
+                return a
+            la = log[a]
+            d = zech[log[b] - la]
+            return exp[la + d] if d else 0
+
+        return add
 
     def _build_subfield_codes(self) -> tuple[int, ...]:
         if self.n == 1:
@@ -393,7 +423,7 @@ class FieldCtx:
     # -- code-level arithmetic ---------------------------------------------
     #
     # _add and _sub are bound per field in __init__: XOR in characteristic 2,
-    # the add table for small odd fields, the digit loop otherwise.
+    # the add table for small odd fields, the Zech table otherwise.
 
     def _wrap(self, code: int) -> Elem:
         if self._elems is not None:
@@ -406,12 +436,17 @@ class FieldCtx:
         return self._exp[self._log[a] + self._om1 // 2]  # -1 = g^((q^n-1)/2)
 
     def _add_const(self, b: int) -> Callable[[int], int]:
-        """v -> v + b on codes."""
+        """v -> v + b on codes: XOR, a row of the add table, or, above the
+        table, two rows of _shift_row for the low and the high half of the
+        digits (needs no logs, so it also serves the exp table's build)."""
         if self.p == 2:
             return b.__xor__
         if self._add_table is not None:
             return self._add_table[b].__getitem__
-        return functools.partial(self._add, b)
+        low = self.p ** (self.dim // 2)
+        lo = self._shift_row(b % low, low)
+        hi = [v * low for v in self._shift_row(b // low, self.order // low)]
+        return lambda v: hi[v // low] + lo[v % low]
 
     def _mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -116,7 +116,7 @@ def test_field_axioms_random_triples(ctx):
 
 
 def test_add_fallback_above_table_threshold():
-    # 3^6 = 729 exceeds the add-table bound, exercising the digit path
+    # 3^6 = 729 exceeds the add-table bound, exercising the Zech path
     ctx = make_field(3, 1, 6)
     assert ctx._add_table is None
     rng = random.Random(3)
@@ -437,3 +437,101 @@ def test_field_of_order_2_20_builds_in_seconds():
     assert modulus == str(x20_x17_1)
     assert int(generator) == 2
     assert float(seconds) < 10.0
+
+
+# Addition above the add table (Zech logarithms for _add, half-digit rows for
+# _add_const) and the add table itself, against digit-by-digit references.
+
+def _digit_add(a, b, p):
+    out, shift = 0, 1
+    while a or b:
+        a, ra = divmod(a, p)
+        b, rb = divmod(b, p)
+        out += (ra + rb) % p * shift
+        shift *= p
+    return out
+
+
+def _digit_neg(a, p):
+    out, shift = 0, 1
+    while a:
+        a, r = divmod(a, p)
+        out += (p - r) % p * shift
+        shift *= p
+    return out
+
+
+ZECH_FIELDS = [(3, 6), (3, 7), (3, 8), (5, 4), (7, 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_zech_addition_matches_digit_reference(data):
+    p, d = data.draw(st.sampled_from(ZECH_FIELDS))
+    ctx = make_field(p, 1, d)
+    assert ctx._add_table is None
+    code = st.integers(0, ctx.order - 1)
+    a = data.draw(code)
+    b = data.draw(st.one_of(code, st.sampled_from(["zero", "neg", "same"])))
+    b = {"zero": 0, "neg": _digit_neg(a, p), "same": a}.get(b, b)
+    if data.draw(st.booleans()):
+        a, b = b, a
+    c = data.draw(code)
+    add, sub, mul = ctx._add, ctx._sub, ctx._mul
+    assert add(a, b) == _digit_add(a, b, p)
+    assert sub(a, b) == _digit_add(a, _digit_neg(b, p), p)
+    assert ctx._add_const(b)(a) == _digit_add(a, b, p)
+    assert ctx._add_const(a)(b) == _digit_add(a, b, p)
+    assert add(a, b) == add(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(c, add(a, b)) == add(mul(c, a), mul(c, b))
+
+
+def test_zech_addition_edge_cases_exhaustive_on_3_6():
+    ctx = make_field(3, 1, 6)
+    for a in range(ctx.order):
+        neg = _digit_neg(a, 3)
+        assert ctx._neg(a) == neg
+        assert ctx._add(a, neg) == 0 and ctx._add(neg, a) == 0
+        assert ctx._sub(a, a) == 0
+        assert ctx._add(a, 0) == a and ctx._add(0, a) == a
+        assert ctx._add(a, a) == _digit_add(a, a, 3)
+        assert ctx._add_const(0)(a) == a and ctx._add_const(a)(0) == a
+        assert ctx._add_const(neg)(a) == 0
+
+
+@pytest.mark.parametrize("p, d", [(3, 5), (5, 3), (7, 3), (509, 1)])
+def test_add_table_matches_digit_reference(p, d):
+    ctx = make_field(p, 1, d)
+    order = ctx.order
+    expected = [[_digit_add(a, b, p) for b in range(order)] for a in range(order)]
+    assert ctx._add_table == expected
+
+
+ZECH_UNDER_O = """
+import sys
+from ppforge.gf import make_field
+ctx = make_field(3, 1, 6)
+print("optimize", sys.flags.optimize)
+print("table", ctx._add_table is None)
+for a in (1, 2, 3, 364, 728):
+    b = ctx._neg(a)
+    print("neg", a, b, ctx._add(a, b), ctx._add(b, a), ctx._sub(a, a), ctx._add_const(b)(a))
+    print("zero", a, ctx._add(a, 0), ctx._add(0, a), ctx._add_const(0)(a), ctx._add_const(a)(0))
+print("zero_zero", ctx._add(0, 0), ctx._sub(0, 0), ctx._add_const(0)(0))
+"""
+
+
+def test_zech_zero_and_negation_cases_under_python_O():
+    src = str(Path(ppforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", ZECH_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["optimize 1", "table True"]
+    for a in (1, 2, 3, 364, 728):
+        assert f"neg {a} {_digit_neg(a, 3)} 0 0 0 0" in lines
+        assert f"zero {a} {a} {a} {a} {a}" in lines
+    assert lines[-1] == "zero_zero 0 0 0"
