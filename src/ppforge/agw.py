@@ -329,7 +329,7 @@ def check_fiber_shift(A: Sequence, psi: MapLike, psibar: MapLike,
 def wrap_family_instance(instance) -> AGWInstance:
     """Lift a family instance onto its commuting square.
 
-    The maps are the instance's code map and its fiber-map code tables.
+    The maps are the instance's value list and its fiber-map code tables.
     Families without a natural fiber map fall back to the identity square,
     for which the fiber criterion still applies (trivially: h is the map
     itself and all fibers are singletons).
@@ -338,5 +338,5 @@ def wrap_family_instance(instance) -> AGWInstance:
     codes = range(ctx.order)
     fibers = instance.fiber_codes()
     psi, psibar = (codes, codes) if fibers is None else fibers
-    return AGWInstance.from_codes(ctx.elements(), list(map(instance.code_map(), codes)),
+    return AGWInstance.from_codes(ctx.elements(), instance.code_values(),
                                   psi, psibar, ctx._wrap)

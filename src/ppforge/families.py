@@ -2,12 +2,13 @@
 
 Each constructor validates its hypotheses and computes the predicted
 verdict from the family's stated bijectivity condition alone; brute force
-never feeds the prediction.  The map itself is a code map: a function on
-element codes compiled from the field's tables (exp/log/add, the
-log-Frobenius, the trace) and from tables of the parameters (g, h, L),
-each built once per field.  The fiber maps psi and psibar of a family's
-commuting square are code tables too (FIBER_MAPS), built only when the
-diagram checkers ask for them.
+never feeds the prediction.  The map itself is a code map, compiled as its
+value list: the code of f(x) for every code x, built in whole-table passes
+(``map`` over lists, no Python frame per element) from the field's tables
+(exp/log/add, the log-Frobenius, the trace) and from tables of the
+parameters (g, h, L), each built once per field.  The fiber maps psi and
+psibar of a family's commuting square are code tables too (FIBER_MAPS),
+built only when the diagram checkers ask for them.
 
 Huge monomials such as x^((q^n+1)/2) are never materialized as coefficient
 vectors: they are power maps on logs.
@@ -15,6 +16,7 @@ vectors: they are power maps on logs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -57,9 +59,9 @@ class FamilyInstance:
     """A fully parameterized family member with its predicted verdict.
 
     The map itself is the family's code map, compiled from ``ctx`` and
-    ``params`` by :meth:`code_map` when it is needed and not stored on the
-    instance; ``evaluator`` is its ``Elem -> Elem`` edge.  The fiber maps
-    are compiled the same way, by :meth:`fiber_codes`.
+    ``params`` as its value list by :meth:`code_values` when it is needed
+    and not stored on the instance; ``evaluator`` is its ``Elem -> Elem``
+    edge.  The fiber maps are compiled the same way, by :meth:`fiber_codes`.
     """
 
     family_id: str
@@ -68,9 +70,13 @@ class FamilyInstance:
     evaluator: Callable[[Elem], Elem]
     predicted_pp: bool
 
-    def code_map(self) -> Callable[[int], int]:
-        """The map on element codes."""
+    def code_values(self) -> list[int]:
+        """The code of f(x) for every element code x, in code order."""
         return CODE_MAPS[self.family_id](self.ctx, self.params)
+
+    def code_map(self) -> Callable[[int], int]:
+        """The map on element codes: a lookup in :meth:`code_values`."""
+        return self.code_values().__getitem__
 
     def fiber_codes(self) -> Optional[tuple[Sequence[int], Sequence[int]]]:
         """(psi, psibar) of the family's commuting square as code tables, psi
@@ -104,21 +110,21 @@ class CodeMapEdge:
     """The ``Elem -> Elem`` view of a family's code map, compiled on the
     first call and kept for the later ones."""
 
-    __slots__ = ("family_id", "ctx", "params", "_fn")
+    __slots__ = ("family_id", "ctx", "params", "_values")
 
     def __init__(self, family_id: str, ctx: FieldCtx, params: dict):
         self.family_id = family_id
         self.ctx = ctx
         self.params = params
-        self._fn: Optional[Callable[[int], int]] = None
+        self._values: Optional[list[int]] = None
 
     def __call__(self, x: Elem) -> Elem:
         ctx = self.ctx
         if x.ctx is not ctx:
             raise CtxMismatchError("argument from a different field")
-        if self._fn is None:
-            self._fn = CODE_MAPS[self.family_id](ctx, self.params)
-        return ctx._wrap(self._fn(x.code))
+        if self._values is None:
+            self._values = CODE_MAPS[self.family_id](ctx, self.params)
+        return ctx._wrap(self._values[x.code])
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,14 +141,12 @@ class SkippedInstance:
 
 
 def describe_value(v) -> str:
+    if isinstance(v, Elem):  # most parameters of a grid are elements
+        return str(v)
     if isinstance(v, GRecipe):
         return v.describe()
     if isinstance(v, LinPoly):
         return format_linpoly(v)
-    if isinstance(v, Poly):
-        return str(v)
-    if isinstance(v, Elem):
-        return str(v)
     return str(v)
 
 
@@ -366,14 +370,18 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
 
 
 # ---------------------------------------------------------------------------
-# code maps: each family's map on element codes, compiled from (ctx, params).
+# code maps: each family's map on element codes, compiled from (ctx, params)
+# as its value list, the code of f(x) for every code x.
 #
 # Most families have the shape x -> outer[inner[x] + delta] + lin[x] with
 # inner and lin F_p-linear.  Tables that depend only on the field and on
 # grid-wide parameters (g and h tables, powers) are built once per field,
 # and every linear table once per field and coefficient vector, since a grid
 # holds few distinct vectors; outer tables scaled by an instance's element
-# are built for one compile and dropped with the code map.
+# are built for one compile and dropped with it.  A value list is built by
+# whole-table passes: `map` over the tables with the lookups, the add-table
+# rows and the XOR as the mapped functions, so that on fields with XOR or an
+# add table no Python frame runs per element.
 
 
 def _frob_term(ctx: FieldCtx, s: int, coeff: int) -> list[int]:
@@ -397,54 +405,63 @@ def _plus_trace(ctx: FieldCtx, beta: int, coeffs) -> Sequence[int]:
     return tabulate_linear(ctx, [ctx._add(beta, c) for c in coeffs])
 
 
+def _shifted(ctx: FieldCtx, outer: Sequence[int], inner: Sequence[int],
+             delta: int) -> Iterator[int]:
+    """outer[inner[x] + delta] for every code x, as an iterator."""
+    return map(outer.__getitem__, map(ctx._add_const(delta), inner))
+
+
 def _compose(ctx: FieldCtx, outer: Sequence[int], inner: Sequence[int], delta: int,
-             lin: Sequence[int]) -> Callable[[int], int]:
-    """x -> outer[inner[x] + delta] + lin[x]."""
-    add = ctx._add
-    return lambda x: add(outer[add(inner[x], delta)], lin[x])
+             lin: Sequence[int]) -> list[int]:
+    """The values of x -> outer[inner[x] + delta] + lin[x]."""
+    return list(ctx._add_codes(_shifted(ctx, outer, inner, delta), lin))
 
 
-def _codes_additive_g(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+def _scaled(ctx: FieldCtx, a: int, table: Sequence[int]) -> list[int]:
+    """y -> a*table[y]: an outer table scaled by an instance's element."""
+    return list(map(ctx._mul_row(a).__getitem__, table))
+
+
+def _codes_additive_g(ctx: FieldCtx, params: dict) -> list[int]:
     return _compose(ctx, g_codes(params["g"], ctx), _frob_shift(ctx, 1, -1),
                     params["delta"].code, params["L"].tabulate())
 
 
-def _codes_even_t(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+def _codes_even_t(ctx: FieldCtx, params: dict) -> list[int]:
     return _compose(ctx, ctx.power_table(params["t"]), _frob_shift(ctx, ctx.n // 2, -1),
                     params["delta"].code, params["L"].tabulate())
 
 
-def _codes_trace_gamma(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+def _codes_trace_gamma(ctx: FieldCtx, params: dict) -> list[int]:
     gamma_term = _frob_term(ctx, params["s"], params["gamma"].code)
     return _compose(ctx, ctx.power_table(params["t"]), _frob_shift(ctx, ctx.n // 2, -1),
                     params["delta"].code,
                     _plus_trace(ctx, params["beta"].code, gamma_term))
 
 
-def _alpha_beta_map(ctx: FieldCtx, params: dict, lin: Sequence[int]) -> Callable[[int], int]:
-    """alpha_beta's map with L given by its coefficient vector lin."""
-    mul, alpha = ctx._mul, params["alpha"].code
-    outer = [mul(alpha, y) for y in ctx.power_table(params["t"])]
+def _alpha_beta_map(ctx: FieldCtx, params: dict, lin: Sequence[int]) -> list[int]:
+    """alpha_beta's values with L given by its coefficient vector lin."""
+    outer = _scaled(ctx, params["alpha"].code, ctx.power_table(params["t"]))
     return _compose(ctx, outer, _frob_shift(ctx, ctx.n // 2, 1), params["delta"].code,
                     _plus_trace(ctx, params["beta"].code, lin))
 
 
-def _codes_alpha_beta(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+def _codes_alpha_beta(ctx: FieldCtx, params: dict) -> list[int]:
     return _alpha_beta_map(ctx, params, params["L"].codes)
 
 
-def _codes_alpha_beta_gamma(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+def _codes_alpha_beta_gamma(ctx: FieldCtx, params: dict) -> list[int]:
     return _alpha_beta_map(ctx, params,
                            _frob_term(ctx, params["s"], params["gamma"].code))
 
 
-def _codes_anti_g(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+def _codes_anti_g(ctx: FieldCtx, params: dict) -> list[int]:
     return _compose(ctx, g_codes(params["g"], ctx), _frob_shift(ctx, 1, 1),
                     params["delta"].code,
                     _plus_trace(ctx, params["beta"].code, params["L"].codes))
 
 
-def _codes_n4k(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+def _codes_n4k(ctx: FieldCtx, params: dict) -> list[int]:
     # g(y) = sum of y^(q^u) * y^(q^v) = y^(q^u + q^v) over the variant's pairs
     k, q = ctx.n // 4, ctx.q
     first = 0 if params["variant"] == "plain" else 1
@@ -465,47 +482,44 @@ def _q6_shift(ctx: FieldCtx, sign: int) -> Sequence[int]:
     return tabulate_linear(ctx, [1, sign % ctx.p, 1])
 
 
-def _codes_q6(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
+def _codes_q6(ctx: FieldCtx, params: dict) -> list[int]:
     h, delta, lin = params["h"], params["delta"].code, params["L"].tabulate()
     minus = _q6_shift(ctx, -1)
     if params["variant"] == "minus":
         outer = _q6_outer(ctx, h, ((4, 1), (3, 1), (1, -1), (0, -1)))
         return _compose(ctx, outer, minus, delta, lin)
-    plus = _q6_shift(ctx, 1)
-    lead = _q6_outer(ctx, h, ((4, 1), (3, -1)))
-    trail = _q6_outer(ctx, h, ((1, 1), (0, -1)))
-    add = ctx._add
-    return lambda x: add(add(lead[add(plus[x], delta)], trail[add(minus[x], delta)]), lin[x])
+    lead = _shifted(ctx, _q6_outer(ctx, h, ((4, 1), (3, -1))), _q6_shift(ctx, 1), delta)
+    trail = _shifted(ctx, _q6_outer(ctx, h, ((1, 1), (0, -1))), minus, delta)
+    return list(ctx._add_codes(ctx._add_codes(lead, trail), lin))
 
 
-def _codes_generic_L(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
-    mul, a = ctx._mul, params["a"].code
-    outer = [mul(a, y) for y in symmetric_codes(ctx, params["h"])]
+def _codes_generic_L(ctx: FieldCtx, params: dict) -> list[int]:
+    outer = _scaled(ctx, params["a"].code, symmetric_codes(ctx, params["h"]))
     return _compose(ctx, outer, params["L"].tabulate(), params["delta"].code,
                     params["L1"].tabulate())
 
 
-def _codes_half_power(ctx: FieldCtx, params: dict) -> Callable[[int], int]:
-    # evaluated on logs rather than composed from tables: the grid's fields
-    # are small, so per-instance tables would cost more than they save
-    exp, log, om1, add = ctx._exp, ctx._log, ctx._om1, ctx._add
-    qk = ctx._qpow[params["k"] % ctx.n]
-    la, lb = log[params["a"].code], log[params["b"].code]
-    lnb = (lb + om1 // 2) % om1  # log of -b
-    power = ctx.power_table((ctx.order + 1) // 2)
-    delta = params["delta"].code
+@functools.lru_cache(maxsize=1)
+def _half_power_tables(ctx: FieldCtx, k: int, a: int,
+                       b: int) -> tuple[Sequence[int], Sequence[int]]:
+    """(a*x^(q^k) - b*x, a*x^(q^k) + b*x) on every code.  Kept for the last
+    (field, k, a, b) only: grids vary delta fastest, so consecutive points
+    share the tables, while a per-field cache would keep two tables for
+    every (a, b) pair of a grid."""
+    def table(c: int) -> Sequence[int]:
+        return ctx.linear_table(lambda x: ctx._add(ctx._mul(a, ctx._frob(x, k)),
+                                                   ctx._mul(c, x)))
 
-    def f(x: int) -> int:
-        if x == 0:
-            return power[delta]
-        lx = log[x]
-        axk = exp[la + lx * qk % om1]  # a*x^(q^k)
-        return add(power[add(add(axk, exp[lnb + lx]), delta)], add(axk, exp[lb + lx]))
-
-    return f
+    return table(ctx._neg(b)), table(b)
 
 
-CODE_MAPS: dict[str, Callable[[FieldCtx, dict], Callable[[int], int]]] = {
+def _codes_half_power(ctx: FieldCtx, params: dict) -> list[int]:
+    inner, lin = _half_power_tables(ctx, params["k"], params["a"].code, params["b"].code)
+    return _compose(ctx, ctx.power_table((ctx.order + 1) // 2), inner,
+                    params["delta"].code, lin)
+
+
+CODE_MAPS: dict[str, Callable[[FieldCtx, dict], list[int]]] = {
     "additive_g": _codes_additive_g,
     "even_t": _codes_even_t,
     "trace_gamma": _codes_trace_gamma,

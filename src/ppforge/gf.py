@@ -253,7 +253,13 @@ class Elem:
         return f"Elem({self.ctx.label}|{','.join(map(str, self.coords))})"
 
     def __str__(self):
-        return ",".join(map(str, self.coords))
+        # memoized per field and code: census rows print the same few
+        # parameters thousands of times
+        labels = self.ctx._labels
+        label = labels.get(self.code)
+        if label is None:
+            label = labels[self.code] = ",".join(map(str, self.coords))
+        return label
 
 
 class TabulatedMap:
@@ -314,6 +320,7 @@ class FieldCtx:
         self._subfield_set = frozenset(self._subfield_codes)
         self._trace_table: Optional[array] = None
         self._derived: dict = {}
+        self._labels: dict[int, str] = {}  # str(Elem) by code, filled as printed
 
         self.zero = self._wrap(0)
         self.one = self._wrap(1)
@@ -447,6 +454,23 @@ class FieldCtx:
         lo = self._shift_row(b % low, low)
         hi = [v * low for v in self._shift_row(b // low, self.order // low)]
         return lambda v: hi[v // low] + lo[v % low]
+
+    def _add_codes(self, a: Iterable[int], b: Iterable[int]) -> Iterator[int]:
+        """a[i] + b[i] for every i, as an iterator: XOR, or add-table rows
+        picked by a and indexed by b, both without a Python frame per
+        element; above the table, the Zech addition."""
+        if self.p == 2:
+            return map(operator.xor, a, b)
+        if self._add_table is not None:
+            return map(list.__getitem__, map(self._add_table.__getitem__, a), b)
+        return map(self._add, a, b)
+
+    def _mul_row(self, a: int) -> list[int]:
+        """v -> a*v on every code, in one pass over the log table."""
+        if a == 0:
+            return [0] * self.order
+        return [0, *map(self._exp.__getitem__,
+                        map(self._log[a].__add__, itertools.islice(self._log, 1, None)))]
 
     def _mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

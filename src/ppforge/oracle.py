@@ -8,6 +8,7 @@ the cycle decomposition are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -48,6 +49,7 @@ def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
     """
     if len(codes) != ctx.order:
         raise ValueError(f"expected {ctx.order} values, got {len(codes)}")
+    # no len(set(codes)) fast path: a set of 2^20 codes takes tens of MB, this 1 MB
     hit = bytearray(ctx.order)
     for x, y in enumerate(codes):
         if hit[y]:
@@ -56,7 +58,7 @@ def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
     else:
         return Verdict(bijective=True, cycle_type=_cycles_from_table(codes))
     collision = (ctx._wrap(codes.index(y)), ctx._wrap(x))
-    for y in codes[x:]:
+    for y in itertools.islice(codes, x + 1, None):
         hit[y] = 1
     return Verdict(bijective=False, collision=collision, missed=ctx._wrap(hit.index(0)))
 
@@ -127,11 +129,12 @@ class IffRecord:
 
 def check_iff(instance, cap: int = DEFAULT_CAP) -> IffRecord:
     """Compare a family instance's predicted verdict with brute force: one
-    scan over the instance's code map, without calling its evaluator."""
+    scan over the instance's value list (its code map built by whole-table
+    passes, see :meth:`FamilyInstance.code_values`), without calling its
+    evaluator."""
     ctx = instance.ctx
     _check_cap(ctx, cap)
-    f = instance.code_map()
-    verdict = scan_codes([f(c) for c in range(ctx.order)], ctx)
+    verdict = scan_codes(instance.code_values(), ctx)
     return IffRecord(
         family_id=instance.family_id,
         predicted=instance.predicted_pp,

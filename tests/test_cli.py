@@ -1,8 +1,10 @@
+import csv
 import json
 
 import pytest
 
 from ppforge.cli import main
+from ppforge.gf import make_field
 
 HALF_POWER_SPEC = json.dumps({
     "schema_version": 1,
@@ -84,6 +86,23 @@ def test_verify_csv(tmp_path, capsys):
     rows = out_csv.read_text().splitlines()
     assert rows[0] == "k,a,b,delta,predicted,observed,status,cycle_type"
     assert len(rows) == 577
+
+
+def test_verify_csv_memoizes_only_the_printed_labels(tmp_path, capsys):
+    ctx = make_field(3, 1, 8)
+    ctx._labels.clear()
+    spec = json.dumps({"family": "n4k", "field": "3^1:8",
+                       "params": {"variant": ["plain", "qtwist"], "delta": [0],
+                                  "a": "base_nonzero"}})
+    out_csv = tmp_path / "rows.csv"
+    assert main(["verify", spec, "--csv", str(out_csv)]) == 0
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    printed = {ctx.from_coords([int(c) for c in row[name].split(",")]).code
+               for row in rows for name in ("delta", "a")}
+    assert printed == {0, 1, 2}
+    assert set(ctx._labels) == printed
 
 
 def test_census_default_grid(tmp_path, capsys):

@@ -307,6 +307,21 @@ def test_code_map_matches_element_reference(family, data):
     assert edge == check_iff(inst).verdict
 
 
+def test_half_power_tables_follow_field_k_a_and_b():
+    # half_power keeps its linear tables for the last (field, k, a, b) only:
+    # compiles interleaved across two fields with equal codes, and across k,
+    # a and b, must each get their own tables
+    F, G = make_field(3, 1, 4), make_field(5, 1, 2)
+    points = [(F, 1, 1, 2, 0), (G, 1, 1, 2, 0), (F, 1, 1, 2, 5), (F, 2, 1, 2, 5),
+              (G, 2, 1, 2, 3), (G, 1, 1, 2, 3), (F, 2, 2, 2, 5), (F, 2, 2, 1, 5),
+              (F, 2, 2, 1, 0), (G, 1, 2, 1, 0), (F, 1, 2, 1, 0)]
+    for ctx, k, a, b, delta in points:
+        inst = fam.family_half_power(ctx, k, ctx.elem(a), ctx.elem(b), ctx.elem(delta))
+        ref = reference(inst)
+        assert inst.code_values() == [ref(x).code for x in ctx.elements()], \
+            f"{ctx.label} {inst.describe_params()}"
+
+
 @pytest.mark.parametrize("spec", [(2, 1, 8), (3, 1, 4), (5, 1, 2)])
 def test_log_frobenius_is_the_q_power_map(spec):
     ctx = make_field(*spec)

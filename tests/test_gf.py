@@ -535,3 +535,52 @@ def test_zech_zero_and_negation_cases_under_python_O():
         assert f"neg {a} {_digit_neg(a, 3)} 0 0 0 0" in lines
         assert f"zero {a} {a} {a} {a} {a}" in lines
     assert lines[-1] == "zero_zero 0 0 0"
+
+
+# Whole-table passes (_add_codes, _mul_row) against the scalar _add and _mul,
+# on XOR, add-table and Zech fields.
+
+PASS_FIELDS = [(2, 8), (3, 4), (3, 6), (5, 4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_table_passes_match_scalar_arithmetic(data):
+    p, d = data.draw(st.sampled_from(PASS_FIELDS), label="field")
+    ctx = make_field(p, 1, d)
+    code = st.integers(0, ctx.order - 1)
+    # b is 0, -a, a or any code, so zero operands and sums hit on purpose
+    pairs = data.draw(st.lists(st.tuples(st.one_of(st.just(0), code),
+                                         st.sampled_from(["zero", "neg", "same", "any"]),
+                                         code), min_size=1, max_size=40), label="pairs")
+    a = [x for x, _, _ in pairs]
+    b = [{"zero": 0, "neg": _digit_neg(x, p), "same": x, "any": y}[kind]
+         for x, kind, y in pairs]
+    assert list(ctx._add_codes(a, b)) == list(map(ctx._add, a, b))
+    # the arguments may be iterators, as in the code maps' nested passes
+    assert list(ctx._add_codes(iter(b), iter(a))) == list(map(ctx._add, b, a))
+    scale = data.draw(st.one_of(st.just(0), st.just(1), code), label="scale")
+    row = ctx._mul_row(scale)
+    assert len(row) == ctx.order
+    assert row == [ctx._mul(scale, v) for v in range(ctx.order)]
+
+
+# str(Elem) is memoized per field and code.
+
+@pytest.mark.parametrize("spec", [(3, 1, 4), (2, 1, 8)])
+def test_labels_match_coordinates_exhaustive(spec):
+    ctx = make_field(*spec)
+    for x in ctx.elements():
+        assert str(x) == ",".join(map(str, x.coords))
+        assert str(x) == ",".join(map(str, x.coords))  # read from the memo
+    assert set(ctx._labels) == set(range(ctx.order))
+
+
+@settings(max_examples=50, deadline=None)
+@given(code=st.integers(0, (1 << 17) - 1))
+def test_labels_above_the_interning_bound(code):
+    ctx = make_field(2, 1, 17)
+    x, y = ctx.elem(code), ctx.elem(code)
+    assert x is not y  # not interned at this order: one label serves both
+    assert str(x) == ",".join(map(str, x.coords)) == str(y)
+    assert len(str(x).split(",")) == 17

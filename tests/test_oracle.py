@@ -88,6 +88,18 @@ def test_scan_codes_on_value_lists():
         scan_codes([0, 1, 2], F5)
 
 
+def test_scan_codes_collision_at_the_last_code_and_after_the_tail():
+    # the only repeat is the last value: 6 -> 1 as 1 -> 1; 2 is never hit
+    v = scan_codes([3, 1, 4, 0, 6, 5, 1], F7)
+    assert v.collision == (F7.elem(1), F7.elem(6))
+    assert v.missed == F7.elem(2)
+    # the first repeat is at x = 1; only the values after it show 5 is the
+    # smallest code missed
+    v = scan_codes([0, 0, 1, 2, 3, 4, 6], F7)
+    assert v.collision == (F7.elem(0), F7.elem(1))
+    assert v.missed == F7.elem(5)
+
+
 def test_format_cycle_type():
     assert format_cycle_type((1, 1, 1, 2, 2, 5)) == "1^3 2^2 5^1"
     assert format_cycle_type((9,)) == "9^1"
