@@ -2,13 +2,14 @@
 
 Each constructor validates its hypotheses and computes the predicted
 verdict from the family's stated bijectivity condition alone; brute force
-never feeds the prediction.  The map itself is a code map, compiled as its
-value list: the code of f(x) for every code x, built in whole-table passes
-(``map`` over lists, no Python frame per element) from the field's tables
-(exp/log/add, the log-Frobenius, the trace) and from tables of the
-parameters (g, h, L), each built once per field.  The fiber maps psi and
-psibar of a family's commuting square are code tables too (FIBER_MAPS),
-built only when the diagram checkers ask for them.
+never feeds the prediction.  The map itself is declared once per family as
+a composition of field tables, x -> sum(outer[inner[x] + delta]) + L(x),
+over the field's tables (exp/log/add, the log-Frobenius, the trace) and
+tables of the parameters (g, h, L), each built once per field.  The one
+composition gives both the value list, the code of f(x) for every code x,
+built in whole-table passes (``map`` over lists, no Python frame per
+element), and the fiber maps of the family's commuting square: psibar is
+the first inner table and psi is psibar plus the fiber delta.
 
 Huge monomials such as x^((q^n+1)/2) are never materialized as coefficient
 vectors: they are power maps on logs.
@@ -17,6 +18,7 @@ vectors: they are power maps on logs.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -43,7 +45,6 @@ from .recipes import (  # the recipe names are part of this module's API
     anti_scaled,
     build_g,
     g_codes,
-    h_codes,
     m_sum,
     norm_power,
     product_of,
@@ -52,16 +53,18 @@ from .recipes import (  # the recipe names are part of this module's API
     symmetric_codes,
     trace_of_h,
 )
+from .recipes import _powers_of_h
 
 
 @dataclass(frozen=True, eq=False)
 class FamilyInstance:
     """A fully parameterized family member with its predicted verdict.
 
-    The map itself is the family's code map, compiled from ``ctx`` and
-    ``params`` as its value list by :meth:`code_values` when it is needed
-    and not stored on the instance; ``evaluator`` is its ``Elem -> Elem``
-    edge.  The fiber maps are compiled the same way, by :meth:`fiber_codes`.
+    The map itself is the family's composition (``COMPOSITIONS``), compiled
+    from ``ctx`` and ``params`` as its value list by :meth:`code_values`
+    when it is needed and not stored on the instance; ``evaluator`` is its
+    ``Elem -> Elem`` edge.  :meth:`fiber_codes` reads the fiber maps off the
+    same composition.
     """
 
     family_id: str
@@ -72,22 +75,23 @@ class FamilyInstance:
 
     def code_values(self) -> list[int]:
         """The code of f(x) for every element code x, in code order."""
-        return CODE_MAPS[self.family_id](self.ctx, self.params)
+        return _compile(self.family_id, self.ctx, self.params)
 
     def code_map(self) -> Callable[[int], int]:
         """The map on element codes: a lookup in :meth:`code_values`."""
         return self.code_values().__getitem__
 
     def fiber_codes(self) -> Optional[tuple[Sequence[int], Sequence[int]]]:
-        """(psi, psibar) of the family's commuting square as code tables, psi
-        being psibar plus delta; None for a family without fiber maps."""
-        fiber_map = FIBER_MAPS.get(self.family_id)
-        if fiber_map is None:
+        """(psi, psibar) of the family's commuting square as code tables:
+        psibar is the inner table of the composition's first term, psi is
+        psibar plus the fiber delta; None for a family without fiber maps."""
+        terms, _, _, fiber_delta = COMPOSITIONS[self.family_id](self.ctx, self.params)
+        if fiber_delta is None:
             return None
-        psibar, delta = fiber_map(self.ctx, self.params)
-        if delta == 0:
+        psibar = terms[0][1]
+        if fiber_delta == 0:
             return psibar, psibar
-        return list(map(self.ctx._add_const(delta), psibar)), psibar
+        return list(map(self.ctx._add_const(fiber_delta), psibar)), psibar
 
     @property
     def psi(self) -> Optional[TabulatedMap]:
@@ -123,7 +127,7 @@ class CodeMapEdge:
         if x.ctx is not ctx:
             raise CtxMismatchError("argument from a different field")
         if self._values is None:
-            self._values = CODE_MAPS[self.family_id](ctx, self.params)
+            self._values = _compile(self.family_id, ctx, self.params)
         return ctx._wrap(self._values[x.code])
 
 
@@ -370,25 +374,26 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
 
 
 # ---------------------------------------------------------------------------
-# code maps: each family's map on element codes, compiled from (ctx, params)
-# as its value list, the code of f(x) for every code x.
+# compositions: each family's map declared once, as field tables.
 #
-# Most families have the shape x -> outer[inner[x] + delta] + lin[x] with
-# inner and lin F_p-linear.  Tables that depend only on the field and on
-# grid-wide parameters (g and h tables, powers) are built once per field,
-# and every linear table once per field and coefficient vector, since a grid
-# holds few distinct vectors; outer tables scaled by an instance's element
-# are built for one compile and dropped with it.  A value list is built by
-# whole-table passes: `map` over the tables with the lookups, the add-table
-# rows and the XOR as the mapped functions, so that on fields with XOR or an
-# add table no Python frame runs per element.
+# A composition is the tuple (terms, delta, lin, fiber_delta) of the map
+#     x -> sum(outer[inner[x] + delta] for outer, inner in terms) + lin[x]
+# with every inner and lin F_p-linear.  Its value list is the code of f(x)
+# for every code x (see _compile).  The first term's inner table is psibar of
+# the family's commuting square and psi is psibar + fiber_delta; fiber_delta
+# is None for a family without fiber maps.
+#
+# Tables that depend only on the field and on grid-wide parameters (g and h
+# tables, powers) are built once per field, and every linear table once per
+# field and coefficient vector, since a grid holds few distinct vectors;
+# outer tables scaled by an instance's element are built for each compile
+# (and each fiber_codes call) and dropped with it.  A value list is built by whole-table passes: `map` over
+# the tables with the lookups, the add-table rows and the XOR as the mapped
+# functions, so that on fields with XOR or an add table no Python frame runs
+# per element.
 
-
-def _frob_term(ctx: FieldCtx, s: int, coeff: int) -> list[int]:
-    """The coefficient vector of coeff * x^(q^s)."""
-    coeffs = [0] * ctx.n
-    coeffs[s % ctx.n] = coeff
-    return coeffs
+Composition = tuple[Sequence[tuple[Sequence[int], Sequence[int]]], int,
+                    Sequence[int], Optional[int]]
 
 
 def _frob_shift(ctx: FieldCtx, k: int, sign: int) -> Sequence[int]:
@@ -399,22 +404,17 @@ def _frob_shift(ctx: FieldCtx, k: int, sign: int) -> Sequence[int]:
     return tabulate_linear(ctx, coeffs)
 
 
-def _plus_trace(ctx: FieldCtx, beta: int, coeffs) -> Sequence[int]:
-    """beta*Tr(x) + sum(coeffs[i] * x^(q^i)) on every code, built once per
-    field and resulting coefficient vector."""
+def _linear_part(ctx: FieldCtx, P: dict) -> Sequence[int]:
+    """beta*Tr(x) + L(x) on every code, where L is gamma*x^(q^s) for the
+    families that take gamma and s, and beta is 0 for those without it;
+    built once per field and resulting coefficient vector."""
+    if "gamma" in P:
+        coeffs = [0] * ctx.n
+        coeffs[P["s"] % ctx.n] = P["gamma"].code
+    else:
+        coeffs = P["L"].codes
+    beta = P["beta"].code if "beta" in P else 0
     return tabulate_linear(ctx, [ctx._add(beta, c) for c in coeffs])
-
-
-def _shifted(ctx: FieldCtx, outer: Sequence[int], inner: Sequence[int],
-             delta: int) -> Iterator[int]:
-    """outer[inner[x] + delta] for every code x, as an iterator."""
-    return map(outer.__getitem__, map(ctx._add_const(delta), inner))
-
-
-def _compose(ctx: FieldCtx, outer: Sequence[int], inner: Sequence[int], delta: int,
-             lin: Sequence[int]) -> list[int]:
-    """The values of x -> outer[inner[x] + delta] + lin[x]."""
-    return list(ctx._add_codes(_shifted(ctx, outer, inner, delta), lin))
 
 
 def _scaled(ctx: FieldCtx, a: int, table: Sequence[int]) -> list[int]:
@@ -422,81 +422,59 @@ def _scaled(ctx: FieldCtx, a: int, table: Sequence[int]) -> list[int]:
     return list(map(ctx._mul_row(a).__getitem__, table))
 
 
-def _codes_additive_g(ctx: FieldCtx, params: dict) -> list[int]:
-    return _compose(ctx, g_codes(params["g"], ctx), _frob_shift(ctx, 1, -1),
-                    params["delta"].code, params["L"].tabulate())
+def _additive_g(ctx: FieldCtx, P: dict) -> Composition:
+    delta = P["delta"].code
+    return ([(g_codes(P["g"], ctx), _frob_shift(ctx, 1, -1))], delta,
+            P["L"].tabulate(), delta)
 
 
-def _codes_even_t(ctx: FieldCtx, params: dict) -> list[int]:
-    return _compose(ctx, ctx.power_table(params["t"]), _frob_shift(ctx, ctx.n // 2, -1),
-                    params["delta"].code, params["L"].tabulate())
+def _even_t(ctx: FieldCtx, P: dict) -> Composition:
+    """even_t, and trace_gamma with L = beta*Tr(x) + gamma*x^(q^s)."""
+    return ([(ctx.power_table(P["t"]), _frob_shift(ctx, ctx.n // 2, -1))],
+            P["delta"].code, _linear_part(ctx, P), 0)
 
 
-def _codes_trace_gamma(ctx: FieldCtx, params: dict) -> list[int]:
-    gamma_term = _frob_term(ctx, params["s"], params["gamma"].code)
-    return _compose(ctx, ctx.power_table(params["t"]), _frob_shift(ctx, ctx.n // 2, -1),
-                    params["delta"].code,
-                    _plus_trace(ctx, params["beta"].code, gamma_term))
+def _alpha_beta(ctx: FieldCtx, P: dict) -> Composition:
+    """alpha_beta, and alpha_beta_gamma with L = gamma*x^(q^s)."""
+    outer = _scaled(ctx, P["alpha"].code, ctx.power_table(P["t"]))
+    return ([(outer, _frob_shift(ctx, ctx.n // 2, 1))], P["delta"].code,
+            _linear_part(ctx, P), 0)
 
 
-def _alpha_beta_map(ctx: FieldCtx, params: dict, lin: Sequence[int]) -> list[int]:
-    """alpha_beta's values with L given by its coefficient vector lin."""
-    outer = _scaled(ctx, params["alpha"].code, ctx.power_table(params["t"]))
-    return _compose(ctx, outer, _frob_shift(ctx, ctx.n // 2, 1), params["delta"].code,
-                    _plus_trace(ctx, params["beta"].code, lin))
+def _anti_g(ctx: FieldCtx, P: dict) -> Composition:
+    delta = P["delta"].code
+    return ([(g_codes(P["g"], ctx), _frob_shift(ctx, 1, 1))], delta,
+            _linear_part(ctx, P), delta)
 
 
-def _codes_alpha_beta(ctx: FieldCtx, params: dict) -> list[int]:
-    return _alpha_beta_map(ctx, params, params["L"].codes)
-
-
-def _codes_alpha_beta_gamma(ctx: FieldCtx, params: dict) -> list[int]:
-    return _alpha_beta_map(ctx, params,
-                           _frob_term(ctx, params["s"], params["gamma"].code))
-
-
-def _codes_anti_g(ctx: FieldCtx, params: dict) -> list[int]:
-    return _compose(ctx, g_codes(params["g"], ctx), _frob_shift(ctx, 1, 1),
-                    params["delta"].code,
-                    _plus_trace(ctx, params["beta"].code, params["L"].codes))
-
-
-def _codes_n4k(ctx: FieldCtx, params: dict) -> list[int]:
+def _n4k(ctx: FieldCtx, P: dict) -> Composition:
     # g(y) = sum of y^(q^u) * y^(q^v) = y^(q^u + q^v) over the variant's pairs
-    k, q = ctx.n // 4, ctx.q
-    first = 0 if params["variant"] == "plain" else 1
+    k, q, delta = ctx.n // 4, ctx.q, P["delta"].code
+    first = 0 if P["variant"] == "plain" else 1
     g = ctx.power_sum_table([(q ** (2 * i + first) + q ** (2 * i + first + 2 * k), 1)
                              for i in range(k)])
-    return _compose(ctx, g, _frob_shift(ctx, 1, -1), params["delta"].code,
-                    tabulate_linear(ctx, [params["a"].code]))
+    return ([(g, _frob_shift(ctx, 1, -1))], delta,
+            tabulate_linear(ctx, [P["a"].code]), delta)
 
 
-def _q6_outer(ctx: FieldCtx, h: Poly, terms) -> list[int]:
-    """w -> sum(sign * h(w)^(q^j)) over (j, sign) in terms."""
-    powers = ctx.power_sum_table([(ctx.q ** j, sign) for j, sign in terms])
-    return [powers[y] for y in h_codes(h, ctx)]
+def _q6(ctx: FieldCtx, P: dict) -> Composition:
+    """Outer tables w -> sum(sign * h(w)^e) on the shifts x^(q^2) -+ x^q + x;
+    plus leads with its w_+ term, whose shift is its psibar."""
+    q, h, delta = ctx.q, P["h"], P["delta"].code
+    minus = tabulate_linear(ctx, [1, ctx.p - 1, 1])
+    if P["variant"] == "minus":
+        terms = [(_powers_of_h(ctx, h, [(q ** 4, 1), (q ** 3, 1), (q, -1), (1, -1)]), minus)]
+    else:
+        terms = [(_powers_of_h(ctx, h, [(q ** 4, 1), (q ** 3, -1)]),
+                  tabulate_linear(ctx, [1, 1, 1])),
+                 (_powers_of_h(ctx, h, [(q, 1), (1, -1)]), minus)]
+    return terms, delta, P["L"].tabulate(), delta
 
 
-def _q6_shift(ctx: FieldCtx, sign: int) -> Sequence[int]:
-    """x^(q^2) + sign*x^q + x on every code, built once per field."""
-    return tabulate_linear(ctx, [1, sign % ctx.p, 1])
-
-
-def _codes_q6(ctx: FieldCtx, params: dict) -> list[int]:
-    h, delta, lin = params["h"], params["delta"].code, params["L"].tabulate()
-    minus = _q6_shift(ctx, -1)
-    if params["variant"] == "minus":
-        outer = _q6_outer(ctx, h, ((4, 1), (3, 1), (1, -1), (0, -1)))
-        return _compose(ctx, outer, minus, delta, lin)
-    lead = _shifted(ctx, _q6_outer(ctx, h, ((4, 1), (3, -1))), _q6_shift(ctx, 1), delta)
-    trail = _shifted(ctx, _q6_outer(ctx, h, ((1, 1), (0, -1))), minus, delta)
-    return list(ctx._add_codes(ctx._add_codes(lead, trail), lin))
-
-
-def _codes_generic_L(ctx: FieldCtx, params: dict) -> list[int]:
-    outer = _scaled(ctx, params["a"].code, symmetric_codes(ctx, params["h"]))
-    return _compose(ctx, outer, params["L"].tabulate(), params["delta"].code,
-                    params["L1"].tabulate())
+def _generic_L(ctx: FieldCtx, P: dict) -> Composition:
+    delta = P["delta"].code
+    outer = _scaled(ctx, P["a"].code, symmetric_codes(ctx, P["h"]))
+    return [(outer, P["L"].tabulate())], delta, P["L1"].tabulate(), delta
 
 
 @functools.lru_cache(maxsize=1)
@@ -513,42 +491,32 @@ def _half_power_tables(ctx: FieldCtx, k: int, a: int,
     return table(ctx._neg(b)), table(b)
 
 
-def _codes_half_power(ctx: FieldCtx, params: dict) -> list[int]:
-    inner, lin = _half_power_tables(ctx, params["k"], params["a"].code, params["b"].code)
-    return _compose(ctx, ctx.power_table((ctx.order + 1) // 2), inner,
-                    params["delta"].code, lin)
+def _half_power(ctx: FieldCtx, P: dict) -> Composition:
+    inner, lin = _half_power_tables(ctx, P["k"], P["a"].code, P["b"].code)
+    return [(ctx.power_table((ctx.order + 1) // 2), inner)], P["delta"].code, lin, None
 
 
-CODE_MAPS: dict[str, Callable[[FieldCtx, dict], list[int]]] = {
-    "additive_g": _codes_additive_g,
-    "even_t": _codes_even_t,
-    "trace_gamma": _codes_trace_gamma,
-    "alpha_beta": _codes_alpha_beta,
-    "alpha_beta_gamma": _codes_alpha_beta_gamma,
-    "anti_g": _codes_anti_g,
-    "n4k": _codes_n4k,
-    "q6": _codes_q6,
-    "generic_L": _codes_generic_L,
-    "half_power": _codes_half_power,
+COMPOSITIONS: dict[str, Callable[[FieldCtx, dict], Composition]] = {
+    "additive_g": _additive_g,
+    "even_t": _even_t,
+    "trace_gamma": _even_t,
+    "alpha_beta": _alpha_beta,
+    "alpha_beta_gamma": _alpha_beta,
+    "anti_g": _anti_g,
+    "n4k": _n4k,
+    "q6": _q6,
+    "generic_L": _generic_L,
+    "half_power": _half_power,
 }
 
 
-# fiber maps: each family's commuting square as (psibar, delta) over the same
-# per-field tables, psi being psibar + delta.  half_power has none; the
-# diagram checkers audit it on the identity square.
-
-FIBER_MAPS: dict[str, Callable[[FieldCtx, dict], tuple[Sequence[int], int]]] = {
-    "additive_g": lambda ctx, P: (_frob_shift(ctx, 1, -1), P["delta"].code),
-    "even_t": lambda ctx, P: (_frob_shift(ctx, ctx.n // 2, -1), 0),
-    "trace_gamma": lambda ctx, P: (_frob_shift(ctx, ctx.n // 2, -1), 0),
-    "alpha_beta": lambda ctx, P: (_frob_shift(ctx, ctx.n // 2, 1), 0),
-    "alpha_beta_gamma": lambda ctx, P: (_frob_shift(ctx, ctx.n // 2, 1), 0),
-    "anti_g": lambda ctx, P: (_frob_shift(ctx, 1, 1), P["delta"].code),
-    "n4k": lambda ctx, P: (_frob_shift(ctx, 1, -1), P["delta"].code),
-    "q6": lambda ctx, P: (_q6_shift(ctx, -1 if P["variant"] == "minus" else 1),
-                          P["delta"].code),
-    "generic_L": lambda ctx, P: (P["L"].tabulate(), P["delta"].code),
-}
+def _compile(family_id: str, ctx: FieldCtx, params: dict) -> list[int]:
+    """The value list of the family's composition."""
+    terms, delta, lin, _ = COMPOSITIONS[family_id](ctx, params)
+    shift, values = ctx._add_const(delta), lin
+    for outer, inner in terms:
+        values = ctx._add_codes(map(outer.__getitem__, map(shift, inner)), values)
+    return list(values)
 
 
 FAMILY_BUILDERS: dict[str, Callable[..., FamilyInstance]] = {
@@ -564,17 +532,10 @@ FAMILY_BUILDERS: dict[str, Callable[..., FamilyInstance]] = {
     "half_power": family_half_power,
 }
 
+# a family's parameters, in its constructor's order after ctx: the CSV columns
 PARAM_ORDER: dict[str, tuple[str, ...]] = {
-    "additive_g": ("g", "L", "delta"),
-    "even_t": ("t", "delta", "L"),
-    "trace_gamma": ("t", "delta", "beta", "gamma", "s"),
-    "alpha_beta": ("t", "delta", "alpha", "beta", "L"),
-    "alpha_beta_gamma": ("t", "delta", "alpha", "beta", "gamma", "s"),
-    "anti_g": ("g", "delta", "beta", "L"),
-    "n4k": ("variant", "delta", "a"),
-    "q6": ("variant", "h", "L", "delta"),
-    "generic_L": ("L", "a", "h", "L1", "delta"),
-    "half_power": ("k", "a", "b", "delta"),
+    family_id: tuple(inspect.signature(builder).parameters)[1:]
+    for family_id, builder in FAMILY_BUILDERS.items()
 }
 
 _PARAM_TYPES: dict[str, str] = {

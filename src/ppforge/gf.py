@@ -37,7 +37,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 _ADD_TABLE_MAX = 512      # full add table for odd characteristic up to this order
 _ELEM_CACHE_MAX = 1 << 16  # interned Elem objects up to this order
-_TRACE_TABLE_MAX = 1 << 16
 
 
 def code_table(values: Iterable[int]) -> array:
@@ -503,20 +502,15 @@ class FieldCtx:
             acc = self._add(acc, self._frob(c, j))
         return acc
 
-    def _trace_codes(self) -> Optional[array]:
-        """The trace table, built on first use up to the table bound."""
-        if self._trace_table is None and self.order <= _TRACE_TABLE_MAX:
-            self._trace_table = self.linear_table(self._trace_slow)
-        return self._trace_table
-
     def _trace(self, c: int) -> int:
-        table = self._trace_codes()
-        return table[c] if table is not None else self._trace_slow(c)
+        return self.trace_fn()(c)
 
     def trace_fn(self) -> Callable[[int], int]:
-        """The trace on codes: a table lookup up to the table bound."""
-        table = self._trace_codes()
-        return table.__getitem__ if table is not None else self._trace_slow
+        """The trace on codes: a lookup in its table, built on first use
+        from the images of the F_p basis."""
+        if self._trace_table is None:
+            self._trace_table = self.linear_table(self._trace_slow)
+        return self._trace_table.__getitem__
 
     def power_sum_table(self, terms: Sequence[tuple[int, int]]) -> array:
         """y -> sum of sign * y^e over (e, sign) in terms, on every code;

@@ -49,6 +49,8 @@ def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
     """
     if len(codes) != ctx.order:
         raise ValueError(f"expected {ctx.order} values, got {len(codes)}")
+    if min(codes) < 0 or max(codes) >= ctx.order:
+        raise ValueError(f"values must be codes in [0, {ctx.order})")
     # no len(set(codes)) fast path: a set of 2^20 codes takes tens of MB, this 1 MB
     hit = bytearray(ctx.order)
     for x, y in enumerate(codes):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -112,6 +113,30 @@ def test_census_default_grid(tmp_path, capsys):
     assert rows[0] == "variant,delta,a,predicted,observed,status,cycle_type"
     assert len(rows) == 1 + 324
     assert all(",agree," in row or row.startswith("variant") for row in rows)
+
+
+# sha256 of every family's default-grid census on a small field where the
+# grid resolves: refactors must keep the CSV bytes
+CENSUS_DIGESTS = {
+    ("additive_g", "3^1:2"): "741041a00bca565828e445b1e5aab0bf5208254b093345998a12f25a0ae5cc42",
+    ("even_t", "3^1:2"): "41046a41bc254818b9fe19cd1777d688f1b9af80e7369d26cd57935eed947def",
+    ("trace_gamma", "3^1:2"): "a5323ec42b6001e54b1538f7ae479d666b94c7f5361bf4176a52c457204a1b9b",
+    ("alpha_beta", "3^1:2"): "c3cde010ec2c5137e4fa0f5835113eca5f2e1963b91995edfdbc3464f0f111ef",
+    ("alpha_beta_gamma", "3^1:2"):
+        "d23a368669cbc8bdb976b0bfc8a5653964ac3cd711d9330f3a484f5e653c299f",
+    ("anti_g", "3^1:2"): "ba0acf709e2ab5cb5b7ba84432a38a43d719874890e5a9e07c79698fe43587b8",
+    ("n4k", "2^1:4"): "df66b7713789086af2b22f41c9aef9c9d5d3f9caae83f682c0c142cb6da1292b",
+    ("q6", "2^1:6"): "df0086f4ceff004a2e88a3f842a453b038cf9ab6216bda7afe31da1783fb5c6b",
+    ("generic_L", "3^1:2"): "e2f2609172ed0ad9d5570550191dad469fc8fa3655c79a5352e28fed9fdce3d8",
+    ("half_power", "3^1:2"): "31f2f14a9c4cfc52cddcd7c002d91e0312a38a78b608a8f569904f9caf46b247",
+}
+
+
+@pytest.mark.parametrize("family, field", list(CENSUS_DIGESTS))
+def test_census_default_grid_bytes(family, field, tmp_path):
+    out_csv = tmp_path / "census.csv"
+    assert main(["census", family, field, "-o", str(out_csv)]) == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == CENSUS_DIGESTS[family, field]
 
 
 def test_census_split_matches_residue_classes(tmp_path):

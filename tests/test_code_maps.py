@@ -322,6 +322,33 @@ def test_half_power_tables_follow_field_k_a_and_b():
             f"{ctx.label} {inst.describe_params()}"
 
 
+@pytest.mark.parametrize("family, spec", [("trace_gamma", (3, 1, 4)),
+                                          ("alpha_beta_gamma", (3, 1, 4)),
+                                          ("n4k", (2, 1, 8))])
+def test_compiles_make_no_linpoly_once_the_tables_exist(family, spec, monkeypatch):
+    # every linear table of a composition is cached per field and coefficient
+    # vector, so compiling a grid a second time builds no LinPoly
+    ctx = make_field(*spec)
+    grid = [inst for inst in fam.instantiate_grid(family, [ctx], fam.DEFAULT_GRIDS[family])
+            if isinstance(inst, fam.FamilyInstance)]
+    made = []
+    init = LinPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    for compile_pass in range(2):
+        if compile_pass:
+            monkeypatch.setattr(LinPoly, "__init__", counting_init)
+        for inst in grid:
+            inst.code_values()
+            inst.fiber_codes()
+    assert grid and made == []
+    LinPoly.identity(ctx)  # the count sees constructions
+    assert len(made) == 1
+
+
 @pytest.mark.parametrize("spec", [(2, 1, 8), (3, 1, 4), (5, 1, 2)])
 def test_log_frobenius_is_the_q_power_map(spec):
     ctx = make_field(*spec)

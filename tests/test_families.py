@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ppforge import families as fam
@@ -100,6 +102,20 @@ def test_anti_alternating_formula_n2():
     g = build_g(fam.anti_alternating(X9), F9)
     for x in F9.elements():
         assert g(x) == x.frobenius() - x
+
+
+def test_trace_is_a_table_above_2_16():
+    # the trace is tabulated at every order: summing the n Frobenius powers
+    # per element instead makes this tabulation take seconds
+    F = make_field(2, 1, 18)
+    start = time.perf_counter()
+    g = build_g(fam.trace_of_h(Poly.x(F)), F)
+    assert time.perf_counter() - start < 1.5
+    for c in range(0, F.order, 4099):
+        x, acc = F.elem(c), F.zero
+        for j in range(F.n):
+            acc = acc + x.frobenius(j)
+        assert g(x) == acc
 
 
 def test_anti_recipes_reject_even_characteristic():

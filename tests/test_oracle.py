@@ -100,6 +100,14 @@ def test_scan_codes_collision_at_the_last_code_and_after_the_tail():
     assert v.missed == F7.elem(5)
 
 
+@pytest.mark.parametrize("codes", [[0, -1, 1], [0, 1, 3], [2, 1, -3]])
+def test_scan_codes_refuses_values_outside_the_field(codes):
+    # a negative value would index the hit table from its end: [0, -1, 1]
+    # then scanned as a bijection of F_3
+    with pytest.raises(ValueError, match="codes in"):
+        scan_codes(codes, make_field(3))
+
+
 def test_format_cycle_type():
     assert format_cycle_type((1, 1, 1, 2, 2, 5)) == "1^3 2^2 5^1"
     assert format_cycle_type((9,)) == "9^1"
