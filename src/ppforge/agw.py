@@ -9,7 +9,19 @@ kernel-valued terms, on concrete finite instances, reporting
 counterexamples rather than bare booleans.
 
 Maps are held as lists by position in A: a family's square as lists of
-element codes, any other domain numbered once, at the API edge.
+element codes, any other domain numbered once, at the API edge.  A square
+is audited on f, g = psibar . f and a fiber table of psi (for every
+position, the position of the first point of its fiber):
+
+- the square commutes iff g agrees with g read at those first points;
+- f is bijective iff it takes #A distinct values;
+- h is bijective iff g takes #Sbar distinct values;
+- the fibers are scanned for a collision only when f is not bijective.
+
+A family's square takes f and (psibar, fiber delta) from one composition
+call and the fiber table of psibar, built once per field and psibar table:
+psi = psibar + delta has the same fibers, and S is Sbar shifted by delta,
+point by point and in the same order.
 """
 
 from __future__ import annotations
@@ -95,33 +107,50 @@ def _bijective_onto(values: Sequence, codomain) -> bool:
     return len(image) == len(values) and image == set(codomain)
 
 
-def _descend(psi: Sequence, values: list) -> tuple[dict, Optional[object]]:
-    """values as a map {s: value} on the fibers of psi, and the first fiber
-    (in order of first appearance) on which values varies, or None."""
-    h = dict(zip(psi, values))
-    if list(map(h.__getitem__, psi)) == values:
-        return h, None
-    varies = {s for s, v in zip(psi, values) if h[s] != v}
-    return h, next(s for s in h if s in varies)
+class FiberTable:
+    """The fibers of a map given by its values by position: ``rep[x]`` is
+    the position of the first point of x's fiber and ``points`` are the
+    distinct values in order of first appearance.  Built in C-level passes:
+    a dict over the reversed (value, position) pairs keeps each value's
+    first position, and one ``map`` reads it back for every position."""
+
+    __slots__ = ("values", "rep", "points", "_groups")
+
+    def __init__(self, values: Sequence):
+        first = dict(zip(reversed(values), reversed(range(len(values)))))
+        self.values = values
+        self.rep = list(map(first.__getitem__, values))
+        self.points = list(dict.fromkeys(values))
+        self._groups: Optional[dict] = None
+
+    def first_varying(self, values: list) -> Optional[int]:
+        """The first position of the first fiber (in order of first
+        appearance) on which values is not constant; None if there is none."""
+        at_rep = list(map(values.__getitem__, self.rep))
+        if at_rep == values:
+            return None
+        return min(r for r, u, v in zip(self.rep, at_rep, values) if u != v)
+
+    def groups(self) -> dict:
+        """The positions over each point, in order of first appearance;
+        grouped on first use and kept, so shared tables group once."""
+        if self._groups is None:
+            self._groups = {}
+            for x, s in enumerate(self.values):
+                self._groups.setdefault(s, []).append(x)
+        return self._groups
 
 
-def _fibers(psi: Sequence) -> dict:
-    """The positions over each point, in order of first appearance."""
-    fibers: dict = {}
-    for x, s in enumerate(psi):
-        fibers.setdefault(s, []).append(x)
-    return fibers
-
-
-def _fiber_collision(psi: Sequence, f: Sequence, S: Sequence) -> Optional[tuple]:
+def _fiber_collision(fibers: FiberTable, f: Sequence, order: Sequence) -> Optional[tuple]:
     """The first (s, x1, x2), x1 < x2 in the fiber over s and f[x1] == f[x2],
-    in the order S and then domain order; None if f is fiber-injective."""
-    if len(set(zip(psi, f))) == len(f):
+    in the order of the points and then domain order; None if f is
+    fiber-injective."""
+    if len(set(zip(fibers.rep, f))) == len(f):
         return None
-    fibers = _fibers(psi)
-    for s in S:
+    groups = fibers.groups()
+    for s in order:
         seen: dict = {}
-        for x in fibers[s]:
+        for x in groups[s]:
             first = seen.setdefault(f[x], x)
             if first != x:
                 return s, first, x
@@ -130,7 +159,13 @@ def _fiber_collision(psi: Sequence, f: Sequence, S: Sequence) -> Optional[tuple]
 
 class AGWInstance:
     """A validated commuting square over a finite ground set A.  When h is
-    omitted it is induced fiberwise from f, checked well defined on every fiber."""
+    omitted it is induced fiberwise from f, checked well defined on every fiber.
+
+    The square is held as f and g = psibar . f by position, a fiber table
+    with the fibers of psi (a family's square shares the table of its
+    psibar) and a label naming the point of S over each point of the table;
+    S and the fibers are labelled only when asked for.
+    """
 
     def __init__(self, A: Sequence, psi: MapLike, psibar: MapLike,
                  f: MapLike, h: Optional[MapLike] = None,
@@ -140,49 +175,48 @@ class AGWInstance:
         f = [position.get(y, -1) for y in FiniteMap.ensure(A, f).values]
         if len(position) != len(A) or -1 in f:
             raise ValueError("A must hold distinct points and f must map A into A")
-        self._build(A, f, FiniteMap.ensure(A, psi).values, FiniteMap.ensure(A, psibar).values,
-                    S, Sbar, h, lambda s: s)
-
-    @classmethod
-    def from_codes(cls, A: Sequence, f: Sequence[int], psi: Sequence[int],
-                   psibar: Sequence[int], point: Callable[[int], object]) -> "AGWInstance":
-        """The square of code lists on A, A[c] having code c; point wraps a code."""
-        inst = cls.__new__(cls)
-        inst._build(tuple(A), f, psi, psibar, None, None, None, point)
-        return inst
-
-    def _build(self, A, f, psi, psibar, S, Sbar, h, point) -> None:
-        self._S = list(dict.fromkeys(psi)) if S is None else tuple(S)
-        self._Sbar = list(dict.fromkeys(psibar)) if Sbar is None else tuple(Sbar)
-        if S is not None and set(self._S) != set(psi):
+        psi = FiniteMap.ensure(A, psi).values
+        psibar = FiniteMap.ensure(A, psibar).values
+        if S is not None and set(S) != set(psi):
             raise NotSurjectiveError("psi does not cover S")
-        if Sbar is not None and set(self._Sbar) != set(psibar):
+        if Sbar is None:
+            Sbar = dict.fromkeys(psibar)
+        elif set(Sbar) != set(psibar):
             raise NotSurjectiveError("psibar does not cover Sbar")
-        if len(self._S) != len(self._Sbar):
+        fibers = FiberTable(psi)
+        S = fibers.points if S is None else tuple(S)
+        if len(S) != len(Sbar):
             raise HypothesisViolatedError("cardinality", "#S != #Sbar")
-        self.A, self._f, self._psi, self._point = A, f, psi, point
-        values = list(map(psibar.__getitem__, f))  # psibar(f(x)) by position
+        self._build(A, f, list(map(psibar.__getitem__, f)), fibers, S, len(set(Sbar)),
+                    lambda s: s, h)
+
+    def _build(self, A, f, g, fibers, order, n_Sbar, label, h=None) -> None:
+        """order: the fiber table's points in the order of S; n_Sbar: the
+        number of points of Sbar; label(s): the point of S over which the
+        table's point s lies.  A given h is a map on the table's points."""
+        self.A, self._f, self._g, self._fibers = A, f, g, fibers
+        self._order, self._n_Sbar, self._label = order, n_Sbar, label
         if h is None:
-            self._h, varies = _descend(psi, values)
-            if varies is not None:
+            r = fibers.first_varying(g)
+            if r is not None:
                 raise NotCommutingError(
                     "no induced map: psibar(f(.)) not constant on the fiber over "
-                    f"{point(varies)!r}")
+                    f"{label(fibers.values[r])!r}")
             return
-        self._h = dict(zip(self._S, FiniteMap.ensure(self._S, h).values))
-        for x, s in enumerate(psi):
-            if self._h[s] != values[x]:
+        h = dict(zip(order, FiniteMap.ensure(order, h).values))
+        for x, s in enumerate(fibers.values):
+            if h[s] != g[x]:
                 raise NotCommutingError(f"psibar(f({A[x]!r})) != h(psi({A[x]!r}))")
 
     @property
     def S(self) -> tuple:
-        return tuple(map(self._point, self._S))
+        return tuple(map(self._label, self._order))
 
     @property
     def fibers(self) -> dict:
         """psi^-1(s) for every s, in order of first appearance."""
-        return {self._point(s): [self.A[x] for x in fiber]
-                for s, fiber in _fibers(self._psi).items()}
+        return {self._label(s): [self.A[x] for x in fiber]
+                for s, fiber in self._fibers.groups().items()}
 
 
 @dataclass(frozen=True)
@@ -198,12 +232,18 @@ class FiberReport:
 
 
 def check_fiber_criterion(inst: AGWInstance) -> FiberReport:
-    """Confirm: f bijective <=> h bijective and f injective on every fiber."""
-    found = _fiber_collision(inst._psi, inst._f, inst._S)
-    witness = found and (inst._point(found[0]), inst.A[found[1]], inst.A[found[2]])
+    """Confirm: f bijective <=> h bijective and f injective on every fiber.
+
+    g = psibar . f takes every value of h, and only those, so h is bijective
+    exactly when g takes as many distinct values as S and Sbar have points;
+    an injective f collides in no fiber, so the fibers are scanned only when
+    f is not bijective."""
+    f_bijective = len(set(inst._f)) == len(inst._f)
+    found = None if f_bijective else _fiber_collision(inst._fibers, inst._f, inst._order)
+    witness = found and (inst._label(found[0]), inst.A[found[1]], inst.A[found[2]])
     return FiberReport(
-        f_bijective=_bijective_onto(inst._f, range(len(inst.A))),
-        h_bijective=_bijective_onto(list(inst._h.values()), inst._Sbar),
+        f_bijective=f_bijective,
+        h_bijective=len(set(inst._g)) == inst._n_Sbar == len(inst._fibers.points),
         fiber_injective=witness is None,
         fiber_witness=witness,
     )
@@ -268,9 +308,10 @@ def check_perturbed_bijection(A: Sequence, psi: MapLike, psibar: MapLike,
     for x, y in zip(A, v.values):
         if psibar(y):
             raise HypothesisViolatedError("kernel_value", f"psibar(v({x!r})) != 0")
-    varies = _descend(psi.values, v.values)[1]
+    varies = FiberTable(psi.values).first_varying(v.values)
     if varies is not None:
-        raise HypothesisViolatedError("fiber_constant", f"v varies on the fiber over {varies!r}")
+        raise HypothesisViolatedError("fiber_constant",
+                                      f"v varies on the fiber over {psi.values[varies]!r}")
     f = [a + b for a, b in zip(u.values, v.values)]
     _commuting(A, psi, psibar, f, h)
     perturbed, base = _bijective_onto(f, A), u.is_bijective_onto(A)
@@ -329,14 +370,23 @@ def check_fiber_shift(A: Sequence, psi: MapLike, psibar: MapLike,
 def wrap_family_instance(instance) -> AGWInstance:
     """Lift a family instance onto its commuting square.
 
-    The maps are the instance's value list and its fiber-map code tables.
-    Families without a natural fiber map fall back to the identity square,
-    for which the fiber criterion still applies (trivially: h is the map
-    itself and all fibers are singletons).
+    One composition call gives the value list f and (psibar, fiber delta);
+    the fiber table of psibar is built once per field and psibar table (the
+    tables are the field's cached linear tables, and the fiber table holds
+    its own, so the id key stays unique while the entry lives).  Families
+    without a natural fiber map fall back to the identity square, for which
+    the fiber criterion still applies (trivially: h is the map itself and
+    all fibers are singletons).
     """
     ctx = instance.ctx
-    codes = range(ctx.order)
-    fibers = instance.fiber_codes()
-    psi, psibar = (codes, codes) if fibers is None else fibers
-    return AGWInstance.from_codes(ctx.elements(), instance.code_values(),
-                                  psi, psibar, ctx._wrap)
+    f, fiber = instance.square_codes()
+    if fiber is None:
+        key, psibar, delta = "identity", range(ctx.order), 0
+    else:
+        (psibar, delta), key = fiber, id(fiber[0])
+    fibers = ctx.derived(("fibers", key), lambda: FiberTable(psibar))
+    label = ctx._wrap if delta == 0 else (lambda s: ctx._wrap(ctx._add(s, delta)))
+    inst = AGWInstance.__new__(AGWInstance)
+    inst._build(ctx.elements(), f, list(map(fibers.values.__getitem__, f)), fibers,
+                fibers.points, len(fibers.points), label)
+    return inst

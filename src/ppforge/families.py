@@ -64,7 +64,8 @@ class FamilyInstance:
     from ``ctx`` and ``params`` as its value list by :meth:`code_values`
     when it is needed and not stored on the instance; ``evaluator`` is its
     ``Elem -> Elem`` edge.  :meth:`fiber_codes` reads the fiber maps off the
-    same composition.
+    same composition, and :meth:`square_codes` gives the value list and
+    psibar from one composition call.
     """
 
     family_id: str
@@ -81,14 +82,21 @@ class FamilyInstance:
         """The map on element codes: a lookup in :meth:`code_values`."""
         return self.code_values().__getitem__
 
+    def square_codes(self) -> tuple[list[int], Optional[tuple[Sequence[int], int]]]:
+        """The value list and (psibar, fiber delta) of the family's
+        commuting square, from one composition call; None in place of the
+        pair for a family without fiber maps."""
+        composition = COMPOSITIONS[self.family_id](self.ctx, self.params)
+        return _values(self.ctx, composition), _fiber(composition)
+
     def fiber_codes(self) -> Optional[tuple[Sequence[int], Sequence[int]]]:
         """(psi, psibar) of the family's commuting square as code tables:
         psibar is the inner table of the composition's first term, psi is
         psibar plus the fiber delta; None for a family without fiber maps."""
-        terms, _, _, fiber_delta = COMPOSITIONS[self.family_id](self.ctx, self.params)
-        if fiber_delta is None:
+        fiber = _fiber(COMPOSITIONS[self.family_id](self.ctx, self.params))
+        if fiber is None:
             return None
-        psibar = terms[0][1]
+        psibar, fiber_delta = fiber
         if fiber_delta == 0:
             return psibar, psibar
         return list(map(self.ctx._add_const(fiber_delta), psibar)), psibar
@@ -173,6 +181,11 @@ def _linpoly_fixed_by(L: LinPoly, k: int) -> bool:
 def _permutes(L: LinPoly) -> bool:
     """is_permutation(L), decided once per field and coefficient vector."""
     return L.ctx.derived(("permutes", L.codes), lambda: is_permutation(L))
+
+
+def _gcd_permutes(L: LinPoly) -> bool:
+    """gcd_criterion_is_pp(L), decided once per field and coefficient vector."""
+    return L.ctx.derived(("gcd_permutes", L.codes), lambda: gcd_criterion_is_pp(L))
 
 
 def _instance(family_id: str, ctx: FieldCtx, params: dict,
@@ -345,7 +358,7 @@ def family_generic_L(ctx: FieldCtx, L: LinPoly, a: Elem, h,
     delta = _check_elem(ctx, delta, "delta")
     a = _check_elem(ctx, a, "a")
     _require(L.subfield_flag, "linearized_coeffs_outside_base")
-    _require(not gcd_criterion_is_pp(L), "trivial_kernel",
+    _require(not _gcd_permutes(L), "trivial_kernel",
              "L must have a nonzero kernel")
     _require(not a.is_zero and L.apply(a).is_zero, "bad_kernel_element",
              "a must be a nonzero root of L")
@@ -386,11 +399,11 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
 # Tables that depend only on the field and on grid-wide parameters (g and h
 # tables, powers) are built once per field, and every linear table once per
 # field and coefficient vector, since a grid holds few distinct vectors;
-# outer tables scaled by an instance's element are built for each compile
-# (and each fiber_codes call) and dropped with it.  A value list is built by whole-table passes: `map` over
-# the tables with the lookups, the add-table rows and the XOR as the mapped
-# functions, so that on fields with XOR or an add table no Python frame runs
-# per element.
+# outer tables scaled by an instance's element are built for each composition
+# call and dropped with it.  A value list is built by whole-table passes:
+# `map` over the tables with the lookups, the add-table rows and the XOR as
+# the mapped functions, so that on fields with XOR or an add table no Python
+# frame runs per element.
 
 Composition = tuple[Sequence[tuple[Sequence[int], Sequence[int]]], int,
                     Sequence[int], Optional[int]]
@@ -512,7 +525,18 @@ COMPOSITIONS: dict[str, Callable[[FieldCtx, dict], Composition]] = {
 
 def _compile(family_id: str, ctx: FieldCtx, params: dict) -> list[int]:
     """The value list of the family's composition."""
-    terms, delta, lin, _ = COMPOSITIONS[family_id](ctx, params)
+    return _values(ctx, COMPOSITIONS[family_id](ctx, params))
+
+
+def _fiber(composition: Composition) -> Optional[tuple[Sequence[int], int]]:
+    """(psibar, fiber delta) of a composition, or None without fiber maps."""
+    terms, _, _, fiber_delta = composition
+    return None if fiber_delta is None else (terms[0][1], fiber_delta)
+
+
+def _values(ctx: FieldCtx, composition: Composition) -> list[int]:
+    """The value list of a composition: the code of f(x) for every code x."""
+    terms, delta, lin, _ = composition
     shift, values = ctx._add_const(delta), lin
     for outer, inner in terms:
         values = ctx._add_codes(map(outer.__getitem__, map(shift, inner)), values)

@@ -514,18 +514,26 @@ class FieldCtx:
 
     def power_sum_table(self, terms: Sequence[tuple[int, int]]) -> array:
         """y -> sum of sign * y^e over (e, sign) in terms, on every code;
-        built once per field and terms."""
-        terms = tuple(terms)
-        pw, add, sub = self._pow, self._add, self._sub
+        built once per field and terms, one pass over the log table a term."""
+        key = ("powers", tuple(terms))
+        table = self._derived.get(key)
+        if table is None:
+            columns = [self._power_column(e, sign) for e, sign in key[1]]
+            values = columns[0] if columns else [0] * self.order
+            for column in columns[1:]:
+                values = self._add_codes(values, column)
+            table = self._derived[key] = code_table(values)
+        return table
 
-        def value(y: int) -> int:
-            acc = 0
-            for e, sign in terms:
-                acc = (add if sign == 1 else sub)(acc, pw(y, e))
-            return acc
-
-        return self.derived(("powers", terms),
-                            lambda: code_table(value(y) for y in range(self.order)))
+    def _power_column(self, e: int, sign: int) -> list[int]:
+        """y -> sign * y^e on every code: exp[log y * (e mod (q^n - 1)) mod
+        (q^n - 1)], turned by half the group order when the sign is -1 in odd
+        characteristic (-1 = g^((q^n-1)/2)); 0^0 = 1 as in _pow."""
+        om1, zero = self._om1, self._pow(0, e)
+        logs = map(om1.__rmod__, map((e % om1).__mul__, itertools.islice(self._log, 1, None)))
+        if sign != 1 and self.p != 2:
+            logs, zero = map((om1 // 2).__add__, logs), self._neg(zero)
+        return [zero, *map(self._exp.__getitem__, logs)]
 
     def power_table(self, t: int) -> array:
         """y -> y^t on every code, built once per field and exponent."""

@@ -1,6 +1,7 @@
 """The commuting-square checkers on integer codes: the additivity
-hypothesis adds in the field, and the error paths hold with assertions
-stripped (python -O)."""
+hypothesis adds in the field, the error paths hold with assertions
+stripped (python -O), and a family square costs one composition call and
+shares its fiber table with the other squares over the same psibar."""
 
 import os
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import ppforge
+from ppforge import agw
+from ppforge import families as fam
 from ppforge.agw import (
     AGWInstance,
     FiniteMap,
@@ -18,6 +21,7 @@ from ppforge.agw import (
     check_fiber_criterion,
     check_fiber_shift,
     check_perturbed_bijection,
+    wrap_family_instance,
 )
 from ppforge.gf import make_field
 
@@ -69,8 +73,9 @@ def test_witness_follows_the_order_of_S_and_of_each_fiber():
 
 OPTIMIZED_SCRIPT = textwrap.dedent("""
     import sys
-    from ppforge import agw, cli
+    from ppforge import agw, cli, families
     from ppforge.gf import make_field
+    from ppforge.linearized import LinPoly, tabulate_linear
 
     F9 = make_field(3, 1, 2)
     A9 = F9.elements()
@@ -95,6 +100,21 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
           raised(lambda: agw.check_perturbed_bijection(
               A9, psi, psi, lambda x: x, lambda x: F9.subfield_elements()[x.code % 3]),
               agw.HypothesisViolatedError, "fiber_constant"))
+    # a family square that does not commute: a test-only composition whose
+    # first term (the zero table on x^3 - x) makes psibar = x^3 - x and
+    # psi = psibar + 1, while its second term adds x^2, which does not descend
+    def squares(ctx, P):
+        return ([([0] * ctx.order, tabulate_linear(ctx, [ctx.p - 1, 1])),
+                 (ctx.power_table(2), tabulate_linear(ctx, [1]))], 0, [0] * ctx.order, 1)
+
+    even_t = families.COMPOSITIONS["even_t"]
+    families.COMPOSITIONS["even_t"] = squares
+    inst = families.family_even_t(F9, 0, F9.zero, LinPoly.identity(F9))
+    try:
+        agw.wrap_family_instance(inst)
+    except agw.NotCommutingError as exc:
+        print("family_not_commuting", exc)
+    families.COMPOSITIONS["even_t"] = even_t
     violated = agw.FiberReport(f_bijective=True, h_bijective=False, fiber_injective=True)
     print("report_violated", not violated.equivalence_holds)
     cli.check_fiber_criterion = lambda inst: violated
@@ -113,5 +133,50 @@ def test_error_paths_hold_under_python_O():
     assert "optimize 1" in lines
     for check in ("not_commuting", "kernel_value", "fiber_constant", "report_violated"):
         assert f"{check} True" in lines, proc.stdout
+    assert ("family_not_commuting no induced map: psibar(f(.)) not constant on the fiber "
+            "over Elem(3^1:2|1,1)") in lines, proc.stdout
     assert "cli_exit 1" in lines
     assert any(line.startswith("  violated: ") for line in lines)
+
+
+def _grid(family, spec):
+    ctx = make_field(*spec)
+    return ctx, [inst for inst in fam.instantiate_grid(family, [ctx], fam.DEFAULT_GRIDS[family])
+                 if isinstance(inst, fam.FamilyInstance)]
+
+
+@pytest.mark.parametrize("family, spec", [("n4k", (2, 1, 8)), ("trace_gamma", (3, 1, 4))])
+def test_one_composition_call_per_square(family, spec, monkeypatch):
+    ctx, grid = _grid(family, spec)
+    calls = []
+    compose = fam.COMPOSITIONS[family]
+
+    def counting(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setitem(fam.COMPOSITIONS, family, counting)
+    for inst in grid:
+        check_fiber_criterion(wrap_family_instance(inst))
+    assert grid and len(calls) == len(grid)
+
+
+@pytest.mark.parametrize("family, spec", [("n4k", (2, 1, 8)), ("trace_gamma", (3, 1, 4))])
+def test_fiber_table_built_once_per_field_and_psibar(family, spec, monkeypatch):
+    ctx, grid = _grid(family, spec)
+    monkeypatch.setattr(ctx, "_derived", {})  # cold caches for this field
+    built = []
+
+    class CountingTable(agw.FiberTable):
+        __slots__ = ()
+
+        def __init__(self, values):
+            built.append(values)
+            super().__init__(values)
+
+    monkeypatch.setattr(agw, "FiberTable", CountingTable)
+    squares = [wrap_family_instance(inst) for inst in grid]
+    psibars = {id(inst.square_codes()[1][0]) for inst in grid}
+    assert len(built) == len(psibars) == 1
+    assert len({id(square._fibers) for square in squares}) == 1
+    assert all(check_fiber_criterion(square).equivalence_holds for square in squares)

@@ -139,6 +139,40 @@ def test_census_default_grid_bytes(family, field, tmp_path):
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == CENSUS_DIGESTS[family, field]
 
 
+# sha256 of agw-check's stdout on every family's default grid, on small
+# fields where the grid resolves (alpha_beta_gamma and half_power only on
+# 3^1:2: their 3^1:4 grids hold 26,244 and 518,400 squares), and on q6 3^1:6,
+# whose plus variant is the refuted one: a faster audit must print the same
+AGW_DIGESTS = {
+    ("additive_g", "3^1:2"): "9f9f610aeb7d77c1f7e988777c0a5d7057ba89b7bcb7ec3d54967f9f519db138",
+    ("additive_g", "3^1:4"): "70a10996b121eb235cf0b62e6ad99951dd8de707bf8ca651c7703ed8e30b1005",
+    ("even_t", "3^1:2"): "70db13fabb969549ef6b18501bb87ab83fdba522f0ce9d4aa411a41447ed3709",
+    ("even_t", "3^1:4"): "9f9f610aeb7d77c1f7e988777c0a5d7057ba89b7bcb7ec3d54967f9f519db138",
+    ("trace_gamma", "3^1:2"): "4c4accbf1230e5462dcef0f684d3738f089c70e860f3e4bbe16bf54786e9a115",
+    ("trace_gamma", "3^1:4"): "5903aef555efe2c5123748e5416de5f02667e80cb86b2ff5f79bd78d8ff5cfc2",
+    ("alpha_beta", "3^1:2"): "e2f4e5810ee5aba6ba158bb6e5cbf93f08e5408ed745feebf1ce0ee10c8d3894",
+    ("alpha_beta", "3^1:4"): "8b51b512bdd1eeb053802a4a9d433e1136c9afeb5396d4c8496315b118c81d0a",
+    ("alpha_beta_gamma", "3^1:2"):
+        "14819b981e8d18c876d3754e44ebe9850dccbcd26afe636104477a5cd2850505",
+    ("anti_g", "3^1:2"): "f0c610b6ad5f2ce69111ebccfa8e9ba3f1dbcc413e94117ded05162d55660b9b",
+    ("anti_g", "3^1:4"): "577da71c40c99b1b6081c06fd7871da805bc5717fc2c106f020a0de379070fcc",
+    ("n4k", "2^1:4"): "1151b62fd0929032318e21dd71485bb465d26cf49f445b174c7be23e1260de2f",
+    ("n4k", "3^1:4"): "14819b981e8d18c876d3754e44ebe9850dccbcd26afe636104477a5cd2850505",
+    ("q6", "2^1:6"): "d9d9a6c37862f0c610c482c7243cda1b27c2551de61ef1a46f8023fedcac9151",
+    ("q6", "3^1:6"): "70db13fabb969549ef6b18501bb87ab83fdba522f0ce9d4aa411a41447ed3709",
+    ("generic_L", "3^1:2"): "9f9f610aeb7d77c1f7e988777c0a5d7057ba89b7bcb7ec3d54967f9f519db138",
+    ("generic_L", "3^1:4"): "8351a5c98ca2bcaa24011a1021686449e411c8dfbac263ac9e77687e524371b7",
+    ("half_power", "3^1:2"): "3c061a1b2fd595f52205c796afdf9c7e79e694c5b5664522eddaacb5674d3b51",
+}
+
+
+@pytest.mark.parametrize("family, field", list(AGW_DIGESTS))
+def test_agw_check_default_grid_output(family, field, capsys):
+    assert main(["agw-check", json.dumps({"family": family, "field": field})]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == AGW_DIGESTS[family, field], out
+
+
 def test_census_split_matches_residue_classes(tmp_path):
     out_csv = tmp_path / "hp.csv"
     assert main(["census", "half_power", "3^1:2", "-o", str(out_csv)]) == 0

@@ -436,6 +436,29 @@ def test_generic_l_rejects_asymmetric_h():
     assert exc.value.reason == "h_contract"
 
 
+def test_generic_l_decides_the_kernel_once_per_l(monkeypatch):
+    # the kernel test is memoized per field and coefficient vector: a grid
+    # runs it once per distinct L, also for an L whose points are skipped
+    calls = []
+    gcd = fam.gcd_criterion_is_pp
+
+    def counting(L):
+        calls.append(L.codes)
+        return gcd(L)
+
+    monkeypatch.setattr(fam, "gcd_criterion_is_pp", counting)
+    monkeypatch.setattr(F81, "_derived", {})  # cold caches for this field
+    items = list(instantiate_grid("generic_L", [F81], fam.DEFAULT_GRIDS["generic_L"]))
+    assert len(items) == 6318 and calls == [LinPoly.trace_map(F81).codes]
+    calls.clear()
+    monkeypatch.setattr(F9, "_derived", {})
+    params = dict(fam.DEFAULT_GRIDS["generic_L"], L=["trace", "identity"], a="nonzero")
+    items = list(instantiate_grid("generic_L", [F9], params))
+    skipped = [item.reason for item in items if isinstance(item, SkippedInstance)]
+    assert skipped.count("trivial_kernel") == len(items) // 2
+    assert calls == [L_TRACE.codes, L_ID.codes]
+
+
 # ---------------------------------------------------------------------------
 # half_power
 
