@@ -367,6 +367,24 @@ def check_fiber_shift(A: Sequence, psi: MapLike, psibar: MapLike,
     )
 
 
+class _FieldElements:
+    """The elements of a field by code, each made only when it is read: the
+    domain of a family's square, read only for a witness or the fibers."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def __len__(self) -> int:
+        return self.ctx.order
+
+    def __getitem__(self, code: int):
+        if not 0 <= code < self.ctx.order:
+            raise IndexError(code)
+        return self.ctx._wrap(code)
+
+
 def wrap_family_instance(instance) -> AGWInstance:
     """Lift a family instance onto its commuting square.
 
@@ -387,6 +405,6 @@ def wrap_family_instance(instance) -> AGWInstance:
     fibers = ctx.derived(("fibers", key), lambda: FiberTable(psibar))
     label = ctx._wrap if delta == 0 else (lambda s: ctx._wrap(ctx._add(s, delta)))
     inst = AGWInstance.__new__(AGWInstance)
-    inst._build(ctx.elements(), f, list(map(fibers.values.__getitem__, f)), fibers,
+    inst._build(_FieldElements(ctx), f, list(map(fibers.values.__getitem__, f)), fibers,
                 fibers.points, len(fibers.points), label)
     return inst

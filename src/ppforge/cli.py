@@ -154,22 +154,33 @@ def _run_grid(spec: dict, cap: int, seed: int, csv_path=None) -> RunReport:
 
 
 def _row_writer(family_id: str, out):
-    """Write the CSV header to out; return the function writing one row."""
+    """Write the CSV header to out; return the function writing one row.
+
+    A grid's rows share a few parameter objects, so each is described once:
+    the cache is keyed by id() and keeps the object, so no id is reused
+    while the grid is written."""
     names = PARAM_ORDER[family_id]
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(names) + ["predicted", "observed", "status", "cycle_type"])
+    described: dict[int, tuple] = {}
+
+    def describe(value) -> str:
+        entry = described.get(id(value))
+        if entry is None:
+            entry = described[id(value)] = (value, describe_value(value))
+        return entry[1]
 
     def write_row(item, record) -> None:
-        values = [describe_value(item.params[name]) for name in names]
+        params = item.params
+        values = [describe(params[name]) for name in names]
         if record is None:
             writer.writerow(values + ["", "", f"skipped:{item.reason}", ""])
             return
-        status = "agree" if record.agree else "disagree"
-        cycles = ""
-        if record.verdict.cycle_type is not None:
-            cycles = format_cycle_type(record.verdict.cycle_type)
-        writer.writerow(values + [str(record.predicted).lower(),
-                                  str(record.observed).lower(), status, cycles])
+        cycle_type = record.verdict.cycle_type
+        writer.writerow(values + ["true" if record.predicted else "false",
+                                  "true" if record.observed else "false",
+                                  "agree" if record.agree else "disagree",
+                                  "" if cycle_type is None else format_cycle_type(cycle_type)])
 
     return write_row
 

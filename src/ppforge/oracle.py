@@ -1,18 +1,20 @@
 """Ground truth: exhaustive bijection testing of maps on a finite field.
 
 A map is scanned as the list of its values on the codes 0, 1, ...,
-q^n - 1: bijective exactly when the list holds q^n distinct codes.  Scans
-follow the canonical element order, so the reported first collision and
-the cycle decomposition are reproducible bit for bit.
+q^n - 1: bijective exactly when the list holds q^n distinct codes.  One
+walk along the map's orbits decides this and gives a bijection's cycle
+type; a non-bijection is then scanned in the canonical element order, so
+the reported first collision and missed value are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .gf import Elem, FieldCtx
+from .gf import CtxMismatchError, Elem, FieldCtx
 
 DEFAULT_CAP = 1 << 20
 
@@ -25,9 +27,8 @@ class NotBijectiveError(Exception):
     """Raised when a cycle decomposition is requested for a non-bijection."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of an exhaustive bijection scan."""
+class Verdict(NamedTuple):
+    """Outcome of an exhaustive bijection scan (an immutable named tuple)."""
 
     bijective: bool
     collision: Optional[tuple[Elem, Elem]] = None
@@ -41,24 +42,48 @@ def _check_cap(ctx: FieldCtx, cap: int) -> None:
 
 
 def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
-    """Verdict on the map x -> codes[x], scanned in canonical order.
+    """Verdict on the map x -> codes[x].
 
-    The collision is the first repeated value together with its first
-    preimage; the missed value is the smallest code not hit.  For a
-    bijection the cycle type is included.
+    One walk follows x, codes[x], codes[codes[x]], ... from every point not
+    yet seen and marks the points it passes.  For a bijection every walk
+    closes at its start, and the walks are the cycles.  A walk that meets a
+    marked point before it closes proves a repeated value; the map is then
+    scanned in canonical order (:func:`_first_collision`).
     """
     if len(codes) != ctx.order:
         raise ValueError(f"expected {ctx.order} values, got {len(codes)}")
     if min(codes) < 0 or max(codes) >= ctx.order:
         raise ValueError(f"values must be codes in [0, {ctx.order})")
-    # no len(set(codes)) fast path: a set of 2^20 codes takes tens of MB, this 1 MB
+    seen = bytearray(ctx.order)
+    lengths = []
+    for start, c in enumerate(codes):
+        if seen[start]:
+            continue
+        # the start itself is left unmarked: a later walk that reaches it
+        # marks it and steps on to a marked point of its closed cycle
+        length = 1
+        while c != start:
+            if seen[c]:
+                return _first_collision(codes, ctx)
+            seen[c] = 1
+            c = codes[c]
+            length += 1
+        lengths.append(length)
+    lengths.sort()
+    return Verdict(bijective=True, cycle_type=tuple(lengths))
+
+
+def _first_collision(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
+    """The verdict on a map known not to be bijective: the collision is the
+    first repeated value in canonical order together with its first
+    preimage, and the missed value is the smallest code not hit."""
     hit = bytearray(ctx.order)
     for x, y in enumerate(codes):
         if hit[y]:
             break
         hit[y] = 1
     else:
-        return Verdict(bijective=True, cycle_type=_cycles_from_table(codes))
+        raise AssertionError("no repeated value in a map found not to be bijective")
     collision = (ctx._wrap(codes.index(y)), ctx._wrap(x))
     for y in itertools.islice(codes, x + 1, None):
         hit[y] = 1
@@ -70,27 +95,13 @@ def check_bijective(evaluator: Callable[[Elem], Elem], ctx: FieldCtx,
     """Scan every element once; report the first collision in canonical order.
 
     For bijections the cycle type (sorted multiset of cycle lengths) is
-    included in the verdict.
+    included in the verdict.  Every value must be an element of ctx.
     """
     _check_cap(ctx, cap)
-    return scan_codes([evaluator(x).code for x in ctx.iter_elements()], ctx)
-
-
-def _cycles_from_table(perm: Sequence[int]) -> tuple[int, ...]:
-    # a permutation and its inverse have the same cycle lengths
-    seen = bytearray(len(perm))
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        c = start
-        while not seen[c]:
-            seen[c] = 1
-            c = perm[c]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
+    codes = [y.code if y.ctx is ctx else None for y in map(evaluator, ctx.iter_elements())]
+    if None in codes:
+        raise CtxMismatchError(f"the map's values must be elements of {ctx.label}")
+    return scan_codes(codes, ctx)
 
 
 def cycle_structure(evaluator: Callable[[Elem], Elem], ctx: FieldCtx,
@@ -107,17 +118,15 @@ def format_cycle_type(cycle_type: tuple[int, ...]) -> str:
     out = []
     i = 0
     while i < len(cycle_type):
-        j = i
-        while j < len(cycle_type) and cycle_type[j] == cycle_type[i]:
-            j += 1
+        j = bisect.bisect_right(cycle_type, cycle_type[i], i)  # the type is sorted
         out.append(f"{cycle_type[i]}^{j - i}")
         i = j
     return " ".join(out)
 
 
-@dataclass(frozen=True)
-class IffRecord:
-    """Agreement between a family's predicted verdict and the scan."""
+class IffRecord(NamedTuple):
+    """Agreement between a family's predicted verdict and the scan (an
+    immutable named tuple)."""
 
     family_id: str
     predicted: bool

@@ -180,3 +180,23 @@ def test_fiber_table_built_once_per_field_and_psibar(family, spec, monkeypatch):
     assert len(built) == len(psibars) == 1
     assert len({id(square._fibers) for square in squares}) == 1
     assert all(check_fiber_criterion(square).equivalence_holds for square in squares)
+
+
+def test_family_square_makes_elements_only_when_read(monkeypatch):
+    # the domain of a family square is the codes 0..q^n-1: no tuple of all
+    # q^n elements is built, for the criterion, its witness or the fibers
+    ctx, grid = _grid("trace_gamma", (3, 1, 4))
+    elements = ctx.elements()
+
+    def refuse(self):
+        raise AssertionError("FieldCtx.elements called")
+
+    monkeypatch.setattr(type(ctx), "elements", refuse)
+    squares = [wrap_family_instance(inst) for inst in grid]
+    reports = [check_fiber_criterion(square) for square in squares]
+    witnesses = [r.fiber_witness for r in reports if r.fiber_witness is not None]
+    assert witnesses and all(x.ctx is ctx for w in witnesses for x in w)
+    square = squares[0]
+    assert len(square.A) == ctx.order and tuple(square.A) == elements
+    fibers = square.fibers
+    assert sorted(x.code for fiber in fibers.values() for x in fiber) == list(range(ctx.order))

@@ -1,10 +1,21 @@
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ppforge
 from ppforge.families import family_half_power
-from ppforge.gf import make_field
+from ppforge.gf import CtxMismatchError, make_field, parse_field_spec
 from ppforge.oracle import (
     FieldTooLargeError,
+    IffRecord,
     NotBijectiveError,
+    Verdict,
     check_bijective,
     check_iff,
     scan_codes,
@@ -119,3 +130,132 @@ def test_check_iff_agreement():
     assert rec.agree and rec.predicted and rec.observed
     assert rec.family_id == "half_power"
 
+
+
+@pytest.mark.parametrize("spec", ["2^1:3:mod=1,1,0,1", "3^1:2"])
+def test_values_from_another_field_are_refused(spec):
+    # F_8 under another modulus has the same codes 0..7, and F_9's codes
+    # 0..7 are in range too: neither may be scanned as a map on F_8
+    F8 = make_field(2, 1, 3)
+    other = parse_field_spec(spec)
+    assert other is not F8
+    with pytest.raises(CtxMismatchError):
+        check_bijective(lambda x: other.elem(x.code), F8)
+    with pytest.raises(CtxMismatchError):
+        cycle_structure(lambda x: other.elem(x.code), F8)
+
+
+def _reference_scan(codes, ctx):
+    """Two passes: the first repeat in canonical order, then the cycles."""
+    first, collision = {}, None
+    for x, y in enumerate(codes):
+        if y in first:
+            collision = (first[y], x)
+            break
+        first[y] = x
+    if collision is not None:
+        missed = min(set(range(ctx.order)) - set(codes))
+        return False, tuple(map(ctx.elem, collision)), ctx.elem(missed), None
+    seen, lengths = set(), []
+    for start in range(ctx.order):
+        length, c = 0, start
+        while c not in seen:
+            seen.add(c)
+            c = codes[c]
+            length += 1
+        if length:
+            lengths.append(length)
+    return True, None, None, tuple(sorted(lengths))
+
+
+SMALL_FIELDS = [make_field(2), make_field(3), F4, F5, F7, make_field(2, 1, 3), F9,
+                make_field(2, 1, 4), make_field(5, 1, 2)]
+
+
+@st.composite
+def value_lists(draw):
+    ctx = draw(st.sampled_from(SMALL_FIELDS))
+    n = ctx.order
+    kind = draw(st.sampled_from(["bijection", "map", "last", "cycles_then_rho"]))
+    if kind == "bijection":
+        codes = draw(st.permutations(range(n)))
+    elif kind == "map":
+        codes = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    elif kind == "last":
+        # a bijection whose last value is moved onto another one's
+        codes = list(draw(st.permutations(range(n))))
+        codes[-1] = codes[draw(st.integers(0, n - 2))]
+    else:
+        # closed cycles on 0..k-1 before any walk can reach a repeat
+        k = draw(st.integers(1, n - 1))
+        codes = list(draw(st.permutations(range(k))))
+        codes += draw(st.lists(st.integers(0, n - 1), min_size=n - k, max_size=n - k))
+        codes[draw(st.integers(k, n - 1))] = draw(st.integers(0, k - 1))
+    return ctx, list(codes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_lists())
+def test_scan_codes_matches_a_two_pass_scan(case):
+    ctx, codes = case
+    v = scan_codes(codes, ctx)
+    assert (v.bijective, v.collision, v.missed, v.cycle_type) == _reference_scan(codes, ctx)
+
+
+def test_records_are_immutable_with_unchanged_fields():
+    v = Verdict(bijective=True)
+    assert Verdict._fields == ("bijective", "collision", "missed", "cycle_type")
+    assert (v.collision, v.missed, v.cycle_type) == (None, None, None)
+    rec = IffRecord(family_id="f", predicted=True, observed=False, verdict=v)
+    assert IffRecord._fields == ("family_id", "predicted", "observed", "verdict")
+    assert IffRecord._field_defaults == {}
+    assert not rec.agree
+    for record, name in ((v, "bijective"), (v, "extra"), (rec, "observed"), (rec, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, False)
+    assert hash(v) == hash(Verdict(True)) and v == Verdict(True)
+
+
+OPTIMIZED_SCRIPT = textwrap.dedent("""
+    import sys
+    from ppforge.gf import CtxMismatchError, make_field
+    from ppforge.oracle import check_bijective, scan_codes
+
+    F5 = make_field(5)
+
+    def refused(codes):
+        try:
+            scan_codes(codes, F5)
+        except ValueError as exc:
+            return str(exc)
+        return "scanned"
+
+    print("optimize", sys.flags.optimize)
+    print("length", refused([0, 1, 2]))
+    print("negative", refused([0, 1, 2, 3, -1]))
+    print("too_large", refused([0, 1, 2, 3, 5]))
+    v = scan_codes([1, 0, 2, 4, 2], F5)
+    print("fallback", v.bijective, v.collision[0].code, v.collision[1].code, v.missed.code)
+    try:
+        check_bijective(lambda x: make_field(7).elem(x.code), F5)
+    except CtxMismatchError:
+        print("ctx_mismatch True")
+""")
+
+
+def test_scan_refusals_and_fallback_hold_under_python_O():
+    src = str(Path(ppforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "optimize 1" in lines
+    assert "length expected 5 values, got 3" in lines
+    assert "negative values must be codes in [0, 5)" in lines
+    assert "too_large values must be codes in [0, 5)" in lines
+    # 0 <-> 1 closes, then 3 -> 4 -> 2 -> 2 stops on 2: the first repeat in
+    # canonical order is 4 -> 2 after 2 -> 2, and 3 is never hit
+    assert "fallback False 2 4 3" in lines
+    assert "ctx_mismatch True" in lines
