@@ -260,7 +260,8 @@ def _kernel_square(A: Sequence, psi: MapLike, psibar: MapLike, *maps: MapLike):
 
 
 def _check_additive(A: tuple, psibar: list, seed: int = 0) -> None:
-    """psibar(x + y) = psibar(x) + psibar(y), adding element codes in the field."""
+    """psibar(x + y) = psibar(x) + psibar(y), adding element codes in the field;
+    a sum outside A violates it too."""
     n, add = len(A), A[0].ctx._add
     codes, bar = [x.code for x in A], [y.code for y in psibar]
     position = {c: i for i, c in enumerate(codes)}
@@ -270,7 +271,10 @@ def _check_additive(A: tuple, psibar: list, seed: int = 0) -> None:
         rng = random.Random(seed)
         pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(_ADDITIVITY_SAMPLES))
     for i, j in pairs:
-        if bar[position[add(codes[i], codes[j])]] != add(bar[i], bar[j]):
+        k = position.get(add(codes[i], codes[j]))
+        if k is None:
+            raise HypothesisViolatedError("additivity", f"{A[i]!r} + {A[j]!r} is not in A")
+        if bar[k] != add(bar[i], bar[j]):
             raise HypothesisViolatedError("additivity", f"at ({A[i]!r}, {A[j]!r})")
 
 
@@ -367,24 +371,6 @@ def check_fiber_shift(A: Sequence, psi: MapLike, psibar: MapLike,
     )
 
 
-class _FieldElements:
-    """The elements of a field by code, each made only when it is read: the
-    domain of a family's square, read only for a witness or the fibers."""
-
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-
-    def __len__(self) -> int:
-        return self.ctx.order
-
-    def __getitem__(self, code: int):
-        if not 0 <= code < self.ctx.order:
-            raise IndexError(code)
-        return self.ctx._wrap(code)
-
-
 def wrap_family_instance(instance) -> AGWInstance:
     """Lift a family instance onto its commuting square.
 
@@ -405,6 +391,6 @@ def wrap_family_instance(instance) -> AGWInstance:
     fibers = ctx.derived(("fibers", key), lambda: FiberTable(psibar))
     label = ctx._wrap if delta == 0 else (lambda s: ctx._wrap(ctx._add(s, delta)))
     inst = AGWInstance.__new__(AGWInstance)
-    inst._build(_FieldElements(ctx), f, list(map(fibers.values.__getitem__, f)), fibers,
+    inst._build(ctx.elements(), f, list(map(fibers.values.__getitem__, f)), fibers,
                 fibers.points, len(fibers.points), label)
     return inst

@@ -25,7 +25,7 @@ from .families import (
     describe_value,
     instantiate_grid,
 )
-from .gf import FieldError, FieldSpecError, field_spec_parts, parse_field_spec
+from .gf import FieldError, field_spec_parts, parse_field_spec
 from .oracle import DEFAULT_CAP, FieldTooLargeError, check_iff, format_cycle_type
 
 SCHEMA_VERSION = 1
@@ -331,13 +331,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (SchemaError, FieldSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FieldError, FieldTooLargeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchemaError, FieldError, FieldTooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .gf import CtxMismatchError, Elem, FieldCtx, ResidueClass, TabulatedMap
+from .gf import CtxMismatchError, Elem, FieldCtx, ResidueClass
 from .linearized import (
     CriteriaDisagreeError,
     LinPoly,
@@ -63,9 +63,8 @@ class FamilyInstance:
     The map itself is the family's composition (``COMPOSITIONS``), compiled
     from ``ctx`` and ``params`` as its value list by :meth:`code_values`
     when it is needed and not stored on the instance; ``evaluator`` is its
-    ``Elem -> Elem`` edge.  :meth:`fiber_codes` reads the fiber maps off the
-    same composition, and :meth:`square_codes` gives the value list and
-    psibar from one composition call.
+    ``Elem -> Elem`` edge, and :meth:`square_codes` gives the value list and
+    the fiber maps from one composition call.
     """
 
     family_id: str
@@ -78,41 +77,15 @@ class FamilyInstance:
         """The code of f(x) for every element code x, in code order."""
         return _compile(self.family_id, self.ctx, self.params)
 
-    def code_map(self) -> Callable[[int], int]:
-        """The map on element codes: a lookup in :meth:`code_values`."""
-        return self.code_values().__getitem__
-
     def square_codes(self) -> tuple[list[int], Optional[tuple[Sequence[int], int]]]:
         """The value list and (psibar, fiber delta) of the family's
-        commuting square, from one composition call; None in place of the
-        pair for a family without fiber maps."""
+        commuting square, from one composition call: psibar is the first
+        term's inner table and psi = psibar + fiber delta; None in place of
+        the pair for a family without fiber maps."""
         composition = COMPOSITIONS[self.family_id](self.ctx, self.params)
-        return _values(self.ctx, composition), _fiber(composition)
-
-    def fiber_codes(self) -> Optional[tuple[Sequence[int], Sequence[int]]]:
-        """(psi, psibar) of the family's commuting square as code tables:
-        psibar is the inner table of the composition's first term, psi is
-        psibar plus the fiber delta; None for a family without fiber maps."""
-        fiber = _fiber(COMPOSITIONS[self.family_id](self.ctx, self.params))
-        if fiber is None:
-            return None
-        psibar, fiber_delta = fiber
-        if fiber_delta == 0:
-            return psibar, psibar
-        return list(map(self.ctx._add_const(fiber_delta), psibar)), psibar
-
-    @property
-    def psi(self) -> Optional[TabulatedMap]:
-        """The ``Elem -> Elem`` view of psi, or None; tabulated on each
-        access, so keep the view rather than reading the property per call."""
-        codes = self.fiber_codes()
-        return None if codes is None else TabulatedMap(self.ctx, codes[0])
-
-    @property
-    def psibar(self) -> Optional[TabulatedMap]:
-        """The ``Elem -> Elem`` view of psibar, or None (see :attr:`psi`)."""
-        codes = self.fiber_codes()
-        return None if codes is None else TabulatedMap(self.ctx, codes[1])
+        terms, _, _, fiber_delta = composition
+        fiber = None if fiber_delta is None else (terms[0][1], fiber_delta)
+        return _values(self.ctx, composition), fiber
 
     def describe_params(self) -> str:
         return " ".join(f"{k}={describe_value(v)}" for k, v in self.params.items())
@@ -526,12 +499,6 @@ COMPOSITIONS: dict[str, Callable[[FieldCtx, dict], Composition]] = {
 def _compile(family_id: str, ctx: FieldCtx, params: dict) -> list[int]:
     """The value list of the family's composition."""
     return _values(ctx, COMPOSITIONS[family_id](ctx, params))
-
-
-def _fiber(composition: Composition) -> Optional[tuple[Sequence[int], int]]:
-    """(psibar, fiber delta) of a composition, or None without fiber maps."""
-    terms, _, _, fiber_delta = composition
-    return None if fiber_delta is None else (terms[0][1], fiber_delta)
 
 
 def _values(ctx: FieldCtx, composition: Composition) -> list[int]:

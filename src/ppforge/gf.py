@@ -28,6 +28,7 @@ dim products.
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 import functools
 import itertools
@@ -259,6 +260,29 @@ class Elem:
         if label is None:
             label = labels[self.code] = ",".join(map(str, self.coords))
         return label
+
+
+class _ElementView(collections.abc.Sequence):
+    """The elements of a field above _ELEM_CACHE_MAX by code, each made only
+    when it is read; indexed and sliced as the interned tuple of a smaller
+    field is."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: "FieldCtx"):
+        self.ctx = ctx
+
+    def __len__(self) -> int:
+        return self.ctx.order
+
+    def __getitem__(self, i):
+        codes = range(self.ctx.order)[i]
+        if isinstance(codes, range):
+            return tuple(map(self.ctx._wrap, codes))
+        return self.ctx._wrap(codes)
+
+    def __iter__(self) -> Iterator[Elem]:
+        return map(functools.partial(Elem, self.ctx), range(self.ctx.order))
 
 
 class TabulatedMap:
@@ -591,16 +615,13 @@ class FieldCtx:
             raise ValueError("coordinates must lie in [0, p)")
         return self._wrap(_undigits(coords, self.p))
 
-    def elements(self) -> tuple[Elem, ...]:
-        """All q^n elements in canonical order (ascending packed code)."""
+    def elements(self) -> Sequence[Elem]:
+        """All q^n elements in canonical order (ascending packed code): the
+        interned tuple up to _ELEM_CACHE_MAX elements, above that a view that
+        makes each element as it is read."""
         if self._elems is not None:
             return self._elems
-        return tuple(Elem(self, c) for c in range(self.order))
-
-    def iter_elements(self) -> Iterator[Elem]:
-        if self._elems is not None:
-            return iter(self._elems)
-        return (Elem(self, c) for c in range(self.order))
+        return _ElementView(self)
 
     def subfield_elements(self) -> tuple[Elem, ...]:
         """The q elements of the tower base field, ascending code order."""

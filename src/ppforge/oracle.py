@@ -98,8 +98,9 @@ def check_bijective(evaluator: Callable[[Elem], Elem], ctx: FieldCtx,
     included in the verdict.  Every value must be an element of ctx.
     """
     _check_cap(ctx, cap)
-    codes = [y.code if y.ctx is ctx else None for y in map(evaluator, ctx.iter_elements())]
-    if None in codes:
+    codes = [y.code for y in map(evaluator, ctx.elements())
+             if isinstance(y, Elem) and y.ctx is ctx]
+    if len(codes) != ctx.order:
         raise CtxMismatchError(f"the map's values must be elements of {ctx.label}")
     return scan_codes(codes, ctx)
 

@@ -3,15 +3,11 @@ hypothesis adds in the field, the error paths hold with assertions
 stripped (python -O), and a family square costs one composition call and
 shares its fiber table with the other squares over the same psibar."""
 
-import os
-import subprocess
-import sys
+import re
 import textwrap
-from pathlib import Path
 
 import pytest
 
-import ppforge
 from ppforge import agw
 from ppforge import families as fam
 from ppforge.agw import (
@@ -23,7 +19,9 @@ from ppforge.agw import (
     check_perturbed_bijection,
     wrap_family_instance,
 )
-from ppforge.gf import make_field
+from ppforge.gf import Elem, make_field
+from ppforge.linearized import LinPoly
+from ppforge.poly import Poly
 
 F9 = make_field(3, 1, 2)
 A9 = F9.elements()
@@ -54,6 +52,19 @@ def test_map_additive_on_integer_codes_is_refused():
     with pytest.raises(HypothesisViolatedError) as exc:
         check_fiber_shift(A9, identity, doubled, identity, lambda s: F9.zero)
     assert exc.value.name == "additivity"
+
+
+def test_domain_not_closed_under_addition_is_refused():
+    # (1,0) + (1,1) = (2,1): codes 1 + 4 = 5, which the first five codes miss;
+    # past 256 points the sampled pairs meet such a sum as well
+    identity = lambda x: x
+    for A, pair in [(A9[:5], "Elem(3^1:2|1,0) + Elem(3^1:2|1,1)"),
+                    (make_field(3, 1, 6).elements()[:300], "")]:
+        zero = lambda x: A[0].ctx.zero
+        with pytest.raises(HypothesisViolatedError, match=rf"{re.escape(pair)}.* is not in A"):
+            check_perturbed_bijection(A, identity, identity, identity, zero)
+        with pytest.raises(HypothesisViolatedError, match=rf"{re.escape(pair)}.* is not in A"):
+            check_fiber_shift(A, identity, identity, identity, zero)
 
 
 def test_witness_follows_the_order_of_S_and_of_each_fiber():
@@ -122,12 +133,8 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_error_paths_hold_under_python_O():
-    src = str(Path(ppforge.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=120)
+def test_error_paths_hold_under_python_O(run_python):
+    proc = run_python(OPTIMIZED_SCRIPT, "-O")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "optimize 1" in lines
@@ -183,20 +190,38 @@ def test_fiber_table_built_once_per_field_and_psibar(family, spec, monkeypatch):
 
 
 def test_family_square_makes_elements_only_when_read(monkeypatch):
-    # the domain of a family square is the codes 0..q^n-1: no tuple of all
-    # q^n elements is built, for the criterion, its witness or the fibers
-    ctx, grid = _grid("trace_gamma", (3, 1, 4))
+    # above the interned elements, ctx.elements() is a view that makes each
+    # element as it is read; the domain of a family square is that view, read
+    # only for the witness and the fibers
+    ctx = make_field(2, 1, 17)
+    inst = fam.family_additive_g(ctx, fam.trace_of_h(Poly.x(ctx)),
+                                 LinPoly(ctx, [ctx.one, ctx.one]), ctx.one)
+    made = []
+    init = Elem.__init__
+
+    def counting_init(self, ctx, code):
+        made.append(code)
+        init(self, ctx, code)
+
+    monkeypatch.setattr(Elem, "__init__", counting_init)
     elements = ctx.elements()
-
-    def refuse(self):
-        raise AssertionError("FieldCtx.elements called")
-
-    monkeypatch.setattr(type(ctx), "elements", refuse)
-    squares = [wrap_family_instance(inst) for inst in grid]
-    reports = [check_fiber_criterion(square) for square in squares]
-    witnesses = [r.fiber_witness for r in reports if r.fiber_witness is not None]
-    assert witnesses and all(x.ctx is ctx for w in witnesses for x in w)
-    square = squares[0]
-    assert len(square.A) == ctx.order and tuple(square.A) == elements
+    assert made == [] and len(elements) == ctx.order
+    # L = x^2 + x vanishes at 1, so f collides on the fiber {0, 1} over psi = 1
+    square = wrap_family_instance(inst)
+    report = check_fiber_criterion(square)
+    witness = report.fiber_witness
+    assert witness == (ctx.one, ctx.zero, ctx.one) and len(made) == 3
+    assert all(x.ctx is ctx for x in witness)
+    last = ctx.order - 1
+    assert elements[5] == ctx.elem(5) and elements[-1] == ctx.elem(last)
+    assert elements[-ctx.order] == ctx.elem(0)
+    assert elements[3:6] == (ctx.elem(3), ctx.elem(4), ctx.elem(5))
+    assert elements[-2:] == (ctx.elem(last - 1), ctx.elem(last))
+    assert elements[::50000] == (ctx.elem(0), ctx.elem(50000), ctx.elem(100000))
+    for outside in (ctx.order, -ctx.order - 1):
+        with pytest.raises(IndexError):
+            elements[outside]
+    assert len(square.A) == ctx.order
+    assert list(square.A) == list(elements) == list(map(ctx.elem, range(ctx.order)))
     fibers = square.fibers
     assert sorted(x.code for fiber in fibers.values() for x in fiber) == list(range(ctx.order))

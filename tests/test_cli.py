@@ -205,6 +205,11 @@ def test_census_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_census_to_a_directory_is_an_error(tmp_path, capsys):
+    assert main(["census", "n4k", "2^1:8", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_agw_check(capsys):
     spec = json.dumps({
         "family": "even_t",

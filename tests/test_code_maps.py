@@ -300,9 +300,9 @@ def test_code_map_matches_element_reference(family, data):
         inst = fam.FAMILY_BUILDERS[family](ctx, **params)
     except (FamilyParameterError, RecipeContractError):
         assume(False)
-    f, ref = inst.code_map(), reference(inst)
+    values, ref = inst.code_values(), reference(inst)
     for x in ctx.elements():
-        assert f(x.code) == ref(x).code, f"{family} {inst.describe_params()} at x={x}"
+        assert values[x.code] == ref(x).code, f"{family} {inst.describe_params()} at x={x}"
     edge = check_bijective(inst.evaluator, ctx)
     assert edge == check_iff(inst).verdict
 
@@ -343,7 +343,7 @@ def test_compiles_make_no_linpoly_once_the_tables_exist(family, spec, monkeypatc
             monkeypatch.setattr(LinPoly, "__init__", counting_init)
         for inst in grid:
             inst.code_values()
-            inst.fiber_codes()
+            inst.square_codes()
     assert grid and made == []
     LinPoly.identity(ctx)  # the count sees constructions
     assert len(made) == 1
@@ -467,18 +467,18 @@ def test_family_square_matches_element_reference(family, data):
         inst = fam.FAMILY_BUILDERS[family](ctx, **params)
     except (FamilyParameterError, RecipeContractError):
         assume(False)
-    maps, ref = inst.fiber_codes(), ref_fiber_maps(inst)
+    fiber, ref = inst.square_codes()[1], ref_fiber_maps(inst)
     A = ctx.elements()
     if ref is None:
-        assert maps is None and inst.psi is None and inst.psibar is None
+        assert fiber is None
         ref = (lambda x: x, lambda x: x)
     else:
+        psibar, delta = fiber
+        maps = ([ctx._add(c, delta) for c in psibar], psibar)
         ref = ({x: ref[0](x) for x in A}, {x: ref[1](x) for x in A})
-        views = (inst.psi, inst.psibar)
         for x in A:
-            for codes, want, view in zip(maps, ref, views):
+            for codes, want in zip(maps, ref):
                 assert codes[x.code] == want[x].code, f"{inst.describe_params()} at {x}"
-                assert view(x) == want[x]
     f = reference(inst)
     assert (outcome(lambda: check_fiber_criterion(wrap_family_instance(inst)))
             == outcome(lambda: ref_audit(A, ref[0], ref[1], f)))

@@ -522,10 +522,13 @@ def test_half_power_k_above_n_wraps():
 def test_additive_families_satisfy_perturbation_hypotheses(inst, base):
     from ppforge.agw import check_perturbed_bijection
 
-    A = inst.ctx.elements()
+    ctx = inst.ctx
+    psibar, delta = inst.square_codes()[1]
+    psibar_view = lambda x: ctx.elem(psibar[x.code])
+    psi_view = lambda x: ctx.elem(ctx._add(psibar[x.code], delta))
     u = base.apply
     v = lambda x: inst.evaluator(x) - u(x)
-    report = check_perturbed_bijection(A, inst.psi, inst.psibar, u, v)
+    report = check_perturbed_bijection(ctx.elements(), psi_view, psibar_view, u, v)
     assert report.equivalence_holds
     assert report.base_bijective == check_iff(inst).observed
 

@@ -1,16 +1,10 @@
 import hashlib
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import ppforge
 
 from ppforge.gf import (
     CtxMismatchError,
@@ -421,16 +415,12 @@ def test_modulus_search_and_validation_match_trial_division(data):
         assert make_field(p, 1, d, modulus=modulus).modulus_coeffs == modulus
 
 
-def test_field_of_order_2_20_builds_in_seconds():
+def test_field_of_order_2_20_builds_in_seconds(run_python):
     # a separate process, so the 2^20 tables are not kept for later tests
     script = ("import time; from ppforge.gf import make_field; t = time.perf_counter(); "
               "ctx = make_field(2, 1, 20); "
               "print(ctx.modulus_coeffs, ctx.generator_code, time.perf_counter() - t)")
-    src = str(Path(ppforge.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     modulus, generator, seconds = proc.stdout.rsplit(" ", 2)
     x20_x17_1 = (1,) + (0,) * 16 + (1, 0, 0, 1)
@@ -522,12 +512,8 @@ print("zero_zero", ctx._add(0, 0), ctx._sub(0, 0), ctx._add_const(0)(0))
 """
 
 
-def test_zech_zero_and_negation_cases_under_python_O():
-    src = str(Path(ppforge.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", ZECH_UNDER_O], env=env,
-                          capture_output=True, text=True, timeout=120)
+def test_zech_zero_and_negation_cases_under_python_O(run_python):
+    proc = run_python(ZECH_UNDER_O, "-O")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[:2] == ["optimize 1", "table True"]

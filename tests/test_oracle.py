@@ -1,14 +1,9 @@
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ppforge
 from ppforge.families import family_half_power
 from ppforge.gf import CtxMismatchError, make_field, parse_field_spec
 from ppforge.oracle import (
@@ -145,6 +140,12 @@ def test_values_from_another_field_are_refused(spec):
         cycle_structure(lambda x: other.elem(x.code), F8)
 
 
+@pytest.mark.parametrize("evaluator", [lambda x: x.code, lambda x: None], ids=["code", "none"])
+def test_values_that_are_not_elements_are_refused(evaluator):
+    with pytest.raises(CtxMismatchError, match=r"must be elements of 2\^1:3$"):
+        check_bijective(evaluator, make_field(2, 1, 3))
+
+
 def _reference_scan(codes, ctx):
     """Two passes: the first repeat in canonical order, then the cycles."""
     first, collision = {}, None
@@ -243,12 +244,8 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_scan_refusals_and_fallback_hold_under_python_O():
-    src = str(Path(ppforge.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=120)
+def test_scan_refusals_and_fallback_hold_under_python_O(run_python):
+    proc = run_python(OPTIMIZED_SCRIPT, "-O")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "optimize 1" in lines
