@@ -261,7 +261,9 @@ def _kernel_square(A: Sequence, psi: MapLike, psibar: MapLike, *maps: MapLike):
 
 def _check_additive(A: tuple, psibar: list, seed: int = 0) -> None:
     """psibar(x + y) = psibar(x) + psibar(y), adding element codes in the field;
-    a sum outside A violates it too."""
+    a sum outside A violates it too.  An empty A has no pair to check."""
+    if not A:
+        return
     n, add = len(A), A[0].ctx._add
     codes, bar = [x.code for x in A], [y.code for y in psibar]
     position = {c: i for i, c in enumerate(codes)}

@@ -32,7 +32,6 @@ from .linearized import (
     is_permutation,
     parse_linpoly,
     random_linearized_pp,
-    tabulate_linear,
 )
 from .poly import Poly, parse_poly
 from .recipes import (  # the recipe names are part of this module's API
@@ -382,14 +381,6 @@ Composition = tuple[Sequence[tuple[Sequence[int], Sequence[int]]], int,
                     Sequence[int], Optional[int]]
 
 
-def _frob_shift(ctx: FieldCtx, k: int, sign: int) -> Sequence[int]:
-    """x^(q^k) + sign*x on every code, built once per field."""
-    coeffs = [0] * ctx.n
-    coeffs[0] = sign % ctx.p  # the code p - 1 is the element -1
-    coeffs[k % ctx.n] = ctx._add(coeffs[k % ctx.n], 1)
-    return tabulate_linear(ctx, coeffs)
-
-
 def _linear_part(ctx: FieldCtx, P: dict) -> Sequence[int]:
     """beta*Tr(x) + L(x) on every code, where L is gamma*x^(q^s) for the
     families that take gamma and s, and beta is 0 for those without it;
@@ -400,7 +391,7 @@ def _linear_part(ctx: FieldCtx, P: dict) -> Sequence[int]:
     else:
         coeffs = P["L"].codes
     beta = P["beta"].code if "beta" in P else 0
-    return tabulate_linear(ctx, [ctx._add(beta, c) for c in coeffs])
+    return ctx.linear_map([ctx._add(beta, c) for c in coeffs])
 
 
 def _scaled(ctx: FieldCtx, a: int, table: Sequence[int]) -> list[int]:
@@ -410,26 +401,26 @@ def _scaled(ctx: FieldCtx, a: int, table: Sequence[int]) -> list[int]:
 
 def _additive_g(ctx: FieldCtx, P: dict) -> Composition:
     delta = P["delta"].code
-    return ([(g_codes(P["g"], ctx), _frob_shift(ctx, 1, -1))], delta,
+    return ([(g_codes(P["g"], ctx), ctx.frob_shift(1, -1))], delta,
             P["L"].tabulate(), delta)
 
 
 def _even_t(ctx: FieldCtx, P: dict) -> Composition:
     """even_t, and trace_gamma with L = beta*Tr(x) + gamma*x^(q^s)."""
-    return ([(ctx.power_table(P["t"]), _frob_shift(ctx, ctx.n // 2, -1))],
+    return ([(ctx.power_table(P["t"]), ctx.frob_shift(ctx.n // 2, -1))],
             P["delta"].code, _linear_part(ctx, P), 0)
 
 
 def _alpha_beta(ctx: FieldCtx, P: dict) -> Composition:
     """alpha_beta, and alpha_beta_gamma with L = gamma*x^(q^s)."""
     outer = _scaled(ctx, P["alpha"].code, ctx.power_table(P["t"]))
-    return ([(outer, _frob_shift(ctx, ctx.n // 2, 1))], P["delta"].code,
+    return ([(outer, ctx.frob_shift(ctx.n // 2, 1))], P["delta"].code,
             _linear_part(ctx, P), 0)
 
 
 def _anti_g(ctx: FieldCtx, P: dict) -> Composition:
     delta = P["delta"].code
-    return ([(g_codes(P["g"], ctx), _frob_shift(ctx, 1, 1))], delta,
+    return ([(g_codes(P["g"], ctx), ctx.frob_shift(1, 1))], delta,
             _linear_part(ctx, P), delta)
 
 
@@ -439,20 +430,20 @@ def _n4k(ctx: FieldCtx, P: dict) -> Composition:
     first = 0 if P["variant"] == "plain" else 1
     g = ctx.power_sum_table([(q ** (2 * i + first) + q ** (2 * i + first + 2 * k), 1)
                              for i in range(k)])
-    return ([(g, _frob_shift(ctx, 1, -1))], delta,
-            tabulate_linear(ctx, [P["a"].code]), delta)
+    return ([(g, ctx.frob_shift(1, -1))], delta,
+            ctx.linear_map([P["a"].code]), delta)
 
 
 def _q6(ctx: FieldCtx, P: dict) -> Composition:
     """Outer tables w -> sum(sign * h(w)^e) on the shifts x^(q^2) -+ x^q + x;
     plus leads with its w_+ term, whose shift is its psibar."""
     q, h, delta = ctx.q, P["h"], P["delta"].code
-    minus = tabulate_linear(ctx, [1, ctx.p - 1, 1])
+    minus = ctx.linear_map([1, ctx.p - 1, 1])
     if P["variant"] == "minus":
         terms = [(_powers_of_h(ctx, h, [(q ** 4, 1), (q ** 3, 1), (q, -1), (1, -1)]), minus)]
     else:
         terms = [(_powers_of_h(ctx, h, [(q ** 4, 1), (q ** 3, -1)]),
-                  tabulate_linear(ctx, [1, 1, 1])),
+                  ctx.linear_map([1, 1, 1])),
                  (_powers_of_h(ctx, h, [(q, 1), (1, -1)]), minus)]
     return terms, delta, P["L"].tabulate(), delta
 
@@ -582,17 +573,15 @@ def _resolve_elem_token(ctx: FieldCtx, token: str, family_id: str) -> list[Elem]
     if token == "base":
         return list(ctx.subfield_elements())
     if token == "base_nonzero":
-        return [x for x in ctx.subfield_elements() if x]
+        return list(ctx.subfield_elements()[1:])
     if token == "intermediate":
         if ctx.n % 2 != 0:
             raise ValueError("'intermediate' needs an even tower degree")
-        k = ctx.n // 2
-        return [x for x in ctx.elements() if x.in_subfield(k)]
+        return list(ctx.frobenius_eigenspace(ctx.n // 2, 1))
     if token == "sign_kernel":
         return list(ctx.frobenius_eigenspace(_sign_kernel_power(family_id, ctx), -1))
     if token == "sign_kernel_nonzero":
-        return [x for x in
-                ctx.frobenius_eigenspace(_sign_kernel_power(family_id, ctx), -1) if x]
+        return list(ctx.frobenius_eigenspace(_sign_kernel_power(family_id, ctx), -1)[1:])
     raise ValueError(f"unknown element token {token!r}")
 
 
@@ -702,13 +691,9 @@ def _expand_params(family_id: str, ctx: FieldCtx, params: dict,
 
     if family_id == "generic_L" and params.get("a") == "kernel_nonzero":
         # the kernel elements depend on the concrete L
-        rest = {k: v for k, v in params.items() if k != "a"}
         for L in _resolve_lin(ctx, params["L"], seed):
-            kernel = [x for x in ctx.elements() if x and L.apply(x).is_zero]
-            sub = dict(rest)
-            sub["L"] = L
-            sub["a"] = kernel
-            yield from _expand_params(family_id, ctx, sub, seed)
+            kernel = ctx.zero_set(L.tabulate())[1:]
+            yield from _expand_params(family_id, ctx, {**params, "L": L, "a": kernel}, seed)
         return
 
     lists = [_resolve_param(ctx, family_id, name, params[name], seed)

@@ -229,8 +229,9 @@ class Elem:
         return self.ctx._wrap(self.ctx._frob(self.code, j))
 
     def trace(self) -> "Elem":
-        """Trace into the tower base field F_q: sum of x^(q^i), i < n."""
-        return self.ctx._wrap(self.ctx._trace(self.code))
+        """Trace into the tower base field F_q: sum of x^(q^i), i < n, read
+        from the field's all-ones linear table."""
+        return self.ctx._wrap(self.ctx.linear_map((1,) * self.ctx.n)[self.code])
 
     def residue_class(self) -> ResidueClass:
         return self.ctx.residue_class_of_code(self.code)
@@ -341,7 +342,6 @@ class FieldCtx:
             self._elems = tuple(Elem(self, c) for c in range(self.order))
         self._subfield_codes = self._build_subfield_codes()
         self._subfield_set = frozenset(self._subfield_codes)
-        self._trace_table: Optional[array] = None
         self._derived: dict = {}
         self._labels: dict[int, str] = {}  # str(Elem) by code, filled as printed
 
@@ -520,34 +520,16 @@ class FieldCtx:
             return 0
         return self._exp[self._log[c] * self._qpow[j % self.n] % self._om1]
 
-    def _trace_slow(self, c: int) -> int:
-        acc = c
-        for j in range(1, self.n):
-            acc = self._add(acc, self._frob(c, j))
-        return acc
-
-    def _trace(self, c: int) -> int:
-        return self.trace_fn()(c)
-
-    def trace_fn(self) -> Callable[[int], int]:
-        """The trace on codes: a lookup in its table, built on first use
-        from the images of the F_p basis."""
-        if self._trace_table is None:
-            self._trace_table = self.linear_table(self._trace_slow)
-        return self._trace_table.__getitem__
-
     def power_sum_table(self, terms: Sequence[tuple[int, int]]) -> array:
         """y -> sum of sign * y^e over (e, sign) in terms, on every code;
         built once per field and terms, one pass over the log table a term."""
-        key = ("powers", tuple(terms))
-        table = self._derived.get(key)
-        if table is None:
-            columns = [self._power_column(e, sign) for e, sign in key[1]]
-            values = columns[0] if columns else [0] * self.order
-            for column in columns[1:]:
-                values = self._add_codes(values, column)
-            table = self._derived[key] = code_table(values)
-        return table
+        terms = tuple(terms)
+
+        def build() -> array:
+            columns = [self._power_column(e, sign) for e, sign in terms] or [[0] * self.order]
+            return code_table(functools.reduce(self._add_codes, columns))
+
+        return self.derived(("powers", terms), build)
 
     def _power_column(self, e: int, sign: int) -> list[int]:
         """y -> sign * y^e on every code: exp[log y * (e mod (q^n - 1)) mod
@@ -576,6 +558,38 @@ class FieldCtx:
                 block = list(map(plus, block))
                 table += block
         return code_table(table)
+
+    def _linear_code(self, coeffs: Sequence[int], c: int) -> int:
+        """sum(coeffs[i] * c^(q^i)) for one code c: the evaluator behind
+        every q-linear table and LinPoly.apply_code."""
+        acc = 0
+        for i, a in enumerate(coeffs):
+            if a:
+                acc = self._add(acc, self._mul(a, self._frob(c, i)))
+        return acc
+
+    def linear_map(self, coeffs: Sequence[int]) -> array:
+        """x -> sum(coeffs[i] * x^(q^i)) on every code, the coefficient codes
+        zero-padded to n; built once per field and coefficient vector from the
+        images of the F_p basis (the map is F_p-linear).  The trace is the
+        all-ones vector, and every fixed, anti-fixed or kernel set is the zero
+        set of one such table."""
+        codes = tuple(coeffs) + (0,) * (self.n - len(coeffs))
+        return self.derived(("lin", codes), lambda: self.linear_table(
+            functools.partial(self._linear_code, codes)))
+
+    def frob_shift(self, k: int, sign: int) -> array:
+        """x^(q^k) + sign*x on every code, with sign +1 or -1."""
+        coeffs = [0] * self.n
+        coeffs[0] = sign % self.p  # the code p - 1 is the element -1
+        coeffs[k % self.n] = self._add(coeffs[k % self.n], 1)
+        return self.linear_map(coeffs)
+
+    def zero_set(self, table: Sequence[int]) -> tuple[Elem, ...]:
+        """The x with table[x] = 0, ascending code order, in one pass over
+        the table; an element is made only for each member."""
+        return tuple(map(self._wrap, itertools.compress(range(self.order),
+                                                        map(operator.not_, table))))
 
     def derived(self, key: Hashable, build: Callable[[], object]):
         """build() memoized on this field under key.  Holds the tables other
@@ -638,7 +652,7 @@ class FieldCtx:
         return ResidueClass.D0 if self._log[code] % 2 == 0 else ResidueClass.D1
 
     def frobenius_eigenspace(self, k: int, sign: int) -> tuple[Elem, ...]:
-        """All x with x^(q^k) = sign*x, by exhaustive scan.
+        """All x with x^(q^k) = sign*x: the zero set of x^(q^k) - sign*x.
 
         sign=+1 collects the subfield-type fixed set of x -> x^(q^k);
         sign=-1 its antisymmetric counterpart.
@@ -647,12 +661,7 @@ class FieldCtx:
             raise ValueError("k must be positive")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        out = []
-        for c in range(self.order):
-            target = c if sign == 1 else self._neg(c)
-            if self._frob(c, k) == target:
-                out.append(self._wrap(c))
-        return tuple(out)
+        return self.zero_set(self.frob_shift(k, -sign))
 
     def __repr__(self):
         return f"FieldCtx({self.label}, order={self.order})"

@@ -10,6 +10,7 @@ polynomials and a deterministic generator of linearized permutations.
 
 from __future__ import annotations
 
+import functools
 import random
 from array import array
 from typing import Iterable
@@ -33,7 +34,7 @@ class CriteriaDisagreeError(Exception):
 class LinPoly:
     """q-polynomial stored as its length-n coefficient vector (a_0..a_{n-1})."""
 
-    __slots__ = ("ctx", "codes", "subfield_flag", "_terms")
+    __slots__ = ("ctx", "codes", "subfield_flag")
 
     def __init__(self, ctx: FieldCtx, coeffs: Iterable):
         codes = []
@@ -53,7 +54,6 @@ class LinPoly:
         self.ctx = ctx
         self.codes = tuple(codes)
         self.subfield_flag = all(ctx.is_subfield_code(c) for c in codes)
-        self._terms = tuple((i, c) for i, c in enumerate(codes) if c)
 
     # -- constructors --------------------------------------------------------
 
@@ -85,7 +85,7 @@ class LinPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not any(self.codes)
 
     def __eq__(self, other):
         return (
@@ -109,29 +109,16 @@ class LinPoly:
     __call__ = apply
 
     def apply_code(self, c: int) -> int:
-        ctx = self.ctx
-        acc = 0
-        for i, a in self._terms:
-            acc = ctx._add(acc, ctx._mul(a, ctx._frob(c, i)))
-        return acc
+        return self.ctx._linear_code(self.codes, c)
 
-    def tabulate(self):
-        """L on every element code (see :func:`tabulate_linear`)."""
-        return tabulate_linear(self.ctx, self.codes)
+    def tabulate(self) -> array:
+        """L on every element code: the field's cached table of its
+        coefficient vector (see :meth:`FieldCtx.linear_map`)."""
+        return self.ctx.linear_map(self.codes)
 
     def conventional(self) -> Poly:
         """The conventional associate sum(a_i * x^i)."""
         return Poly(self.ctx, self.codes)
-
-
-def tabulate_linear(ctx: FieldCtx, coeffs) -> array:
-    """sum(coeffs[i] * x^(q^i)) on every element code, zero-padded to n
-    coefficients; built once per field and coefficient vector from the
-    images of the F_p basis (the map is F_p-linear), so no LinPoly is made
-    for a vector whose table exists."""
-    codes = tuple(coeffs) + (0,) * (ctx.n - len(coeffs))
-    return ctx.derived(("lin", codes),
-                       lambda: ctx.linear_table(LinPoly(ctx, codes).apply_code))
 
 
 def to_linearized(l: Poly) -> LinPoly:
@@ -219,9 +206,7 @@ def trace_commutation_check(L: LinPoly) -> bool:
         raise SubfieldCoefficientError(
             "trace commutation needs base-field coefficients")
     ctx = L.ctx
-    coeff_sum = 0
-    for _, a in L._terms:
-        coeff_sum = ctx._add(coeff_sum, a)
+    coeff_sum = functools.reduce(ctx._add, L.codes)
     for x in ctx.elements():
         t = x.trace()
         lhs = L.apply(t)

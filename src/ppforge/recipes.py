@@ -2,13 +2,14 @@
 
 A recipe (`GRecipe`) names a construction, such as the trace or a norm
 power of a polynomial h, or a product or sum of other recipes.  `build_g`
-tabulates it on every element code and verifies its symmetry contract
-during that one scan; the families look the verified table up through
-`g_codes`, which builds it once per (recipe, field).
+tabulates it on every element code and checks, in one pass, that the table
+of y^q -+ y vanishes on every value; the families look the verified table up
+through `g_codes`, which builds it once per (recipe, field).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -149,8 +150,7 @@ def _tabulate_unverified(recipe: GRecipe, ctx: FieldCtx) -> Sequence[int]:
 
     if kind == "trace_of_h":
         h = _need_h(recipe)
-        tr = ctx.trace_fn()
-        return [tr(y) for y in h_codes(h, ctx)]
+        return list(map(ctx.linear_map((1,) * n).__getitem__, h_codes(h, ctx)))
 
     if kind == "norm_power":
         h = _need_h(recipe)
@@ -212,12 +212,10 @@ def _tabulate_unverified(recipe: GRecipe, ctx: FieldCtx) -> Sequence[int]:
 
 
 def _check_contract(ctx: FieldCtx, table: Sequence[int], sign: int) -> Optional[int]:
-    """First code x whose value fails g(x)^q = sign*g(x), or None."""
-    frob, neg = ctx._frob, ctx._neg
-    for x, y in enumerate(table):
-        if frob(y, 1) != (y if sign == 1 else neg(y)):
-            return x
-    return None
+    """First code x whose value fails g(x)^q = sign*g(x), or None: the first
+    x at which the table of y^q - sign*y is nonzero on g(x), in one pass."""
+    shift = ctx.frob_shift(1, -sign)
+    return next(itertools.compress(range(len(table)), map(shift.__getitem__, table)), None)
 
 
 def build_g(recipe: GRecipe, ctx: FieldCtx) -> TabulatedMap:

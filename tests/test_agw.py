@@ -6,6 +6,8 @@ from ppforge.agw import (
     HypothesisViolatedError,
     NotCommutingError,
     NotSurjectiveError,
+    PerturbReport,
+    ShiftReport,
     check_fiber_criterion,
     check_fiber_shift,
     check_perturbed_bijection,
@@ -148,6 +150,24 @@ def test_fiber_shift_collapsing_h():
     rep = check_fiber_shift(A9, psid, psi9, frob, g)
     assert not rep.shifted_bijective and not rep.h_bijective
     assert rep.equivalence_holds
+
+
+# an empty domain has no pair to check for additivity and no point to
+# collide, so every check holds vacuously, as for an empty AGWInstance
+
+def test_perturbed_bijection_on_empty_domain_is_vacuous():
+    ident = lambda x: x
+    assert check_fiber_criterion(AGWInstance([], ident, ident, ident)).equivalence_holds
+    rep = check_perturbed_bijection([], ident, ident, ident, lambda x: F9.zero)
+    assert rep == PerturbReport(perturbed_bijective=True, base_bijective=True)
+
+
+def test_fiber_shift_on_empty_domain_is_vacuous():
+    ident = lambda x: x
+    rep = check_fiber_shift([], ident, ident, ident, lambda s: F9.zero)
+    assert rep == ShiftReport(shifted_bijective=True, h_bijective=True,
+                              base_fiber_injective=True, kernel_condition=True,
+                              base_bijective=True)
 
 
 def test_wrap_family_instance_with_natural_square():

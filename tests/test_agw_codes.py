@@ -86,7 +86,7 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
     import sys
     from ppforge import agw, cli, families
     from ppforge.gf import make_field
-    from ppforge.linearized import LinPoly, tabulate_linear
+    from ppforge.linearized import LinPoly
 
     F9 = make_field(3, 1, 2)
     A9 = F9.elements()
@@ -115,8 +115,8 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
     # first term (the zero table on x^3 - x) makes psibar = x^3 - x and
     # psi = psibar + 1, while its second term adds x^2, which does not descend
     def squares(ctx, P):
-        return ([([0] * ctx.order, tabulate_linear(ctx, [ctx.p - 1, 1])),
-                 (ctx.power_table(2), tabulate_linear(ctx, [1]))], 0, [0] * ctx.order, 1)
+        return ([([0] * ctx.order, ctx.linear_map([ctx.p - 1, 1])),
+                 (ctx.power_table(2), ctx.linear_map([1]))], 0, [0] * ctx.order, 1)
 
     even_t = families.COMPOSITIONS["even_t"]
     families.COMPOSITIONS["even_t"] = squares
