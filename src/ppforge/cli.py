@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import json
 import os
@@ -29,6 +30,10 @@ from .gf import FieldError, field_spec_parts, parse_field_spec
 from .oracle import DEFAULT_CAP, FieldTooLargeError, check_iff, format_cycle_type
 
 SCHEMA_VERSION = 1
+
+# the cycle types a row writer keeps formatted, counted in cycles, so that its
+# memory stays flat on a long grid however long each cycle type is
+_CYCLE_TYPE_MEMO_CYCLES = 1 << 16
 
 
 class SchemaError(Exception):
@@ -97,6 +102,8 @@ def _load_spec(arg: str) -> dict:
         raise SchemaError(f"unknown or missing family {family!r}")
     if "field" not in doc:
         raise SchemaError("missing 'field'")
+    if not isinstance(doc["field"], str):
+        raise SchemaError(f"'field' must be a string, got {doc['field']!r}")
     params = doc.get("params", DEFAULT_GRIDS[family])
     if not isinstance(params, dict):
         raise SchemaError("'params' must be an object")
@@ -156,31 +163,57 @@ def _run_grid(spec: dict, cap: int, seed: int, csv_path=None) -> RunReport:
 def _row_writer(family_id: str, out):
     """Write the CSV header to out; return the function writing one row.
 
-    A grid's rows share a few parameter objects, so each is described once:
-    the cache is keyed by id() and keeps the object, so no id is reused
-    while the grid is written."""
+    Each row is one write of cells rendered once per grid.  A grid's rows
+    share a few parameter objects, so each is rendered once, as its final
+    cell, quoted by the csv module's own rules: the cache is keyed by id()
+    and keeps the object, so no id is reused while the grid is written.
+    Cycle types are formatted once each while the memo has room."""
     names = PARAM_ORDER[family_id]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(names) + ["predicted", "observed", "status", "cycle_type"])
-    described: dict[int, tuple] = {}
+    buffer = io.StringIO()
+    quoter = csv.writer(buffer, lineterminator="\n")
 
-    def describe(value) -> str:
-        entry = described.get(id(value))
+    def quote(text: str) -> str:
+        if not text:  # the csv module quotes an empty field only when it is alone
+            return ""
+        buffer.seek(0)
+        buffer.truncate()
+        quoter.writerow((text,))
+        return buffer.getvalue()[:-1]
+
+    out.write(",".join(map(quote, names + ("predicted", "observed", "status", "cycle_type")))
+              + "\n")
+    cells: dict[int, tuple] = {}
+    cycle_types: dict[tuple, str] = {}
+    room = _CYCLE_TYPE_MEMO_CYCLES
+    # the cells between the parameters and the cycle type, by (predicted, observed)
+    verdicts = {(p, o): f",{'true' if p else 'false'},{'true' if o else 'false'},"
+                        f"{'agree' if p == o else 'disagree'},"
+                for p in (True, False) for o in (True, False)}
+
+    def cell(value) -> str:
+        entry = cells.get(id(value))
         if entry is None:
-            entry = described[id(value)] = (value, describe_value(value))
+            entry = cells[id(value)] = (value, quote(describe_value(value)))
         return entry[1]
 
     def write_row(item, record) -> None:
+        nonlocal room
         params = item.params
-        values = [describe(params[name]) for name in names]
+        row = ",".join([cell(params[name]) for name in names])
         if record is None:
-            writer.writerow(values + ["", "", f"skipped:{item.reason}", ""])
+            out.write(f"{row},,,{quote(f'skipped:{item.reason}')},\n")
             return
         cycle_type = record.verdict.cycle_type
-        writer.writerow(values + ["true" if record.predicted else "false",
-                                  "true" if record.observed else "false",
-                                  "agree" if record.agree else "disagree",
-                                  "" if cycle_type is None else format_cycle_type(cycle_type)])
+        if cycle_type is None:
+            text = ""
+        else:
+            text = cycle_types.get(cycle_type)
+            if text is None:
+                text = quote(format_cycle_type(cycle_type))
+                if len(cycle_type) <= room:
+                    room -= len(cycle_type)
+                    cycle_types[cycle_type] = text
+        out.write(row + verdicts[record.predicted, record.observed] + text + "\n")
 
     return write_row
 

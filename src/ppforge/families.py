@@ -55,22 +55,33 @@ from .recipes import (  # the recipe names are part of this module's API
 from .recipes import _powers_of_h
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FamilyInstance:
     """A fully parameterized family member with its predicted verdict.
 
     The map itself is the family's composition (``COMPOSITIONS``), compiled
     from ``ctx`` and ``params`` as its value list by :meth:`code_values`
     when it is needed and not stored on the instance; ``evaluator`` is its
-    ``Elem -> Elem`` edge, and :meth:`square_codes` gives the value list and
+    ``Elem -> Elem`` edge, a :class:`CodeMapEdge` made when first read
+    unless one is passed, and :meth:`square_codes` gives the value list and
     the fiber maps from one composition call.
     """
 
     family_id: str
     ctx: FieldCtx
     params: dict
-    evaluator: Callable[[Elem], Elem]
     predicted_pp: bool
+    evaluator: Callable[[Elem], Elem] = functools.cached_property(
+        lambda self: CodeMapEdge(self.family_id, self.ctx, self.params))
+
+    def __init__(self, family_id: str, ctx: FieldCtx, params: dict, predicted_pp: bool,
+                 evaluator: Optional[Callable[[Elem], Elem]] = None):
+        # written past the frozen __setattr__, which refuses every assignment;
+        # a census never reads the evaluator, so it makes no edge
+        fields = self.__dict__
+        fields.update(family_id=family_id, ctx=ctx, params=params, predicted_pp=predicted_pp)
+        if evaluator is not None:
+            fields["evaluator"] = evaluator
 
     def code_values(self) -> list[int]:
         """The code of f(x) for every element code x, in code order."""
@@ -145,6 +156,16 @@ def _check_elem(ctx: FieldCtx, value, name: str) -> Elem:
     return value
 
 
+def _negated_by(ctx: FieldCtx, x: Elem, k: int) -> bool:
+    """x^(q^k) = -x, decided on codes."""
+    return ctx._frob(x.code, k) == ctx._neg(x.code)
+
+
+def _trace_code(ctx: FieldCtx, code: int) -> int:
+    """The code of Tr(x), read from the field's all-ones linear table."""
+    return ctx.linear_map((1,) * ctx.n)[code]
+
+
 def _linpoly_fixed_by(L: LinPoly, k: int) -> bool:
     ctx = L.ctx
     return all(ctx._frob(c, k) == c for c in L.codes)
@@ -163,7 +184,6 @@ def _gcd_permutes(L: LinPoly) -> bool:
 def _instance(family_id: str, ctx: FieldCtx, params: dict,
               predicted: bool) -> FamilyInstance:
     return FamilyInstance(family_id=family_id, ctx=ctx, params=params,
-                          evaluator=CodeMapEdge(family_id, ctx, params),
                           predicted_pp=predicted)
 
 
@@ -187,7 +207,7 @@ def family_even_t(ctx: FieldCtx, t: int, delta: Elem, L: LinPoly) -> FamilyInsta
     _require(t >= 0, "negative_t")
     _require(t % 2 == 0, "odd_t", f"t={t}")
     delta = _check_elem(ctx, delta, "delta")
-    _require(delta.frobenius(k) == -delta, "bad_delta",
+    _require(_negated_by(ctx, delta, k), "bad_delta",
              "delta must satisfy delta^(q^k) = -delta")
     _require(_linpoly_fixed_by(L, k), "linearized_coeffs_outside_intermediate")
     return _instance("even_t", ctx, {"t": t, "delta": delta, "L": L}, _permutes(L))
@@ -205,7 +225,7 @@ def family_trace_gamma(ctx: FieldCtx, t: int, delta: Elem, beta: Elem,
     delta = _check_elem(ctx, delta, "delta")
     beta = _check_elem(ctx, beta, "beta")
     gamma = _check_elem(ctx, gamma, "gamma")
-    _require(delta.frobenius(k) == -delta, "bad_delta",
+    _require(_negated_by(ctx, delta, k), "bad_delta",
              "delta must satisfy delta^(q^k) = -delta")
     _require(beta.in_subfield(k), "beta_outside_intermediate")
     _require(not gamma.is_zero, "gamma_zero")
@@ -213,7 +233,7 @@ def family_trace_gamma(ctx: FieldCtx, t: int, delta: Elem, beta: Elem,
     return _instance(
         "trace_gamma", ctx,
         {"t": t, "delta": delta, "beta": beta, "gamma": gamma, "s": s},
-        bool((beta * gamma.inv()).trace() + ctx.one),
+        ctx._add(_trace_code(ctx, ctx._mul(beta.code, ctx._inv(gamma.code))), 1) != 0,
     )
 
 
@@ -227,8 +247,8 @@ def _check_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
     alpha = _check_elem(ctx, alpha, "alpha")
     beta = _check_elem(ctx, beta, "beta")
     _require(delta.in_subfield(k), "delta_outside_intermediate")
-    _require(alpha.frobenius(k) == -alpha, "bad_alpha")
-    _require(beta.frobenius(k) == -beta, "bad_beta")
+    _require(_negated_by(ctx, alpha, k), "bad_alpha")
+    _require(_negated_by(ctx, beta, k), "bad_beta")
     return delta, alpha, beta
 
 
@@ -274,7 +294,7 @@ def family_anti_g(ctx: FieldCtx, g: GRecipe, delta: Elem, beta: Elem,
     delta = _check_elem(ctx, delta, "delta")
     beta = _check_elem(ctx, beta, "beta")
     _require(recipe_sign(g) == -1, "recipe_not_antisymmetric", "needs g^q = -g")
-    _require(beta.frobenius(1) == -beta, "bad_beta")
+    _require(_negated_by(ctx, beta, 1), "bad_beta")
     _require(L.subfield_flag, "linearized_coeffs_outside_base")
     g_codes(g, ctx)  # tabulated and contract-checked once per field; raises if broken
     return _instance(
@@ -298,7 +318,8 @@ def family_n4k(ctx: FieldCtx, variant: str, delta: Elem, a: Elem) -> FamilyInsta
     a = _check_elem(ctx, a, "a")
     _require(not a.is_zero, "zero_a")
     _require(a.in_subfield(1), "a_outside_base")
-    predicted = delta.trace() != (a if variant == "plain" else -a)
+    predicted = _trace_code(ctx, delta.code) != (a.code if variant == "plain"
+                                                 else ctx._neg(a.code))
     return _instance("n4k", ctx, {"variant": variant, "delta": delta, "a": a}, predicted)
 
 
@@ -354,7 +375,7 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
     _require(not a.is_zero and not b.is_zero, "zero_coefficient")
     return _instance(
         "half_power", ctx, {"k": k, "a": a, "b": b, "delta": delta},
-        (a * b).residue_class() == ResidueClass.D0,
+        ctx.residue_class_of_code(ctx._mul(a.code, b.code)) is ResidueClass.D0,
     )
 
 
@@ -371,8 +392,8 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
 # Tables that depend only on the field and on grid-wide parameters (g and h
 # tables, powers) are built once per field, and every linear table once per
 # field and coefficient vector, since a grid holds few distinct vectors;
-# outer tables scaled by an instance's element are built for each composition
-# call and dropped with it.  A value list is built by whole-table passes:
+# an outer table scaled by an instance's element is kept for the last scale
+# only (see _scaled).  A value list is built by whole-table passes:
 # `map` over the tables with the lookups, the add-table rows and the XOR as
 # the mapped functions, so that on fields with XOR or an add table no Python
 # frame runs per element.
@@ -394,9 +415,22 @@ def _linear_part(ctx: FieldCtx, P: dict) -> Sequence[int]:
     return ctx.linear_map([ctx._add(beta, c) for c in coeffs])
 
 
+# (ctx, a, table, scaled table) of the last _scaled call
+_last_scaled: Optional[tuple[FieldCtx, int, Sequence[int], list[int]]] = None
+
+
 def _scaled(ctx: FieldCtx, a: int, table: Sequence[int]) -> list[int]:
-    """y -> a*table[y]: an outer table scaled by an instance's element."""
-    return list(map(ctx._mul_row(a).__getitem__, table))
+    """y -> a*table[y]: an outer table scaled by an instance's element.
+    Kept for the last (field, a, table) only, as _half_power_tables is: a
+    grid varies the parameters after the scale fastest (beta and L after
+    alpha, h, L1 and delta after a), so runs of consecutive points share
+    it.  The table is held, so the identity test cannot match a later
+    table at a reused address."""
+    global _last_scaled
+    last = _last_scaled
+    if last is None or last[0] is not ctx or last[1] != a or last[2] is not table:
+        last = _last_scaled = (ctx, a, table, list(map(ctx._mul_row(a).__getitem__, table)))
+    return last[3]
 
 
 def _additive_g(ctx: FieldCtx, P: dict) -> Composition:
@@ -666,6 +700,16 @@ def _resolve_scalar(value) -> list:
     return [value]
 
 
+def _resolve_int(name: str, value) -> list[int]:
+    """The integers of an int parameter's grid entry; JSON integers only,
+    not floats, strings or booleans."""
+    values = _resolve_scalar(value)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"parameter {name!r} takes integers, got {v!r}")
+    return values
+
+
 def _resolve_param(ctx: FieldCtx, family_id: str, name: str, value, seed: int) -> list:
     kind = _PARAM_TYPES[name]
     if kind == "elem":
@@ -676,6 +720,8 @@ def _resolve_param(ctx: FieldCtx, family_id: str, name: str, value, seed: int) -
         return _resolve_recipe(ctx, value)
     if kind == "poly_or_recipe":
         return _resolve_poly_or_recipe(ctx, value)
+    if kind == "int":
+        return _resolve_int(name, value)
     return _resolve_scalar(value)
 
 

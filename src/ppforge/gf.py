@@ -177,8 +177,8 @@ class Elem:
     __slots__ = ("ctx", "code")
 
     def __init__(self, ctx: "FieldCtx", code: int):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "code", code)
+        _set_elem_ctx(self, ctx)
+        _set_elem_code(self, code)
 
     def __setattr__(self, name, value):
         raise AttributeError("Elem is immutable")
@@ -261,6 +261,12 @@ class Elem:
         if label is None:
             label = labels[self.code] = ",".join(map(str, self.coords))
         return label
+
+
+# Elem's slots are written only by its __init__, through their descriptors:
+# Elem.__setattr__ refuses every assignment
+_set_elem_ctx = Elem.ctx.__set__
+_set_elem_code = Elem.code.__set__
 
 
 class _ElementView(collections.abc.Sequence):
@@ -543,7 +549,8 @@ class FieldCtx:
 
     def power_table(self, t: int) -> array:
         """y -> y^t on every code, built once per field and exponent."""
-        return self.power_sum_table(((t, 1),))
+        table = self._derived.get(("powers", ((t, 1),)))
+        return self.power_sum_table(((t, 1),)) if table is None else table
 
     def linear_table(self, image: Callable[[int], int]) -> array:
         """Table over every code of an F_p-linear map, given by its value

@@ -173,6 +173,33 @@ def test_agw_check_default_grid_output(family, field, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == AGW_DIGESTS[family, field], out
 
 
+# sha256 of `verify --csv` on grids with skipped points, whose rows carry the
+# quoted parameters and a `skipped:<reason>` status: a faster row writer must
+# write them as before.  No recipe kind can fail its contract, so no grid
+# yields a `recipe_contract: ...` row.
+SKIPPED_ROW_DIGESTS = {
+    "zero_coefficient": (
+        {"family": "half_power", "field": "3^1:2",
+         "params": {"k": 1, "a": "all", "b": "nonzero", "delta": "all"}},
+        "2403e33631ce4892a58ec115fb9d4afdd701c3cde0e0b5e9de161b59814d3ebc"),
+    "bad_divisor": (
+        {"family": "additive_g", "field": "3^1:2",
+         "params": {"g": [{"kind": "m_sum", "h": {"mono": 1}, "d": 2},
+                          {"kind": "trace_of_h", "h": {"mono": 1}}],
+                    "L": ["identity"], "delta": "all"}},
+        "3cc4e6bc5b8ab4fc8230b15b76fdd92715a70e587441036b02935619b5f16df3"),
+}
+
+
+@pytest.mark.parametrize("reason", list(SKIPPED_ROW_DIGESTS))
+def test_skipped_rows_bytes(reason, tmp_path, capsys):
+    spec, digest = SKIPPED_ROW_DIGESTS[reason]
+    out_csv = tmp_path / "rows.csv"
+    assert main(["verify", json.dumps(spec), "--csv", str(out_csv)]) == 0
+    assert f",,,skipped:{reason},\n" in out_csv.read_text()
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+
 def test_census_split_matches_residue_classes(tmp_path):
     out_csv = tmp_path / "hp.csv"
     assert main(["census", "half_power", "3^1:2", "-o", str(out_csv)]) == 0
@@ -352,3 +379,79 @@ def test_report_keeps_a_zero_missed_value():
     report.add(inst, IffRecord("half_power", True, False, verdict))
     [dis] = json.loads(json.dumps(report.to_dict()))["disagreements"]
     assert dis["collision"] == ["1,0", "2,0"] and dis["missed"] == "0,0"
+
+
+def test_census_shares_scaled_tables_and_makes_no_edges(tmp_path, monkeypatch):
+    # alpha_beta's outer table scaled by alpha is kept for the last scale:
+    # its 3^1:4 grid varies (t, delta, alpha) through 162 values, each held
+    # by 18 consecutive points; no census reads an evaluator
+    import ppforge.families as fam
+    from ppforge.gf import FieldCtx
+
+    scales, edges = [], []
+    mul_row, edge_init = FieldCtx._mul_row, fam.CodeMapEdge.__init__
+    monkeypatch.setattr(fam, "_last_scaled", None)
+    monkeypatch.setattr(FieldCtx, "_mul_row",
+                        lambda self, a: scales.append(a) or mul_row(self, a))
+    monkeypatch.setattr(fam.CodeMapEdge, "__init__",
+                        lambda self, *args: edges.append(args) or edge_init(self, *args))
+    out_csv = tmp_path / "census.csv"
+    assert main(["census", "alpha_beta", "3^1:4", "-o", str(out_csv)]) == 0
+    assert out_csv.read_text().count("\n") == 1 + 2916
+    assert len(scales) == 162
+    for family, field in [("n4k", "2^1:8"), ("half_power", "3^1:2"), ("generic_L", "3^1:2")]:
+        assert main(["census", family, field, "-o", str(out_csv)]) == 0
+    assert edges == []
+
+
+@pytest.mark.parametrize("memo_cycles", [0, 1 << 16])
+def test_cycle_types_are_formatted_once_while_the_memo_has_room(memo_cycles, tmp_path,
+                                                               monkeypatch):
+    import ppforge.cli
+
+    formatted = []
+    format_cycle_type = ppforge.cli.format_cycle_type
+    monkeypatch.setattr(ppforge.cli, "_CYCLE_TYPE_MEMO_CYCLES", memo_cycles)
+    monkeypatch.setattr(ppforge.cli, "format_cycle_type",
+                        lambda c: formatted.append(c) or format_cycle_type(c))
+    out_csv = tmp_path / "census.csv"
+    assert main(["census", "half_power", "3^1:2", "-o", str(out_csv)]) == 0
+    digest = CENSUS_DIGESTS["half_power", "3^1:2"]
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+    with open(out_csv, newline="") as fh:
+        bijective = sum(row["observed"] == "true" for row in csv.DictReader(fh))
+    if memo_cycles:
+        assert len(formatted) == len(set(formatted)) < bijective
+    else:  # no room: every bijective row formats its own
+        assert len(formatted) == bijective
+
+
+def test_verify_refuses_a_field_that_is_not_a_string(capsys):
+    assert main(["verify", '{"family": "n4k", "field": 9}']) == 2
+    assert capsys.readouterr().err == "error: 'field' must be a string, got 9\n"
+    assert main(["agw-check", '{"family": "n4k", "field": null}']) == 2
+    assert capsys.readouterr().err.startswith("error: 'field' must be a string")
+
+
+@pytest.mark.parametrize("t", [["x"], [2.0], [True], "2", {"t": 2}])
+def test_verify_refuses_a_non_integer_t(t, tmp_path, capsys):
+    spec = json.dumps({"family": "even_t", "field": "3^1:2",
+                       "params": {"t": t, "delta": "sign_kernel", "L": ["identity"]}})
+    out_csv = tmp_path / "rows.csv"
+    assert main(["verify", spec, "--csv", str(out_csv)]) == 2
+    assert capsys.readouterr().err.startswith("error: parameter 't' takes integers, got ")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("family, params", [
+    ("half_power", {"k": "1", "a": "nonzero", "b": "nonzero", "delta": "all"}),
+    ("half_power", {"k": [1, 1.5], "a": "nonzero", "b": "nonzero", "delta": "all"}),
+    ("trace_gamma", {"t": [0], "delta": "sign_kernel", "beta": "intermediate",
+                     "gamma": "base_nonzero", "s": [False]}),
+])
+def test_census_refuses_non_integer_k_and_s(family, params, tmp_path, capsys):
+    out_csv = tmp_path / "census.csv"
+    assert main(["census", family, "3^1:2", "-o", str(out_csv),
+                 "--params", json.dumps(params)]) == 2
+    assert "takes integers" in capsys.readouterr().err
+    assert not out_csv.exists()

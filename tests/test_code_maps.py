@@ -303,8 +303,124 @@ def test_code_map_matches_element_reference(family, data):
     values, ref = inst.code_values(), reference(inst)
     for x in ctx.elements():
         assert values[x.code] == ref(x).code, f"{family} {inst.describe_params()} at x={x}"
+    assert [inst.evaluator(x).code for x in ctx.elements()] == values
     edge = check_bijective(inst.evaluator, ctx)
     assert edge == check_iff(inst).verdict
+
+
+def ref_outcome(family, ctx, P):
+    """The skip reason, else the prediction, of a constructor's hypotheses
+    and stated condition, checked in the constructor's order with element
+    arithmetic (the checks that every grid point of these fields passes,
+    such as the characteristic and the tower degree, are left out)."""
+    k = ctx.n // 2
+    fixed = lambda x, j: ref_frob(x, j) == x
+    negated = lambda x, j: ref_frob(x, j) == -x
+    permutes = lambda L: len({ref_lin(L, x) for x in ctx.elements()}) == ctx.order
+    if family == "half_power":
+        if P["k"] < 1:
+            return "bad_k"
+        if not P["a"] or not P["b"]:
+            return "zero_coefficient"
+        return any(y * y == P["a"] * P["b"] for y in ctx.elements())
+    if family == "n4k":
+        if not P["a"]:
+            return "zero_a"
+        if not fixed(P["a"], 1):
+            return "a_outside_base"
+        return ref_trace(P["delta"]) != (P["a"] if P["variant"] == "plain" else -P["a"])
+    if P["t"] < 0:
+        return "negative_t"
+    if family in ("even_t", "trace_gamma") and P["t"] % 2:
+        return "odd_t"
+    if family == "trace_gamma":
+        if P["s"] < 0:
+            return "negative_s"
+        if not negated(P["delta"], k):
+            return "bad_delta"
+        if not fixed(P["beta"], k):
+            return "beta_outside_intermediate"
+        if not P["gamma"]:
+            return "gamma_zero"
+        if not fixed(P["gamma"], 1):
+            return "gamma_outside_base"
+        gamma_inv = slow_pow(P["gamma"], ctx.order - 2)
+        return ref_trace(P["beta"] * gamma_inv) + ctx.one != ctx.zero
+    if family == "even_t":
+        if not negated(P["delta"], k):
+            return "bad_delta"
+    else:  # alpha_beta
+        if not fixed(P["delta"], k):
+            return "delta_outside_intermediate"
+        if not negated(P["alpha"], k):
+            return "bad_alpha"
+        if not negated(P["beta"], k):
+            return "bad_beta"
+    if not all(fixed(c, k) for c in P["L"].coefficients):
+        return "linearized_coeffs_outside_intermediate"
+    return permutes(P["L"])
+
+
+# each parameter's element pools besides the whole field: the sets that make
+# its hypothesis hold, so that passing and failing points are both drawn
+OUTCOME_POOLS = {
+    "half_power": {"a": (), "b": (), "delta": ()},
+    "n4k": {"delta": (), "a": ("base",)},
+    "trace_gamma": {"delta": ("anti",), "beta": ("fixed",), "gamma": ("base",)},
+    "even_t": {"delta": ("anti",)},
+    "alpha_beta": {"delta": ("fixed",), "alpha": ("anti",), "beta": ("anti",)},
+}
+
+
+@pytest.mark.parametrize("family, spec", [
+    ("alpha_beta", (3, 1, 2)), ("alpha_beta", (3, 1, 4)),
+    ("half_power", (3, 1, 2)), ("half_power", (5, 1, 2)),
+    ("n4k", (2, 1, 4)), ("n4k", (2, 1, 8)), ("n4k", (3, 1, 4)),
+    ("trace_gamma", (3, 1, 4)), ("even_t", (3, 1, 4)),
+])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hypotheses_on_codes_match_element_reference(family, spec, data):
+    ctx = make_field(*spec)
+    k = ctx.n // 2
+    pools = {"base": ctx.subfield_elements(), "fixed": ctx.frobenius_eigenspace(k, 1),
+             "anti": ctx.frobenius_eigenspace(k, -1)}
+    P = {name: data.draw(st.sampled_from(
+             data.draw(st.sampled_from([ctx.elements()] + [pools[p] for p in names])))
+             ) for name, names in OUTCOME_POOLS[family].items()}
+    ints = st.integers(-1, 4)
+    if family == "half_power":
+        P["k"] = data.draw(ints)
+    elif family == "n4k":
+        P["variant"] = data.draw(st.sampled_from(["plain", "qtwist"]))
+    else:
+        P["t"] = data.draw(ints)
+    if family == "trace_gamma":
+        P["s"] = data.draw(ints)
+    elif family in ("even_t", "alpha_beta"):
+        coeffs = st.sampled_from(data.draw(st.sampled_from([ctx.elements(), pools["fixed"]])))
+        P["L"] = LinPoly(ctx, data.draw(st.lists(coeffs, min_size=1, max_size=ctx.n)))
+    try:
+        outcome = fam.FAMILY_BUILDERS[family](ctx, **P).predicted_pp
+    except FamilyParameterError as exc:
+        outcome = exc.reason
+    assert outcome == ref_outcome(family, ctx, P), P
+
+
+def test_family_instances_stay_frozen():
+    import dataclasses
+
+    ctx = make_field(3, 1, 2)
+    inst = fam.family_half_power(ctx, 1, ctx.one, ctx.one, ctx.zero)
+    for name in ("family_id", "params", "predicted_pp", "evaluator"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, name, None)
+    edge = inst.evaluator
+    assert inst.evaluator is edge
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.evaluator = len
+    # an evaluator passed in, as dataclasses.replace passes one, is kept
+    assert dataclasses.replace(inst, evaluator=len).evaluator is len
 
 
 def test_half_power_tables_follow_field_k_a_and_b():

@@ -84,6 +84,16 @@ def test_ctx_mismatch():
         F5.elem(1) + F7.elem(1)
 
 
+@pytest.mark.parametrize("ctx", [F9, make_field(2, 1, 17)])
+def test_elements_are_immutable(ctx):
+    # interned below 2^16 elements, made on demand above
+    x = ctx.elem(3)
+    for name, value in [("code", 4), ("ctx", F7), ("other", 0)]:
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    assert x.ctx is ctx and x.code == 3 and x == ctx.elem(3)
+
+
 @pytest.mark.parametrize("ctx", [F5, F7, F4, F8, F9, F16, F25, F27])
 def test_inverses_exhaustive(ctx):
     for x in ctx.elements()[1:]:
