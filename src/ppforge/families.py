@@ -275,7 +275,10 @@ def family_alpha_beta_gamma(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
     _require(gamma.in_subfield(k), "gamma_outside_intermediate")
     delta, alpha, beta = _check_alpha_beta(ctx, t, delta, alpha, beta)
     predicted = not gamma.is_zero
-    if is_permutation(LinPoly.frobenius_term(ctx, s, gamma)) != predicted:
+    # checked once per field, s mod n and gamma
+    permutes = ctx.derived(("permutes_frobenius_term", s % ctx.n, gamma.code),
+                           lambda: is_permutation(LinPoly.frobenius_term(ctx, s, gamma)))
+    if permutes != predicted:
         raise CriteriaDisagreeError(
             f"gamma*x^(q^{s}) with gamma={gamma}: the linearized criterion "
             f"disagrees with gamma != 0")
@@ -396,7 +399,10 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
 # only (see _scaled).  A value list is built by whole-table passes:
 # `map` over the tables with the lookups, the add-table rows and the XOR as
 # the mapped functions, so that on fields with XOR or an add table no Python
-# frame runs per element.
+# frame runs per element.  Grids sweep delta over the same few outer
+# tables, so each term reads its outer table through the field's shift view
+# y -> outer[y + delta] (see FieldCtx.shift_view) and adds delta on the fly
+# only where the field has no view yet.
 
 Composition = tuple[Sequence[tuple[Sequence[int], Sequence[int]]], int,
                     Sequence[int], Optional[int]]
@@ -405,14 +411,23 @@ Composition = tuple[Sequence[tuple[Sequence[int], Sequence[int]]], int,
 def _linear_part(ctx: FieldCtx, P: dict) -> Sequence[int]:
     """beta*Tr(x) + L(x) on every code, where L is gamma*x^(q^s) for the
     families that take gamma and s, and beta is 0 for those without it;
-    built once per field and resulting coefficient vector."""
-    if "gamma" in P:
-        coeffs = [0] * ctx.n
-        coeffs[P["s"] % ctx.n] = P["gamma"].code
-    else:
-        coeffs = P["L"].codes
+    built once per field and resulting coefficient vector, and read from
+    the field's cache by the parameters before any vector is built."""
     beta = P["beta"].code if "beta" in P else 0
-    return ctx.linear_map([ctx._add(beta, c) for c in coeffs])
+    if "gamma" in P:
+        s, gamma = P["s"] % ctx.n, P["gamma"].code
+        key = ("linear_part", beta, s, gamma)
+    else:
+        key = ("linear_part", beta, P["L"].codes)
+    table = ctx._derived.get(key)
+    if table is None:
+        if "gamma" in P:
+            coeffs = [0] * ctx.n
+            coeffs[s] = gamma
+        else:
+            coeffs = P["L"].codes
+        table = ctx._derived[key] = ctx.linear_map([ctx._add(beta, c) for c in coeffs])
+    return table
 
 
 # (ctx, a, table, scaled table) of the last _scaled call
@@ -462,8 +477,8 @@ def _n4k(ctx: FieldCtx, P: dict) -> Composition:
     # g(y) = sum of y^(q^u) * y^(q^v) = y^(q^u + q^v) over the variant's pairs
     k, q, delta = ctx.n // 4, ctx.q, P["delta"].code
     first = 0 if P["variant"] == "plain" else 1
-    g = ctx.power_sum_table([(q ** (2 * i + first) + q ** (2 * i + first + 2 * k), 1)
-                             for i in range(k)])
+    g = ctx.derived(("n4k", first), lambda: ctx.power_sum_table(
+        [(q ** (2 * i + first) + q ** (2 * i + first + 2 * k), 1) for i in range(k)]))
     return ([(g, ctx.frob_shift(1, -1))], delta,
             ctx.linear_map([P["a"].code]), delta)
 
@@ -472,13 +487,17 @@ def _q6(ctx: FieldCtx, P: dict) -> Composition:
     """Outer tables w -> sum(sign * h(w)^e) on the shifts x^(q^2) -+ x^q + x;
     plus leads with its w_+ term, whose shift is its psibar."""
     q, h, delta = ctx.q, P["h"], P["delta"].code
-    minus = ctx.linear_map([1, ctx.p - 1, 1])
-    if P["variant"] == "minus":
-        terms = [(_powers_of_h(ctx, h, [(q ** 4, 1), (q ** 3, 1), (q, -1), (1, -1)]), minus)]
-    else:
-        terms = [(_powers_of_h(ctx, h, [(q ** 4, 1), (q ** 3, -1)]),
-                  ctx.linear_map([1, 1, 1])),
-                 (_powers_of_h(ctx, h, [(q, 1), (1, -1)]), minus)]
+
+    def build() -> list[tuple[Sequence[int], Sequence[int]]]:
+        minus = ctx.linear_map([1, ctx.p - 1, 1])
+        if P["variant"] == "minus":
+            return [(_powers_of_h(ctx, h, [(q ** 4, 1), (q ** 3, 1), (q, -1), (1, -1)]),
+                     minus)]
+        return [(_powers_of_h(ctx, h, [(q ** 4, 1), (q ** 3, -1)]), ctx.linear_map([1, 1, 1])),
+                (_powers_of_h(ctx, h, [(q, 1), (1, -1)]), minus)]
+
+    # the terms depend on the variant and h only: built once per field and pair
+    terms = ctx.derived(("q6", P["variant"], h.codes), build)
     return terms, delta, P["L"].tabulate(), delta
 
 
@@ -504,7 +523,8 @@ def _half_power_tables(ctx: FieldCtx, k: int, a: int,
 
 def _half_power(ctx: FieldCtx, P: dict) -> Composition:
     inner, lin = _half_power_tables(ctx, P["k"], P["a"].code, P["b"].code)
-    return [(ctx.power_table((ctx.order + 1) // 2), inner)], P["delta"].code, lin, None
+    outer = ctx.derived("half_power", lambda: ctx.power_table((ctx.order + 1) // 2))
+    return [(outer, inner)], P["delta"].code, lin, None
 
 
 COMPOSITIONS: dict[str, Callable[[FieldCtx, dict], Composition]] = {
@@ -529,9 +549,12 @@ def _compile(family_id: str, ctx: FieldCtx, params: dict) -> list[int]:
 def _values(ctx: FieldCtx, composition: Composition) -> list[int]:
     """The value list of a composition: the code of f(x) for every code x."""
     terms, delta, lin, _ = composition
-    shift, values = ctx._add_const(delta), lin
+    values = lin
     for outer, inner in terms:
-        values = ctx._add_codes(map(outer.__getitem__, map(shift, inner)), values)
+        view = ctx.shift_view(outer, delta)
+        looked_up = (map(outer.__getitem__, map(ctx._add_const(delta), inner))
+                     if view is None else map(view.__getitem__, inner))
+        values = ctx._add_codes(looked_up, values)
     return list(values)
 
 
@@ -619,19 +642,30 @@ def _resolve_elem_token(ctx: FieldCtx, token: str, family_id: str) -> list[Elem]
     raise ValueError(f"unknown element token {token!r}")
 
 
-def _resolve_elem(ctx: FieldCtx, value, family_id: str) -> list[Elem]:
+def _refused(name: str, takes: str, value) -> ValueError:
+    return ValueError(f"parameter {name!r} takes {takes}, got {value!r}")
+
+
+def _resolve_elem(ctx: FieldCtx, value, family_id: str, name: str) -> list[Elem]:
+    """The elements of an element parameter's grid entry: an element, a
+    code (a JSON integer, not a boolean), a coordinate string, a token, or
+    a list of these."""
     if isinstance(value, Elem):
         return [value]
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return [ctx.elem(value)]
     if isinstance(value, str):
         if value and all(c.isdigit() or c == "," for c in value):
             return [ctx.from_coords([int(c) for c in value.split(",")])]
         return _resolve_elem_token(ctx, value, family_id)
-    return [e for v in value for e in _resolve_elem(ctx, v, family_id)]
+    if isinstance(value, (list, tuple)):
+        return [e for v in value for e in _resolve_elem(ctx, v, family_id, name)]
+    raise _refused(name, "element codes, coordinate strings or tokens", value)
 
 
-def _resolve_lin(ctx: FieldCtx, value, seed: int) -> list[LinPoly]:
+def _resolve_lin(ctx: FieldCtx, value, seed: int, name: str) -> list[LinPoly]:
+    """The maps of a linearized parameter's grid entry: a map, a name or a
+    linearized polynomial string, or a list of these."""
     if isinstance(value, LinPoly):
         return [value]
     if isinstance(value, str):
@@ -646,7 +680,9 @@ def _resolve_lin(ctx: FieldCtx, value, seed: int) -> list[LinPoly]:
         if value.startswith("random_pp:"):
             return [random_linearized_pp(ctx, int(value.split(":", 1)[1]))]
         return [parse_linpoly(ctx, value)]
-    return [L for v in value for L in _resolve_lin(ctx, v, seed)]
+    if isinstance(value, (list, tuple)):
+        return [L for v in value for L in _resolve_lin(ctx, v, seed, name)]
+    raise _refused(name, "linearized-map names or strings", value)
 
 
 def _poly_from_spec(ctx: FieldCtx, value) -> Poly:
@@ -676,13 +712,20 @@ def _recipe_from_spec(ctx: FieldCtx, value) -> GRecipe:
     raise ValueError(f"cannot interpret recipe spec {value!r}")
 
 
-def _resolve_recipe(ctx: FieldCtx, value) -> list[GRecipe]:
+def _resolve_recipe(ctx: FieldCtx, value, name: str) -> list[GRecipe]:
+    """The recipes of a recipe parameter's grid entry: a recipe, a recipe
+    object, or a list of these."""
     if isinstance(value, (GRecipe, dict)):
         return [_recipe_from_spec(ctx, value)]
-    return [r for v in value for r in _resolve_recipe(ctx, v)]
+    if isinstance(value, (list, tuple)):
+        return [r for v in value for r in _resolve_recipe(ctx, v, name)]
+    raise _refused(name, "recipe objects", value)
 
 
-def _resolve_poly_or_recipe(ctx: FieldCtx, value) -> list:
+def _resolve_poly_or_recipe(ctx: FieldCtx, value, name: str) -> list:
+    """The polynomials or recipes of such a parameter's grid entry: a
+    polynomial, a recipe, a polynomial or recipe object, a polynomial
+    string, or a list of these."""
     if isinstance(value, (GRecipe, Poly)):
         return [value]
     if isinstance(value, dict):
@@ -691,7 +734,9 @@ def _resolve_poly_or_recipe(ctx: FieldCtx, value) -> list:
         return [_poly_from_spec(ctx, value)]
     if isinstance(value, str):
         return [_poly_from_spec(ctx, value)]
-    return [x for v in value for x in _resolve_poly_or_recipe(ctx, v)]
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _resolve_poly_or_recipe(ctx, v, name)]
+    raise _refused(name, "polynomial or recipe objects or polynomial strings", value)
 
 
 def _resolve_scalar(value) -> list:
@@ -713,13 +758,13 @@ def _resolve_int(name: str, value) -> list[int]:
 def _resolve_param(ctx: FieldCtx, family_id: str, name: str, value, seed: int) -> list:
     kind = _PARAM_TYPES[name]
     if kind == "elem":
-        return _resolve_elem(ctx, value, family_id)
+        return _resolve_elem(ctx, value, family_id, name)
     if kind == "lin":
-        return _resolve_lin(ctx, value, seed)
+        return _resolve_lin(ctx, value, seed, name)
     if kind == "recipe":
-        return _resolve_recipe(ctx, value)
+        return _resolve_recipe(ctx, value, name)
     if kind == "poly_or_recipe":
-        return _resolve_poly_or_recipe(ctx, value)
+        return _resolve_poly_or_recipe(ctx, value, name)
     if kind == "int":
         return _resolve_int(name, value)
     return _resolve_scalar(value)
@@ -737,7 +782,7 @@ def _expand_params(family_id: str, ctx: FieldCtx, params: dict,
 
     if family_id == "generic_L" and params.get("a") == "kernel_nonzero":
         # the kernel elements depend on the concrete L
-        for L in _resolve_lin(ctx, params["L"], seed):
+        for L in _resolve_lin(ctx, params["L"], seed, "L"):
             kernel = ctx.zero_set(L.tabulate())[1:]
             yield from _expand_params(family_id, ctx, {**params, "L": L, "a": kernel}, seed)
         return

@@ -38,6 +38,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 _ADD_TABLE_MAX = 512      # full add table for odd characteristic up to this order
 _ELEM_CACHE_MAX = 1 << 16  # interned Elem objects up to this order
+_SHIFT_VIEW_CODES = 1 << 13  # codes of the shift_view memo's entries, per field
 
 
 def code_table(values: Iterable[int]) -> array:
@@ -349,6 +350,8 @@ class FieldCtx:
         self._subfield_codes = self._build_subfield_codes()
         self._subfield_set = frozenset(self._subfield_codes)
         self._derived: dict = {}
+        # (id(table), b) -> (table, its shift view or None): see shift_view
+        self._shift_views: dict[tuple[int, int], tuple[Sequence[int], Optional[list[int]]]] = {}
         self._labels: dict[int, str] = {}  # str(Elem) by code, filled as printed
 
         self.zero = self._wrap(0)
@@ -586,11 +589,44 @@ class FieldCtx:
             functools.partial(self._linear_code, codes)))
 
     def frob_shift(self, k: int, sign: int) -> array:
-        """x^(q^k) + sign*x on every code, with sign +1 or -1."""
-        coeffs = [0] * self.n
-        coeffs[0] = sign % self.p  # the code p - 1 is the element -1
-        coeffs[k % self.n] = self._add(coeffs[k % self.n], 1)
-        return self.linear_map(coeffs)
+        """x^(q^k) + sign*x on every code, with sign +1 or -1; the cache is
+        read before the coefficient vector is built."""
+        table = self._derived.get(("frob_shift", k, sign))
+        if table is None:
+            coeffs = [0] * self.n
+            coeffs[0] = sign % self.p  # the code p - 1 is the element -1
+            coeffs[k % self.n] = self._add(coeffs[k % self.n], 1)
+            table = self._derived["frob_shift", k, sign] = self.linear_map(coeffs)
+        return table
+
+    def shift_view(self, table: Sequence[int], b: int) -> Optional[Sequence[int]]:
+        """table read through y -> table[y + b], or None when the caller is
+        to add b on the fly.  b = 0 gives the table itself.  For b != 0 the
+        first request for a (table, b) only records it, the second builds
+        the view as a list in one pass, and later ones read that list: a
+        view built on the first request costs a pass no later request may
+        repay.  Each entry is charged the field's order of codes and the
+        memo is cleared when the next entry would pass _SHIFT_VIEW_CODES,
+        so a larger field keeps none.  An entry holds its table, so no
+        id() in a key is reused while the entry lives."""
+        if b == 0:
+            return table
+        if self.order > _SHIFT_VIEW_CODES:
+            return None
+        views, key = self._shift_views, (id(table), b)
+        entry = views.get(key)
+        if entry is None:
+            if (len(views) + 1) * self.order > _SHIFT_VIEW_CODES:
+                views.clear()
+            views[key] = (table, None)
+            return None
+        if entry[1] is None:
+            entry = views[key] = (table, self._shifted(table, b))
+        return entry[1]
+
+    def _shifted(self, table: Sequence[int], b: int) -> list[int]:
+        """y -> table[y + b] on every code, in one pass."""
+        return list(map(table.__getitem__, map(self._add_const(b), range(self.order))))
 
     def zero_set(self, table: Sequence[int]) -> tuple[Elem, ...]:
         """The x with table[x] = 0, ascending code order, in one pass over

@@ -455,3 +455,94 @@ def test_census_refuses_non_integer_k_and_s(family, params, tmp_path, capsys):
                  "--params", json.dumps(params)]) == 2
     assert "takes integers" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("family, field, views, digest", [
+    ("half_power", "5^1:2", 24, "abd73a415ac4d6e6957bc53c0ea80cf38d10c1130aabcd447dfb79a15e972171"),
+    ("alpha_beta", "3^1:4", 144, "dcdae2da203dfad6836a88b73dd0f51816df55e562512aedef454fac6eaa5a4c"),
+    ("n4k", "2^1:8", 0, "9ae1d1868114bf7984000218ab8597fe5daf7d934aec3caee434e75a5870a693"),
+])
+def test_census_builds_a_shift_view_on_the_second_request(family, field, views, digest,
+                                                          tmp_path, monkeypatch):
+    # half_power asks for its one outer table at every delta 576 times, and
+    # alpha_beta for each of its 162 scaled tables 18 times at one delta,
+    # so each pair with delta != 0 gets a view; n4k asks for each (table,
+    # delta) once, and a view built then would be read by nothing
+    import ppforge.families as fam
+    from ppforge.gf import FieldCtx, parse_field_spec
+
+    built = []
+    shifted = FieldCtx._shifted
+    monkeypatch.setattr(parse_field_spec(field), "_shift_views", {})
+    monkeypatch.setattr(fam, "_last_scaled", None)
+    monkeypatch.setattr(FieldCtx, "_shifted",
+                        lambda self, table, b: built.append(b) or shifted(self, table, b))
+    out_csv = tmp_path / "census.csv"
+    assert main(["census", family, field, "-o", str(out_csv)]) == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+    assert len(built) == views and 0 not in built
+
+
+def test_a_field_above_the_view_budget_keeps_no_views(capsys):
+    # delta = 1 is asked for twice with each outer table; 2^14 codes exceed
+    # the memo's budget, so the field records nothing
+    from ppforge.gf import _SHIFT_VIEW_CODES, make_field
+
+    ctx = make_field(2, 1, 14)
+    assert ctx.order > _SHIFT_VIEW_CODES
+    spec = json.dumps({"family": "even_t", "field": "2^1:14",
+                       "params": {"t": [0, 2], "delta": "base", "L": ["identity", "frob:1"]}})
+    assert main(["verify", spec]) == 0
+    assert "grid size    8" in capsys.readouterr().out
+    assert ctx._shift_views == {}
+
+
+def test_alpha_beta_gamma_checks_each_gamma_and_s_once(tmp_path, monkeypatch):
+    # the default 3^1:4 grid has 26,244 points over 9 gammas and 2 s
+    import ppforge.families as fam
+
+    checked = []
+    is_permutation = fam.is_permutation
+    monkeypatch.setattr(fam, "is_permutation",
+                        lambda L: checked.append(L) or is_permutation(L))
+    out_csv = tmp_path / "census.csv"
+    assert main(["census", "alpha_beta_gamma", "3^1:4", "-o", str(out_csv)]) == 0
+    assert out_csv.read_text().count("\n") == 1 + 26244
+    assert len(checked) <= 18
+
+
+MALFORMED_GRID_VALUES = [
+    ("even_t", "3^1:2", {"t": [0], "delta": 1.5, "L": ["identity"]}, "delta"),
+    ("even_t", "3^1:2", {"t": [0], "delta": None, "L": ["identity"]}, "delta"),
+    ("even_t", "3^1:2", {"t": [0], "delta": True, "L": ["identity"]}, "delta"),
+    ("even_t", "3^1:2", {"t": [0], "delta": [0, False], "L": ["identity"]}, "delta"),
+    ("even_t", "3^1:2", {"t": [0], "delta": "sign_kernel", "L": 5}, "L"),
+    ("even_t", "3^1:2", {"t": [0], "delta": "sign_kernel", "L": None}, "L"),
+    ("even_t", "3^1:2", {"t": [0], "delta": "sign_kernel", "L": [1.5]}, "L"),
+    ("additive_g", "3^1:2", {"g": 5, "L": ["identity"], "delta": "all"}, "g"),
+    ("q6", "3^1:6", {"variant": ["minus"], "h": 5, "L": ["identity"], "delta": "base"}, "h"),
+]
+
+
+@pytest.mark.parametrize("family, field, params, name", MALFORMED_GRID_VALUES)
+def test_verify_refuses_malformed_grid_values(family, field, params, name, tmp_path,
+                                              capsys, monkeypatch):
+    import ppforge.families as fam
+
+    built = []
+    monkeypatch.setitem(fam.FAMILY_BUILDERS, family,
+                        lambda *args, **kwargs: built.append(args))
+    spec = json.dumps({"family": family, "field": field, "params": params})
+    out_csv = tmp_path / "rows.csv"
+    assert main(["verify", spec, "--csv", str(out_csv)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: parameter {name!r} takes ")
+    assert not out_csv.exists() and built == []
+
+
+@pytest.mark.parametrize("family, field, params, name", MALFORMED_GRID_VALUES)
+def test_census_refuses_malformed_grid_values(family, field, params, name, tmp_path, capsys):
+    out_csv = tmp_path / "census.csv"
+    assert main(["census", family, field, "-o", str(out_csv),
+                 "--params", json.dumps(params)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: parameter {name!r} takes ")
+    assert not out_csv.exists()

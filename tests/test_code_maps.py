@@ -3,6 +3,10 @@ reference written here with Elem arithmetic only, on random small fields
 and random grid points; the Elem-edge scan against the code-list scan; and
 the commuting-square audit against an Elem-keyed reference."""
 
+import functools
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -19,7 +23,8 @@ from ppforge.agw import (
     wrap_family_instance,
 )
 from ppforge.families import FamilyParameterError, RecipeContractError
-from ppforge.gf import make_field
+from ppforge import gf
+from ppforge.gf import code_table, make_field
 from ppforge.linearized import LinPoly, random_linearized_pp
 from ppforge.oracle import check_bijective, check_iff
 from ppforge.poly import Poly
@@ -436,6 +441,60 @@ def test_half_power_tables_follow_field_k_a_and_b():
         ref = reference(inst)
         assert inst.code_values() == [ref(x).code for x in ctx.elements()], \
             f"{ctx.label} {inst.describe_params()}"
+
+
+def ref_values(ctx, composition):
+    """sum(outer[inner[x] + delta]) + lin[x] for every code x, added by ctx._add."""
+    terms, delta, lin, _ = composition
+    return [functools.reduce(ctx._add, [outer[ctx._add(inner[x], delta)]
+                                        for outer, inner in terms], lin[x])
+            for x in range(ctx.order)]
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 2), (5, 1, 2), (3, 1, 6)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_values_read_shift_views_like_the_reference(spec, data):
+    # XOR, add-table and Zech fields; each request is a composition of one or
+    # two terms over a few outer tables (lists and code tables) and a delta
+    # from a small pool, so (table, delta) pairs repeat, delta = 0 occurs,
+    # and under the smaller budgets the memo is cleared mid-sequence or, when
+    # the budget is below the field's order, holds nothing
+    ctx = make_field(*spec)
+    q = ctx.order
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    outers = [[rng.randrange(q) for _ in range(q)] for _ in range(3)]
+    outers.append(code_table(outers[0]))
+    inners = [[rng.randrange(q) for _ in range(q)] for _ in range(2)]
+    lin = [rng.randrange(q) for _ in range(q)]
+    deltas = [0] + rng.sample(range(1, q), min(q - 1, 6))
+    budget = data.draw(st.sampled_from([q - 1, q, 3 * q, gf._SHIFT_VIEW_CODES]), label="budget")
+    requests = data.draw(st.lists(st.tuples(
+        st.lists(st.tuples(st.integers(0, len(outers) - 1), st.integers(0, 1)),
+                 min_size=1, max_size=2),
+        st.sampled_from(deltas)), min_size=1, max_size=30), label="requests")
+    ctx._shift_views.clear()  # entries charged under another example's budget
+    with mock.patch.object(gf, "_SHIFT_VIEW_CODES", budget):
+        for picks, delta in requests:
+            composition = ([(outers[i], inners[j]) for i, j in picks], delta, lin, None)
+            assert fam._values(ctx, composition) == ref_values(ctx, composition)
+            assert len(ctx._shift_views) * q <= budget
+
+
+def test_a_rebuilt_table_never_reads_a_stale_view():
+    # tables made and dropped one after another tend to reuse an address;
+    # each is requested twice with the same delta, so a view keyed by a
+    # freed table's id would be read by the next table at that address
+    ctx = make_field(3, 1, 2)
+    rng = random.Random(5)
+    lin, inner = [0] * ctx.order, list(range(ctx.order))
+    for _ in range(200):
+        outer = [rng.randrange(ctx.order) for _ in range(ctx.order)]
+        composition = ([(outer, inner)], 4, lin, None)
+        expected = ref_values(ctx, composition)
+        assert fam._values(ctx, composition) == expected
+        assert fam._values(ctx, composition) == expected
+        del outer, composition
 
 
 @pytest.mark.parametrize("family, spec", [("trace_gamma", (3, 1, 4)),

@@ -270,6 +270,9 @@ def test_alpha_beta_gamma_cross_check_raises(monkeypatch):
     # reported by an exception rather than an assert
     from ppforge.linearized import CriteriaDisagreeError
 
+    # the check is cached per field: start from an empty cache, and let the
+    # forged result leave with it
+    monkeypatch.setattr(F9, "_derived", {})
     monkeypatch.setattr(fam, "is_permutation", lambda L: False)
     with pytest.raises(CriteriaDisagreeError):
         fam.family_alpha_beta_gamma(F9, 2, F9.one, KERNEL9[1], KERNEL9[1], F9.elem(2), 1)
