@@ -110,17 +110,17 @@ def _bijective_onto(values: Sequence, codomain) -> bool:
 class FiberTable:
     """The fibers of a map given by its values by position: ``rep[x]`` is
     the position of the first point of x's fiber and ``points`` are the
-    distinct values in order of first appearance.  Built in C-level passes:
-    a dict over the reversed (value, position) pairs keeps each value's
-    first position, and one ``map`` reads it back for every position."""
+    distinct values in order of first appearance.  Built in one C-level
+    pass: ``setdefault`` on a dict of each value's first position records a
+    new value and returns the first position of a seen one."""
 
     __slots__ = ("values", "rep", "points", "_groups")
 
     def __init__(self, values: Sequence):
-        first = dict(zip(reversed(values), reversed(range(len(values)))))
+        first: dict = {}
         self.values = values
-        self.rep = list(map(first.__getitem__, values))
-        self.points = list(dict.fromkeys(values))
+        self.rep = list(map(first.setdefault, values, range(len(values))))
+        self.points = list(first)
         self._groups: Optional[dict] = None
 
     def first_varying(self, values: list) -> Optional[int]:

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .gf import CtxMismatchError, Elem, FieldCtx, ResidueClass
+from .gf import CtxMismatchError, Elem, FieldCtx, ResidueClass, code_table
 from .linearized import (
     CriteriaDisagreeError,
     LinPoly,
@@ -52,7 +52,6 @@ from .recipes import (  # the recipe names are part of this module's API
     symmetric_codes,
     trace_of_h,
 )
-from .recipes import _powers_of_h
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -393,16 +392,17 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
 # is None for a family without fiber maps.
 #
 # Tables that depend only on the field and on grid-wide parameters (g and h
-# tables, powers) are built once per field, and every linear table once per
-# field and coefficient vector, since a grid holds few distinct vectors;
-# an outer table scaled by an instance's element is kept for the last scale
-# only (see _scaled).  A value list is built by whole-table passes:
-# `map` over the tables with the lookups, the add-table rows and the XOR as
-# the mapped functions, so that on fields with XOR or an add table no Python
-# frame runs per element.  Grids sweep delta over the same few outer
-# tables, so each term reads its outer table through the field's shift view
-# y -> outer[y + delta] (see FieldCtx.shift_view) and adds delta on the fly
-# only where the field has no view yet.
+# tables, powers, and the n4k and q6 sums of Frobenius powers, each one linear
+# map of one power, y -> Lambda(y^e), kept without its ingredients) are built
+# once per field, and every linear table once per field and coefficient
+# vector, since a grid holds few distinct vectors; an outer table scaled by an
+# instance's element is kept for the last scale only (see _scaled).  A value
+# list is built by whole-table passes: `map` over the tables with the lookups,
+# the add-table rows and the XOR as the mapped functions, so that on fields
+# with XOR or an add table no Python frame runs per element.  Grids sweep delta
+# over the same few outer tables, so each term reads its outer table through
+# the field's shift view y -> outer[y + delta] (see FieldCtx.shift_view) and
+# adds delta on the fly only where the field has no view yet.
 
 Composition = tuple[Sequence[tuple[Sequence[int], Sequence[int]]], int,
                     Sequence[int], Optional[int]]
@@ -474,27 +474,28 @@ def _anti_g(ctx: FieldCtx, P: dict) -> Composition:
 
 
 def _n4k(ctx: FieldCtx, P: dict) -> Composition:
-    # g(y) = sum of y^(q^u) * y^(q^v) = y^(q^u + q^v) over the variant's pairs
-    k, q, delta = ctx.n // 4, ctx.q, P["delta"].code
+    # g(y) = sum of y^(q^u + q^(u+2k)) = Lambda(y^(1 + q^(2k))) with Lambda the
+    # sum of x^(q^u), over u = 2i + first < 2k
+    k, delta = ctx.n // 4, P["delta"].code
     first = 0 if P["variant"] == "plain" else 1
-    g = ctx.derived(("n4k", first), lambda: ctx.power_sum_table(
-        [(q ** (2 * i + first) + q ** (2 * i + first + 2 * k), 1) for i in range(k)]))
+    g = ctx.derived(("n4k", first), lambda: code_table(ctx.linear_of_power(
+        [0] * first + [1, 0] * k, 1 + ctx.q ** (2 * k))))
     return ([(g, ctx.frob_shift(1, -1))], delta,
             ctx.linear_map([P["a"].code]), delta)
 
 
 def _q6(ctx: FieldCtx, P: dict) -> Composition:
-    """Outer tables w -> sum(sign * h(w)^e) on the shifts x^(q^2) -+ x^q + x;
-    plus leads with its w_+ term, whose shift is its psibar."""
-    q, h, delta = ctx.q, P["h"], P["delta"].code
+    """Outer tables w -> Lambda(h(w)) on the shifts x^(q^2) -+ x^q + x; plus
+    leads with its w_+ term, whose shift is its psibar."""
+    h, delta = P["h"], P["delta"].code
 
     def build() -> list[tuple[Sequence[int], Sequence[int]]]:
-        minus = ctx.linear_map([1, ctx.p - 1, 1])
+        table, m1 = h.tabulate(), ctx.p - 1  # the code p - 1 is the element -1
+        minus = ctx.linear_map([1, m1, 1])
         if P["variant"] == "minus":
-            return [(_powers_of_h(ctx, h, [(q ** 4, 1), (q ** 3, 1), (q, -1), (1, -1)]),
-                     minus)]
-        return [(_powers_of_h(ctx, h, [(q ** 4, 1), (q ** 3, -1)]), ctx.linear_map([1, 1, 1])),
-                (_powers_of_h(ctx, h, [(q, 1), (1, -1)]), minus)]
+            return [(ctx.linear_of_power([m1, m1, 0, 1, 1], h=table), minus)]
+        return [(ctx.linear_of_power([0, 0, 0, m1, 1], h=table), ctx.linear_map([1, 1, 1])),
+                (ctx.linear_of_power([m1, 1], h=table), minus)]
 
     # the terms depend on the variant and h only: built once per field and pair
     terms = ctx.derived(("q6", P["variant"], h.codes), build)
@@ -685,38 +686,56 @@ def _resolve_lin(ctx: FieldCtx, value, seed: int, name: str) -> list[LinPoly]:
     raise _refused(name, "linearized-map names or strings", value)
 
 
-def _poly_from_spec(ctx: FieldCtx, value) -> Poly:
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_codes(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
+
+
+def _poly_from_spec(ctx: FieldCtx, value, name: str) -> Poly:
+    """A polynomial, a polynomial string, a coefficient-code list, or an
+    object {"mono": degree, "coeff": code} or {"codes": [...]}."""
     if isinstance(value, Poly):
         return value
     if isinstance(value, str):
         return parse_poly(ctx, value)
     if isinstance(value, dict):
         if "mono" in value:
-            return Poly.monomial(ctx, value["mono"], value.get("coeff", 1))
-        if "codes" in value:
+            degree, coeff = value["mono"], value.get("coeff", 1)
+            if _is_int(degree) and degree >= 0 and (_is_int(coeff) or isinstance(coeff, Elem)):
+                return Poly.monomial(ctx, degree, coeff)
+        elif _is_codes(value.get("codes")):
             return Poly(ctx, value["codes"])
-        raise ValueError(f"cannot interpret polynomial spec {value!r}")
-    if isinstance(value, (list, tuple)):
+    elif _is_codes(value):
         return Poly(ctx, value)
-    raise ValueError(f"cannot interpret polynomial spec {value!r}")
+    raise _refused(name, "polynomial strings, coefficient-code lists or objects "
+                         "{'mono': degree} or {'codes': [...]}", value)
 
 
-def _recipe_from_spec(ctx: FieldCtx, value) -> GRecipe:
+def _recipe_from_spec(ctx: FieldCtx, value, name: str) -> GRecipe:
+    """A recipe, or an object {"kind": ..., "h": <poly>, "d": int, "s": int,
+    "parts": [<recipe>, ...]} with every field but the kind optional."""
     if isinstance(value, GRecipe):
         return value
-    if isinstance(value, dict) and "kind" in value:
-        parts = tuple(_recipe_from_spec(ctx, p) for p in value.get("parts", ()))
-        h = _poly_from_spec(ctx, value["h"]) if "h" in value else None
+    if (isinstance(value, dict) and isinstance(value.get("kind"), str)
+            and all(value.get(field) is None or _is_int(value[field]) for field in ("d", "s"))
+            and isinstance(value.get("parts", ()), (list, tuple))):
+        parts = tuple(_recipe_from_spec(ctx, p, name) for p in value.get("parts", ()))
+        h = _poly_from_spec(ctx, value["h"], name) if "h" in value else None
         return GRecipe(value["kind"], h=h, d=value.get("d"),
                        s=value.get("s"), parts=parts)
-    raise ValueError(f"cannot interpret recipe spec {value!r}")
+    raise _refused(name, "recipe objects with a string 'kind', integer 'd' and 's' "
+                         "and a list of 'parts'", value)
 
 
 def _resolve_recipe(ctx: FieldCtx, value, name: str) -> list[GRecipe]:
     """The recipes of a recipe parameter's grid entry: a recipe, a recipe
     object, or a list of these."""
     if isinstance(value, (GRecipe, dict)):
-        return [_recipe_from_spec(ctx, value)]
+        return [_recipe_from_spec(ctx, value, name)]
     if isinstance(value, (list, tuple)):
         return [r for v in value for r in _resolve_recipe(ctx, v, name)]
     raise _refused(name, "recipe objects", value)
@@ -730,10 +749,10 @@ def _resolve_poly_or_recipe(ctx: FieldCtx, value, name: str) -> list:
         return [value]
     if isinstance(value, dict):
         if "kind" in value:
-            return [_recipe_from_spec(ctx, value)]
-        return [_poly_from_spec(ctx, value)]
+            return [_recipe_from_spec(ctx, value, name)]
+        return [_poly_from_spec(ctx, value, name)]
     if isinstance(value, str):
-        return [_poly_from_spec(ctx, value)]
+        return [_poly_from_spec(ctx, value, name)]
     if isinstance(value, (list, tuple)):
         return [x for v in value for x in _resolve_poly_or_recipe(ctx, v, name)]
     raise _refused(name, "polynomial or recipe objects or polynomial strings", value)
@@ -750,7 +769,7 @@ def _resolve_int(name: str, value) -> list[int]:
     not floats, strings or booleans."""
     values = _resolve_scalar(value)
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise ValueError(f"parameter {name!r} takes integers, got {v!r}")
     return values
 

@@ -13,11 +13,13 @@ elements, and above that Zech logarithms: a + b = g^(log a + z[log b -
 log a]) with z[d] = log(1 + g^d), a table built once with the exp/log
 tables.  Adding a constant, as linear tables and the exp table's own build
 do, looks the result up in rows built digit by digit.  Frobenius is the
-power map on logs,
-x^(q^j) = exp[log[x] * q^j mod (q^n - 1)].  Everything is exact integer
-arithmetic on element codes; `Elem` is the boxed view of a code used at the
-API edge.  Contexts never change after construction apart from lazily
-filled caches of derived tables.
+power map on logs, x^(q^j) = exp[log[x] * q^j mod (q^n - 1)]; a power
+column y -> y^e is one pass over the log table, and every sum of Frobenius
+powers of one power, sum(c_j * y^(e*q^j)), is a q-linear map of such a
+column (`linear_of_power`).  Everything is exact integer arithmetic on
+element codes; `Elem` is the boxed view of a code used at the API edge.
+Contexts never change after construction apart from lazily filled caches
+of derived tables.
 
 The module has no polynomial arithmetic of its own.  The modulus search,
 the validation of a given modulus and the primitive element search run on
@@ -529,31 +531,33 @@ class FieldCtx:
             return 0
         return self._exp[self._log[c] * self._qpow[j % self.n] % self._om1]
 
-    def power_sum_table(self, terms: Sequence[tuple[int, int]]) -> array:
-        """y -> sum of sign * y^e over (e, sign) in terms, on every code;
-        built once per field and terms, one pass over the log table a term."""
-        terms = tuple(terms)
-
-        def build() -> array:
-            columns = [self._power_column(e, sign) for e, sign in terms] or [[0] * self.order]
-            return code_table(functools.reduce(self._add_codes, columns))
-
-        return self.derived(("powers", terms), build)
-
-    def _power_column(self, e: int, sign: int) -> list[int]:
-        """y -> sign * y^e on every code: exp[log y * (e mod (q^n - 1)) mod
-        (q^n - 1)], turned by half the group order when the sign is -1 in odd
-        characteristic (-1 = g^((q^n-1)/2)); 0^0 = 1 as in _pow."""
-        om1, zero = self._om1, self._pow(0, e)
+    def _power_column(self, e: int) -> list[int]:
+        """y -> y^e on every code: exp[log y * (e mod (q^n - 1)) mod (q^n - 1)]
+        in one pass over the log table; 0^0 = 1 as in _pow."""
+        om1 = self._om1
         logs = map(om1.__rmod__, map((e % om1).__mul__, itertools.islice(self._log, 1, None)))
-        if sign != 1 and self.p != 2:
-            logs, zero = map((om1 // 2).__add__, logs), self._neg(zero)
-        return [zero, *map(self._exp.__getitem__, logs)]
+        return [self._pow(0, e), *map(self._exp.__getitem__, logs)]
 
     def power_table(self, t: int) -> array:
         """y -> y^t on every code, built once per field and exponent."""
-        table = self._derived.get(("powers", ((t, 1),)))
-        return self.power_sum_table(((t, 1),)) if table is None else table
+        return self.derived(("power", t), lambda: code_table(self._power_column(t)))
+
+    def linear_of_power(self, coeffs: Sequence[int], e: int = 1,
+                        h: Optional[Sequence[int]] = None) -> list[int]:
+        """x -> Lambda(h[x]^e) on every code, Lambda(y) = sum(coeffs[j] *
+        y^(q^j)) and h the identity when None.  The power column, and
+        Lambda's table unless the field holds it, are built for this call
+        only: the caller keeps the result, not its ingredients."""
+        values = range(self.order) if h is None else h
+        if e != 1:
+            values = map(self._power_column(e).__getitem__, values)
+        codes = tuple(coeffs) + (0,) * (self.n - len(coeffs))
+        if codes != (1,) + (0,) * (self.n - 1):  # Lambda is not the identity
+            lin = self._derived.get(("lin", codes))
+            if lin is None:
+                lin = self.linear_table(functools.partial(self._linear_code, codes))
+            values = map(lin.__getitem__, values)
+        return list(values)
 
     def linear_table(self, image: Callable[[int], int]) -> array:
         """Table over every code of an F_p-linear map, given by its value

@@ -1,7 +1,10 @@
 """Recipes for maps g with g(x)^q = +-g(x), tabulated on element codes.
 
 A recipe (`GRecipe`) names a construction, such as the trace or a norm
-power of a polynomial h, or a product or sum of other recipes.  `build_g`
+power of a polynomial h, or a product or sum of other recipes.  Every
+recipe of one h is x -> Lambda(h(x)^e) for a q-linear Lambda = sum(c_j *
+x^(q^j)) and an exponent e, tabulated by `FieldCtx.linear_of_power`: the
+trace is e = 1, a norm power is Lambda = x.  `build_g`
 tabulates it on every element code and checks, in one pass, that the table
 of y^q -+ y vanishes on every value; the families look the verified table up
 through `g_codes`, which builds it once per (recipe, field).
@@ -132,47 +135,46 @@ def h_codes(h: Poly, ctx: FieldCtx) -> Sequence[int]:
     return h.tabulate()
 
 
-def _powers_of_h(ctx: FieldCtx, h: Poly, terms) -> list[int]:
-    """x -> sum(sign * h(x)^e) over (e, sign) in terms."""
-    powers = ctx.power_sum_table(terms)
-    return [powers[y] for y in h_codes(h, ctx)]
+def _power_sum(recipe: GRecipe, ctx: FieldCtx) -> tuple[list[int], int]:
+    """(coefficients of Lambda, e) of a recipe x -> Lambda(h(x)^e), with
+    Lambda(y) = sum(c_j * y^(q^j)); the code p - 1 is the element -1."""
+    kind, n, q, minus = recipe.kind, ctx.n, ctx.q, ctx.p - 1
+    if kind == "trace_of_h":
+        ctx.linear_map([1] * n)  # kept: the field's trace, which Elem.trace reads too
+        return [1] * n, 1
+    if kind == "norm_power":
+        s = recipe.s if recipe.s is not None else 1
+        if s < 0:
+            raise FamilyParameterError("negative_exponent", "s must be nonnegative")
+        return [1], s * ((ctx.order - 1) // (q - 1))
+    d = recipe.d
+    if kind == "m_sum":
+        if d is None or not (1 < d < n) or n % d != 0:
+            raise FamilyParameterError("bad_divisor",
+                                       f"need a proper divisor 1 < d < n, got d={d}, n={n}")
+        return [1] * d, sum(q ** (i * d) for i in range(n // d))
+    if kind == "anti_alternating":
+        if n % 2 != 0:
+            raise FamilyParameterError("bad_divisor", "needs even tower degree")
+        return [minus, 1] * (n // 2), 1
+    if d is None or d < 1 or n % (2 * d) != 0:  # anti_m_sum
+        raise FamilyParameterError("bad_divisor", f"need n = 2*k*d, got d={d}, n={n}")
+    return [1, minus] * d, sum(q ** (2 * i * d) for i in range(n // (2 * d)))
 
 
 def _tabulate_unverified(recipe: GRecipe, ctx: FieldCtx) -> Sequence[int]:
     """The recipe's map on every element code."""
     kind = recipe.kind
-    n, q = ctx.n, ctx.q
     add, mul = ctx._add, ctx._mul
 
     if kind in ("anti_alternating", "anti_scaled", "anti_m_sum") and ctx.p == 2:
         raise FamilyParameterError("even_characteristic_anti",
                                    "antisymmetric recipes need odd q")
 
-    if kind == "trace_of_h":
+    if kind in ("trace_of_h", "norm_power", "m_sum", "anti_alternating", "anti_m_sum"):
         h = _need_h(recipe)
-        return list(map(ctx.linear_map((1,) * n).__getitem__, h_codes(h, ctx)))
-
-    if kind == "norm_power":
-        h = _need_h(recipe)
-        s = recipe.s if recipe.s is not None else 1
-        if s < 0:
-            raise FamilyParameterError("negative_exponent", "s must be nonnegative")
-        return _powers_of_h(ctx, h, [(s * ((ctx.order - 1) // (q - 1)), 1)])
-
-    if kind == "m_sum":
-        h = _need_h(recipe)
-        d = recipe.d
-        if d is None or not (1 < d < n) or n % d != 0:
-            raise FamilyParameterError("bad_divisor",
-                                       f"need a proper divisor 1 < d < n, got d={d}, n={n}")
-        M = sum(q ** (i * d) for i in range(n // d))
-        return _powers_of_h(ctx, h, [(M * q ** j, 1) for j in range(d)])
-
-    if kind == "anti_alternating":
-        h = _need_h(recipe)
-        if n % 2 != 0:
-            raise FamilyParameterError("bad_divisor", "needs even tower degree")
-        return _powers_of_h(ctx, h, [(q ** j, 1 if j % 2 else -1) for j in range(n)])
+        coeffs, e = _power_sum(recipe, ctx)
+        return ctx.linear_of_power(coeffs, e, h_codes(h, ctx))
 
     if kind == "anti_scaled":
         if len(recipe.parts) != 1:
@@ -185,16 +187,6 @@ def _tabulate_unverified(recipe: GRecipe, ctx: FieldCtx) -> Sequence[int]:
                                        "x^q = -x has only the zero solution")
         a = kernel[1].code  # smallest nonzero, canonical order
         return [mul(a, y) for y in _tabulate_unverified(recipe.parts[0], ctx)]
-
-    if kind == "anti_m_sum":
-        h = _need_h(recipe)
-        d = recipe.d
-        if d is None or d < 1 or n % (2 * d) != 0:
-            raise FamilyParameterError("bad_divisor",
-                                       f"need n = 2*k*d, got d={d}, n={n}")
-        M = sum(q ** (2 * i * d) for i in range(n // (2 * d)))
-        return _powers_of_h(ctx, h, [(M * q ** (2 * j), 1) for j in range(d)]
-                            + [(M * q ** (2 * j + 1), -1) for j in range(d)])
 
     if kind in ("product", "sum"):
         if len(recipe.parts) < 2:

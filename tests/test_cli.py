@@ -521,6 +521,16 @@ MALFORMED_GRID_VALUES = [
     ("even_t", "3^1:2", {"t": [0], "delta": "sign_kernel", "L": [1.5]}, "L"),
     ("additive_g", "3^1:2", {"g": 5, "L": ["identity"], "delta": "all"}, "g"),
     ("q6", "3^1:6", {"variant": ["minus"], "h": 5, "L": ["identity"], "delta": "base"}, "h"),
+    ("q6", "2^1:6", {"variant": ["minus"], "h": {"mono": "x"}, "L": ["identity"],
+                     "delta": "base"}, "h"),
+    ("q6", "2^1:6", {"variant": ["minus"], "h": {"codes": 5}, "L": ["identity"],
+                     "delta": "base"}, "h"),
+    ("additive_g", "3^1:2", {"g": [{"kind": "norm_power", "h": {"mono": 1}, "s": "x"}],
+                             "L": ["identity"], "delta": "all"}, "g"),
+    ("additive_g", "3^1:2", {"g": [{"kind": "sum", "parts": 5}],
+                             "L": ["identity"], "delta": "all"}, "g"),
+    ("additive_g", "3^1:2", {"g": [{"kind": "m_sum", "h": {"mono": 1}, "d": 2.5}],
+                             "L": ["identity"], "delta": "all"}, "g"),
 ]
 
 

@@ -534,6 +534,65 @@ def test_log_frobenius_is_the_q_power_map(spec):
             assert y == slow_pow(x, ctx.q ** j)
 
 
+def power_sum(y, terms):
+    """sum(sign * y**e for e, sign in terms), in Elem arithmetic."""
+    acc = y.ctx.zero
+    for e, sign in terms:
+        acc = acc + y ** e if sign == 1 else acc - y ** e
+    return acc
+
+
+def outer_tables(family, ctx, variant, h=None):
+    P = {"variant": variant, "delta": ctx.zero, "a": ctx.one}
+    if family == "q6":
+        P = {"variant": variant, "h": h, "L": LinPoly.identity(ctx), "delta": ctx.zero}
+    return [outer for outer, _ in fam.COMPOSITIONS[family](ctx, P)[0]]
+
+
+# an XOR field, an add-table field and three Zech fields
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_power_sum_tables_match_elem_powers(data):
+    # every multi-term power sum of the families and recipes, tabulated as
+    # one linear map of one power, against the sum of its Elem powers
+    ctx = make_field(*data.draw(st.sampled_from(
+        [(2, 1, 8), (3, 1, 4), (3, 1, 6), (3, 1, 8), (5, 1, 4)]), label="field"))
+    n, q = ctx.n, ctx.q
+    h = Poly(ctx, data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=4), label="h"))
+    hx = [ctx._wrap(y) for y in h.tabulate()]
+    expected = {}  # table -> y -> its terms (e, sign), read at y
+
+    if n % 4 == 0:
+        k = n // 4
+        for first, variant in enumerate(["plain", "qtwist"]):
+            terms = [(q ** u + q ** (u + 2 * k), 1) for u in range(first, 2 * k, 2)]
+            (outer,) = outer_tables("n4k", ctx, variant)
+            expected[f"n4k {variant}"] = (outer, None, terms)
+    if n == 6:
+        (minus,) = outer_tables("q6", ctx, "minus", h)
+        expected["q6 minus"] = (minus, hx, [(q ** 4, 1), (q ** 3, 1), (q, -1), (1, -1)])
+        lead, trail = outer_tables("q6", ctx, "plus", h)
+        expected["q6 plus lead"] = (lead, hx, [(q ** 4, 1), (q ** 3, -1)])
+        expected["q6 plus trail"] = (trail, hx, [(q, 1), (1, -1)])
+    d = data.draw(st.sampled_from([d for d in range(2, n) if n % d == 0]), label="d")
+    M = sum(q ** (i * d) for i in range(n // d))
+    expected["m_sum"] = (fam.g_codes(fam.m_sum(h, d), ctx), hx,
+                         [(M * q ** j, 1) for j in range(d)])
+    if ctx.p != 2:
+        expected["anti_alternating"] = (fam.g_codes(fam.anti_alternating(h), ctx), hx,
+                                        [(q ** j, 1 if j % 2 else -1) for j in range(n)])
+        d = data.draw(st.sampled_from([d for d in range(1, n) if n % (2 * d) == 0]),
+                      label="anti d")
+        M = sum(q ** (2 * i * d) for i in range(n // (2 * d)))
+        expected["anti_m_sum"] = (fam.g_codes(fam.anti_m_sum(h, d), ctx), hx,
+                                  [(M * q ** (2 * j), 1) for j in range(d)]
+                                  + [(M * q ** (2 * j + 1), -1) for j in range(d)])
+
+    for name, (table, ys, terms) in expected.items():
+        ys = ctx.elements() if ys is None else ys
+        assert list(table) == [power_sum(y, terms).code for y in ys], f"{ctx.label} {name}"
+
+
 # ---------------------------------------------------------------------------
 # commuting squares: the fiber-map code tables against their formulas, and
 # the integer-list audit against the Elem-keyed audit it replaced

@@ -256,3 +256,17 @@ def test_scan_refusals_and_fallback_hold_under_python_O(run_python):
     # canonical order is 4 -> 2 after 2 -> 2, and 3 is never hit
     assert "fallback False 2 4 3" in lines
     assert "ctx_mismatch True" in lines
+
+
+def test_no_module_checks_with_assert():
+    # python -O strips assert statements, so no check in the package may be one
+    import ast
+    import pathlib
+
+    import ppforge
+
+    modules = sorted(pathlib.Path(ppforge.__file__).parent.glob("*.py"))
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert modules and found == []
