@@ -391,13 +391,13 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
 # the family's commuting square and psi is psibar + fiber_delta; fiber_delta
 # is None for a family without fiber maps.
 #
-# Tables that depend only on the field and on grid-wide parameters (g and h
-# tables, powers, and the n4k and q6 sums of Frobenius powers, each one linear
-# map of one power, y -> Lambda(y^e), kept without its ingredients) are built
-# once per field, and every linear table once per field and coefficient
-# vector, since a grid holds few distinct vectors; an outer table scaled by an
-# instance's element is kept for the last scale only (see _scaled).  A value
-# list is built by whole-table passes: `map` over the tables with the lookups,
+# Every table of a composition is kept in the field's one bounded cache
+# (FieldCtx.derived): the grid-wide ones (g and h tables, powers, the n4k and
+# q6 sums of Frobenius powers, each one linear map of one power, y ->
+# Lambda(y^e), kept without its ingredients), every linear table by its
+# coefficient vector, and the ones of an instance's elements (an outer table
+# scaled by a, half_power's linear tables by (k, a, b)).  A value list is
+# built by whole-table passes: `map` over the tables with the lookups,
 # the add-table rows and the XOR as the mapped functions, so that on fields
 # with XOR or an add table no Python frame runs per element.  Grids sweep delta
 # over the same few outer tables, so each term reads its outer table through
@@ -416,36 +416,18 @@ def _linear_part(ctx: FieldCtx, P: dict) -> Sequence[int]:
     beta = P["beta"].code if "beta" in P else 0
     if "gamma" in P:
         s, gamma = P["s"] % ctx.n, P["gamma"].code
-        key = ("linear_part", beta, s, gamma)
-    else:
-        key = ("linear_part", beta, P["L"].codes)
-    table = ctx._derived.get(key)
-    if table is None:
-        if "gamma" in P:
-            coeffs = [0] * ctx.n
-            coeffs[s] = gamma
-        else:
-            coeffs = P["L"].codes
-        table = ctx._derived[key] = ctx.linear_map([ctx._add(beta, c) for c in coeffs])
-    return table
-
-
-# (ctx, a, table, scaled table) of the last _scaled call
-_last_scaled: Optional[tuple[FieldCtx, int, Sequence[int], list[int]]] = None
+        return ctx.derived(("linear_part", beta, s, gamma), lambda: ctx.linear_map(
+            [ctx._add(beta, gamma if j == s else 0) for j in range(ctx.n)]))
+    return ctx.derived(("linear_part", beta, P["L"].codes), lambda: ctx.linear_map(
+        [ctx._add(beta, c) for c in P["L"].codes]))
 
 
 def _scaled(ctx: FieldCtx, a: int, table: Sequence[int]) -> list[int]:
-    """y -> a*table[y]: an outer table scaled by an instance's element.
-    Kept for the last (field, a, table) only, as _half_power_tables is: a
-    grid varies the parameters after the scale fastest (beta and L after
-    alpha, h, L1 and delta after a), so runs of consecutive points share
-    it.  The table is held, so the identity test cannot match a later
-    table at a reused address."""
-    global _last_scaled
-    last = _last_scaled
-    if last is None or last[0] is not ctx or last[1] != a or last[2] is not table:
-        last = _last_scaled = (ctx, a, table, list(map(ctx._mul_row(a).__getitem__, table)))
-    return last[3]
+    """y -> a*table[y]: an outer table scaled by an instance's element,
+    kept in the field's cache by (a, table).  The entry holds the table,
+    so its id in the key is not reused while the entry lives."""
+    return ctx.derived(("scaled", a, id(table)), lambda: (
+        table, list(map(ctx._mul_row(a).__getitem__, table))))[1]
 
 
 def _additive_g(ctx: FieldCtx, P: dict) -> Composition:
@@ -508,22 +490,15 @@ def _generic_L(ctx: FieldCtx, P: dict) -> Composition:
     return [(outer, P["L"].tabulate())], delta, P["L1"].tabulate(), delta
 
 
-@functools.lru_cache(maxsize=1)
-def _half_power_tables(ctx: FieldCtx, k: int, a: int,
-                       b: int) -> tuple[Sequence[int], Sequence[int]]:
-    """(a*x^(q^k) - b*x, a*x^(q^k) + b*x) on every code.  Kept for the last
-    (field, k, a, b) only: grids vary delta fastest, so consecutive points
-    share the tables, while a per-field cache would keep two tables for
-    every (a, b) pair of a grid."""
+def _half_power(ctx: FieldCtx, P: dict) -> Composition:
+    """Inner table a*x^(q^k) - b*x and linear part a*x^(q^k) + b*x."""
+    k, a, b = P["k"], P["a"].code, P["b"].code
+
     def table(c: int) -> Sequence[int]:
         return ctx.linear_table(lambda x: ctx._add(ctx._mul(a, ctx._frob(x, k)),
                                                    ctx._mul(c, x)))
 
-    return table(ctx._neg(b)), table(b)
-
-
-def _half_power(ctx: FieldCtx, P: dict) -> Composition:
-    inner, lin = _half_power_tables(ctx, P["k"], P["a"].code, P["b"].code)
+    inner, lin = ctx.derived(("half_power", k, a, b), lambda: (table(ctx._neg(b)), table(b)))
     outer = ctx.derived("half_power", lambda: ctx.power_table((ctx.order + 1) // 2))
     return [(outer, inner)], P["delta"].code, lin, None
 
@@ -705,30 +680,33 @@ def _poly_from_spec(ctx: FieldCtx, value, name: str) -> Poly:
     if isinstance(value, dict):
         if "mono" in value:
             degree, coeff = value["mono"], value.get("coeff", 1)
-            if _is_int(degree) and degree >= 0 and (_is_int(coeff) or isinstance(coeff, Elem)):
+            if (value.keys() <= {"mono", "coeff"} and _is_int(degree) and degree >= 0
+                    and (_is_int(coeff) or isinstance(coeff, Elem))):
                 return Poly.monomial(ctx, degree, coeff)
-        elif _is_codes(value.get("codes")):
+        elif value.keys() == {"codes"} and _is_codes(value["codes"]):
             return Poly(ctx, value["codes"])
     elif _is_codes(value):
         return Poly(ctx, value)
     raise _refused(name, "polynomial strings, coefficient-code lists or objects "
-                         "{'mono': degree} or {'codes': [...]}", value)
+                         "{'mono': degree, 'coeff': code} or {'codes': [...]}", value)
 
 
 def _recipe_from_spec(ctx: FieldCtx, value, name: str) -> GRecipe:
     """A recipe, or an object {"kind": ..., "h": <poly>, "d": int, "s": int,
-    "parts": [<recipe>, ...]} with every field but the kind optional."""
+    "parts": [<recipe>, ...]} with every field but the kind optional and no
+    other keys."""
     if isinstance(value, GRecipe):
         return value
     if (isinstance(value, dict) and isinstance(value.get("kind"), str)
+            and value.keys() <= {"kind", "h", "d", "s", "parts"}
             and all(value.get(field) is None or _is_int(value[field]) for field in ("d", "s"))
             and isinstance(value.get("parts", ()), (list, tuple))):
         parts = tuple(_recipe_from_spec(ctx, p, name) for p in value.get("parts", ()))
         h = _poly_from_spec(ctx, value["h"], name) if "h" in value else None
         return GRecipe(value["kind"], h=h, d=value.get("d"),
                        s=value.get("s"), parts=parts)
-    raise _refused(name, "recipe objects with a string 'kind', integer 'd' and 's' "
-                         "and a list of 'parts'", value)
+    raise _refused(name, "recipe objects with a string 'kind', integer 'd' and 's', "
+                         "a list of 'parts', an 'h' and no other keys", value)
 
 
 def _resolve_recipe(ctx: FieldCtx, value, name: str) -> list[GRecipe]:

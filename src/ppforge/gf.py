@@ -18,8 +18,9 @@ column y -> y^e is one pass over the log table, and every sum of Frobenius
 powers of one power, sum(c_j * y^(e*q^j)), is a q-linear map of such a
 column (`linear_of_power`).  Everything is exact integer arithmetic on
 element codes; `Elem` is the boxed view of a code used at the API edge.
-Contexts never change after construction apart from lazily filled caches
-of derived tables.
+Contexts never change after construction apart from one cache per field
+of the tables derived from it, bounded by a budget of _TABLE_CODES codes
+(see `FieldCtx.derived`).
 
 The module has no polynomial arithmetic of its own.  The modulus search,
 the validation of a given modulus and the primitive element search run on
@@ -40,7 +41,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 _ADD_TABLE_MAX = 512      # full add table for odd characteristic up to this order
 _ELEM_CACHE_MAX = 1 << 16  # interned Elem objects up to this order
-_SHIFT_VIEW_CODES = 1 << 13  # codes of the shift_view memo's entries, per field
+_TABLE_CODES = 1 << 23    # budget of a field's table cache, in codes (FieldCtx.derived)
 
 
 def code_table(values: Iterable[int]) -> array:
@@ -48,6 +49,19 @@ def code_table(values: Iterable[int]) -> array:
     array (codes stay far below 2^32: the field's exp table must fit in
     memory), so a table costs 4 bytes per element and no int objects."""
     return array("I", values)
+
+
+def _codes_held(value) -> int:
+    """The codes a cache entry holds, its charge against _TABLE_CODES: a
+    table (a list, tuple or array of codes) its length, a tuple or list of
+    tables the sum over them, an object with slots (a fiber table) the sum
+    over its slots, and a verdict nothing."""
+    if not isinstance(value, (array, list, tuple)):
+        return sum(_codes_held(getattr(value, name, None))
+                   for name in getattr(type(value), "__slots__", ()))
+    if value and not isinstance(value[0], int):
+        return sum(map(_codes_held, value))
+    return len(value)
 
 
 class FieldError(Exception):
@@ -351,9 +365,9 @@ class FieldCtx:
             self._elems = tuple(Elem(self, c) for c in range(self.order))
         self._subfield_codes = self._build_subfield_codes()
         self._subfield_set = frozenset(self._subfield_codes)
-        self._derived: dict = {}
-        # (id(table), b) -> (table, its shift view or None): see shift_view
-        self._shift_views: dict[tuple[int, int], tuple[Sequence[int], Optional[list[int]]]] = {}
+        # key -> (derived value, codes charged), oldest first: see derived
+        self._tables: dict[Hashable, tuple[object, int]] = {}
+        self._charged = 0
         self._labels: dict[int, str] = {}  # str(Elem) by code, filled as printed
 
         self.zero = self._wrap(0)
@@ -553,9 +567,9 @@ class FieldCtx:
             values = map(self._power_column(e).__getitem__, values)
         codes = tuple(coeffs) + (0,) * (self.n - len(coeffs))
         if codes != (1,) + (0,) * (self.n - 1):  # Lambda is not the identity
-            lin = self._derived.get(("lin", codes))
-            if lin is None:
-                lin = self.linear_table(functools.partial(self._linear_code, codes))
+            held = self._tables.get(("lin", codes))
+            lin = held[0] if held else self.linear_table(
+                functools.partial(self._linear_code, codes))
             values = map(lin.__getitem__, values)
         return list(values)
 
@@ -593,15 +607,14 @@ class FieldCtx:
             functools.partial(self._linear_code, codes)))
 
     def frob_shift(self, k: int, sign: int) -> array:
-        """x^(q^k) + sign*x on every code, with sign +1 or -1; the cache is
-        read before the coefficient vector is built."""
-        table = self._derived.get(("frob_shift", k, sign))
-        if table is None:
+        """x^(q^k) + sign*x on every code, with sign +1 or -1."""
+        def build() -> array:
             coeffs = [0] * self.n
             coeffs[0] = sign % self.p  # the code p - 1 is the element -1
             coeffs[k % self.n] = self._add(coeffs[k % self.n], 1)
-            table = self._derived["frob_shift", k, sign] = self.linear_map(coeffs)
-        return table
+            return self.linear_map(coeffs)
+
+        return self.derived(("frob_shift", k, sign), build)
 
     def shift_view(self, table: Sequence[int], b: int) -> Optional[Sequence[int]]:
         """table read through y -> table[y + b], or None when the caller is
@@ -609,24 +622,21 @@ class FieldCtx:
         first request for a (table, b) only records it, the second builds
         the view as a list in one pass, and later ones read that list: a
         view built on the first request costs a pass no later request may
-        repay.  Each entry is charged the field's order of codes and the
-        memo is cleared when the next entry would pass _SHIFT_VIEW_CODES,
-        so a larger field keeps none.  An entry holds its table, so no
-        id() in a key is reused while the entry lives."""
+        repay.  The record is an entry [table, view] of the field's cache,
+        keyed by id(table) and b and charged the two tables from the start,
+        so a field too large for both records nothing; it holds its table,
+        so no id() in a key is reused while the entry lives."""
         if b == 0:
             return table
-        if self.order > _SHIFT_VIEW_CODES:
-            return None
-        views, key = self._shift_views, (id(table), b)
-        entry = views.get(key)
+        key = ("view", id(table), b)
+        entry = self._tables.get(key)
         if entry is None:
-            if (len(views) + 1) * self.order > _SHIFT_VIEW_CODES:
-                views.clear()
-            views[key] = (table, None)
+            self._store(key, [table, None], 2 * len(table))
             return None
-        if entry[1] is None:
-            entry = views[key] = (table, self._shifted(table, b))
-        return entry[1]
+        view = entry[0]
+        if view[1] is None:
+            view[1] = self._shifted(table, b)
+        return view[1]
 
     def _shifted(self, table: Sequence[int], b: int) -> list[int]:
         """y -> table[y + b] on every code, in one pass."""
@@ -639,13 +649,28 @@ class FieldCtx:
                                                         map(operator.not_, table))))
 
     def derived(self, key: Hashable, build: Callable[[], object]):
-        """build() memoized on this field under key.  Holds the tables other
-        modules derive from the field (g recipes, linearized maps), so each is
-        built once per field however many instances share it."""
-        value = self._derived.get(key)
-        if value is None:
-            value = self._derived[key] = build()
-        return value
+        """build() memoized on this field under key: the field's one cache of
+        tables (linear, power, recipe, fiber and scaled tables, shift views)
+        and verdicts on them.  Each entry is charged the codes it holds, and
+        when the charges pass _TABLE_CODES the oldest entries are evicted; a
+        hit does not reorder them."""
+        entry = self._tables.get(key)
+        if entry is None:
+            value = build()
+            self._store(key, value, _codes_held(value))
+            return value
+        return entry[0]
+
+    def _store(self, key: Hashable, value, charge: int) -> None:
+        """Keep value under a new key as the newest entry, charged charge
+        codes, evicting the oldest entries past the budget; a value charged
+        more than the whole budget is not kept."""
+        if charge <= _TABLE_CODES:
+            tables = self._tables
+            self._charged += charge
+            while self._charged > _TABLE_CODES:
+                self._charged -= tables.pop(next(iter(tables)))[1]
+            tables[key] = (value, charge)
 
     # -- public API ----------------------------------------------------------
 

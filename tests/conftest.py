@@ -24,3 +24,17 @@ def run_python():
                               capture_output=True, text=True, timeout=120)
 
     return run
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """cold_caches(ctx) gives the field an empty table cache until the test
+    ends, when the entries it held before come back; every table, view and
+    verdict the field caches is built afresh meanwhile.  It may be called
+    once per hypothesis example: each call starts another empty cache."""
+    def cold(ctx):
+        monkeypatch.setattr(ctx, "_tables", {})
+        monkeypatch.setattr(ctx, "_charged", 0)
+        return ctx
+
+    return cold

@@ -169,9 +169,9 @@ def test_one_composition_call_per_square(family, spec, monkeypatch):
 
 
 @pytest.mark.parametrize("family, spec", [("n4k", (2, 1, 8)), ("trace_gamma", (3, 1, 4))])
-def test_fiber_table_built_once_per_field_and_psibar(family, spec, monkeypatch):
+def test_fiber_table_built_once_per_field_and_psibar(family, spec, monkeypatch, cold_caches):
     ctx, grid = _grid(family, spec)
-    monkeypatch.setattr(ctx, "_derived", {})  # cold caches for this field
+    cold_caches(ctx)
     built = []
 
     class CountingTable(agw.FiberTable):

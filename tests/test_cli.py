@@ -381,16 +381,17 @@ def test_report_keeps_a_zero_missed_value():
     assert dis["collision"] == ["1,0", "2,0"] and dis["missed"] == "0,0"
 
 
-def test_census_shares_scaled_tables_and_makes_no_edges(tmp_path, monkeypatch):
-    # alpha_beta's outer table scaled by alpha is kept for the last scale:
-    # its 3^1:4 grid varies (t, delta, alpha) through 162 values, each held
-    # by 18 consecutive points; no census reads an evaluator
+def test_census_shares_scaled_tables_and_makes_no_edges(tmp_path, monkeypatch, cold_caches):
+    # alpha_beta's outer table scaled by alpha is kept in the field's cache
+    # by (alpha, power table): its 3^1:4 grid asks for it at 2,916 points
+    # and 162 values of (t, delta, alpha), and builds it once for each of
+    # the 18 values of (t, alpha); no census reads an evaluator
     import ppforge.families as fam
-    from ppforge.gf import FieldCtx
+    from ppforge.gf import FieldCtx, parse_field_spec
 
     scales, edges = [], []
     mul_row, edge_init = FieldCtx._mul_row, fam.CodeMapEdge.__init__
-    monkeypatch.setattr(fam, "_last_scaled", None)
+    cold_caches(parse_field_spec("3^1:4"))
     monkeypatch.setattr(FieldCtx, "_mul_row",
                         lambda self, a: scales.append(a) or mul_row(self, a))
     monkeypatch.setattr(fam.CodeMapEdge, "__init__",
@@ -398,7 +399,7 @@ def test_census_shares_scaled_tables_and_makes_no_edges(tmp_path, monkeypatch):
     out_csv = tmp_path / "census.csv"
     assert main(["census", "alpha_beta", "3^1:4", "-o", str(out_csv)]) == 0
     assert out_csv.read_text().count("\n") == 1 + 2916
-    assert len(scales) == 162
+    assert len(scales) == 18
     for family, field in [("n4k", "2^1:8"), ("half_power", "3^1:2"), ("generic_L", "3^1:2")]:
         assert main(["census", family, field, "-o", str(out_csv)]) == 0
     assert edges == []
@@ -463,18 +464,16 @@ def test_census_refuses_non_integer_k_and_s(family, params, tmp_path, capsys):
     ("n4k", "2^1:8", 0, "9ae1d1868114bf7984000218ab8597fe5daf7d934aec3caee434e75a5870a693"),
 ])
 def test_census_builds_a_shift_view_on_the_second_request(family, field, views, digest,
-                                                          tmp_path, monkeypatch):
+                                                          tmp_path, monkeypatch, cold_caches):
     # half_power asks for its one outer table at every delta 576 times, and
-    # alpha_beta for each of its 162 scaled tables 18 times at one delta,
-    # so each pair with delta != 0 gets a view; n4k asks for each (table,
-    # delta) once, and a view built then would be read by nothing
-    import ppforge.families as fam
+    # alpha_beta for each of its 18 scaled tables 18 times at each of 9
+    # deltas, so each pair with delta != 0 gets a view; n4k asks for each
+    # (table, delta) once, and a view built then would be read by nothing
     from ppforge.gf import FieldCtx, parse_field_spec
 
     built = []
     shifted = FieldCtx._shifted
-    monkeypatch.setattr(parse_field_spec(field), "_shift_views", {})
-    monkeypatch.setattr(fam, "_last_scaled", None)
+    cold_caches(parse_field_spec(field))
     monkeypatch.setattr(FieldCtx, "_shifted",
                         lambda self, table, b: built.append(b) or shifted(self, table, b))
     out_csv = tmp_path / "census.csv"
@@ -483,18 +482,78 @@ def test_census_builds_a_shift_view_on_the_second_request(family, field, views, 
     assert len(built) == views and 0 not in built
 
 
-def test_a_field_above_the_view_budget_keeps_no_views(capsys):
-    # delta = 1 is asked for twice with each outer table; 2^14 codes exceed
-    # the memo's budget, so the field records nothing
-    from ppforge.gf import _SHIFT_VIEW_CODES, make_field
+def test_a_field_above_the_view_budget_keeps_no_views(capsys, monkeypatch, cold_caches):
+    # delta = 1 is asked for twice with each outer table; a view entry is
+    # charged its table and its view, 2^15 codes, past the budget, so the
+    # field records nothing
+    import ppforge.gf as gf
 
-    ctx = make_field(2, 1, 14)
-    assert ctx.order > _SHIFT_VIEW_CODES
+    ctx = cold_caches(gf.make_field(2, 1, 14))
+    monkeypatch.setattr(gf, "_TABLE_CODES", 2 * ctx.order - 1)
     spec = json.dumps({"family": "even_t", "field": "2^1:14",
                        "params": {"t": [0, 2], "delta": "base", "L": ["identity", "frob:1"]}})
     assert main(["verify", spec]) == 0
     assert "grid size    8" in capsys.readouterr().out
-    assert ctx._shift_views == {}
+    assert ctx._tables and not any(key[0] == "view" for key in ctx._tables)
+
+
+@pytest.mark.parametrize("tables", [0, 1, 5])
+def test_the_table_cache_never_charges_past_its_budget(tables, tmp_path, monkeypatch,
+                                                       cold_caches):
+    # a census over 30 maps L and every delta under a budget of a few tables
+    # of the field: evicted tables are built again, so the rows keep their
+    # bytes, and after every store the kept entries' charges add up to the
+    # field's total, which stays within the budget
+    import ppforge.gf as gf
+
+    ctx = gf.parse_field_spec("3^1:4")
+    params = json.dumps({"g": [{"kind": "trace_of_h", "h": {"mono": 1}}],
+                         "L": [f"random_pp:{i}" for i in range(30)], "delta": "all"})
+    out_csv = tmp_path / "census.csv"
+    assert main(["census", "additive_g", "3^1:4", "-o", str(out_csv), "--params", params]) == 0
+    expected = out_csv.read_bytes()
+
+    budget, charged = tables * ctx.order, []
+    store = gf.FieldCtx._store
+
+    def checked_store(self, key, value, charge):
+        store(self, key, value, charge)
+        if self is ctx:
+            charged.append(self._charged)
+            assert self._charged == sum(entry[1] for entry in self._tables.values())
+
+    cold_caches(ctx)
+    monkeypatch.setattr(gf, "_TABLE_CODES", budget)
+    monkeypatch.setattr(gf.FieldCtx, "_store", checked_store)
+    assert main(["census", "additive_g", "3^1:4", "-o", str(out_csv), "--params", params]) == 0
+    assert out_csv.read_bytes() == expected
+    assert charged and max(charged) <= budget
+
+
+def test_a_census_over_many_maps_keeps_its_memory_flat(tmp_path, monkeypatch, cold_caches):
+    # every distinct L is a table of the field's order; under a budget of a
+    # few tables a census over 200 of them peaks within a margin of one over
+    # 20, less than half of what the 180 more tables would hold
+    import tracemalloc
+
+    import ppforge.gf as gf
+
+    ctx = gf.parse_field_spec("3^1:6")
+    monkeypatch.setattr(gf, "_TABLE_CODES", 8 * ctx.order)
+    peaks = []
+    for maps in (20, 200):
+        params = json.dumps({"g": [{"kind": "trace_of_h", "h": {"mono": 1}}],
+                             "L": [f"random_pp:{i}" for i in range(maps)], "delta": [0]})
+        cold_caches(ctx)
+        tracemalloc.start()
+        try:
+            assert main(["census", "additive_g", "3^1:6", "-o", str(tmp_path / "census.csv"),
+                         "--params", params]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    table_bytes = ctx.order * gf.code_table([0]).itemsize
+    assert peaks[1] - peaks[0] < 90 * table_bytes
 
 
 def test_alpha_beta_gamma_checks_each_gamma_and_s_once(tmp_path, monkeypatch):
@@ -530,6 +589,10 @@ MALFORMED_GRID_VALUES = [
     ("additive_g", "3^1:2", {"g": [{"kind": "sum", "parts": 5}],
                              "L": ["identity"], "delta": "all"}, "g"),
     ("additive_g", "3^1:2", {"g": [{"kind": "m_sum", "h": {"mono": 1}, "d": 2.5}],
+                             "L": ["identity"], "delta": "all"}, "g"),
+    ("q6", "3^1:6", {"variant": ["minus"], "h": [{"mono": 1, "cofe": 2}], "L": ["identity"],
+                     "delta": "base"}, "h"),
+    ("additive_g", "3^1:4", {"g": [{"kind": "m_sum", "h": {"mono": 1}, "dd": 2}],
                              "L": ["identity"], "delta": "all"}, "g"),
 ]
 

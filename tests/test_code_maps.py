@@ -429,7 +429,7 @@ def test_family_instances_stay_frozen():
 
 
 def test_half_power_tables_follow_field_k_a_and_b():
-    # half_power keeps its linear tables for the last (field, k, a, b) only:
+    # half_power keeps its linear tables in each field's cache by (k, a, b):
     # compiles interleaved across two fields with equal codes, and across k,
     # a and b, must each get their own tables
     F, G = make_field(3, 1, 4), make_field(5, 1, 2)
@@ -452,15 +452,16 @@ def ref_values(ctx, composition):
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 2), (5, 1, 2), (3, 1, 6)])
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_values_read_shift_views_like_the_reference(spec, data):
+def test_values_read_shift_views_like_the_reference(spec, data, cold_caches):
     # XOR, add-table and Zech fields; each request is a composition of one or
     # two terms over a few outer tables (lists and code tables) and a delta
-    # from a small pool, so (table, delta) pairs repeat, delta = 0 occurs,
-    # and under the smaller budgets the memo is cleared mid-sequence or, when
-    # the budget is below the field's order, holds nothing
-    ctx = make_field(*spec)
+    # from a small pool, so (table, delta) pairs repeat and delta = 0 occurs.
+    # Under a budget of 3q the cache evicts mid-sequence; a view entry holds
+    # 2q codes, so under q - 1 and q the field records nothing
+    ctx = cold_caches(make_field(*spec))  # entries charged under another example's budget
     q = ctx.order
     rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
     outers = [[rng.randrange(q) for _ in range(q)] for _ in range(3)]
@@ -468,17 +469,16 @@ def test_values_read_shift_views_like_the_reference(spec, data):
     inners = [[rng.randrange(q) for _ in range(q)] for _ in range(2)]
     lin = [rng.randrange(q) for _ in range(q)]
     deltas = [0] + rng.sample(range(1, q), min(q - 1, 6))
-    budget = data.draw(st.sampled_from([q - 1, q, 3 * q, gf._SHIFT_VIEW_CODES]), label="budget")
+    budget = data.draw(st.sampled_from([q - 1, q, 3 * q, gf._TABLE_CODES]), label="budget")
     requests = data.draw(st.lists(st.tuples(
         st.lists(st.tuples(st.integers(0, len(outers) - 1), st.integers(0, 1)),
                  min_size=1, max_size=2),
         st.sampled_from(deltas)), min_size=1, max_size=30), label="requests")
-    ctx._shift_views.clear()  # entries charged under another example's budget
-    with mock.patch.object(gf, "_SHIFT_VIEW_CODES", budget):
+    with mock.patch.object(gf, "_TABLE_CODES", budget):
         for picks, delta in requests:
             composition = ([(outers[i], inners[j]) for i, j in picks], delta, lin, None)
             assert fam._values(ctx, composition) == ref_values(ctx, composition)
-            assert len(ctx._shift_views) * q <= budget
+            assert ctx._charged <= budget
 
 
 def test_a_rebuilt_table_never_reads_a_stale_view():

@@ -265,14 +265,14 @@ def test_alpha_beta_rejects_bad_alpha():
     assert exc.value.reason == "bad_alpha"
 
 
-def test_alpha_beta_gamma_cross_check_raises(monkeypatch):
+def test_alpha_beta_gamma_cross_check_raises(monkeypatch, cold_caches):
     # the linearized criterion disagreeing with gamma != 0 is a defect,
     # reported by an exception rather than an assert
     from ppforge.linearized import CriteriaDisagreeError
 
     # the check is cached per field: start from an empty cache, and let the
     # forged result leave with it
-    monkeypatch.setattr(F9, "_derived", {})
+    cold_caches(F9)
     monkeypatch.setattr(fam, "is_permutation", lambda L: False)
     with pytest.raises(CriteriaDisagreeError):
         fam.family_alpha_beta_gamma(F9, 2, F9.one, KERNEL9[1], KERNEL9[1], F9.elem(2), 1)
@@ -439,7 +439,7 @@ def test_generic_l_rejects_asymmetric_h():
     assert exc.value.reason == "h_contract"
 
 
-def test_generic_l_decides_the_kernel_once_per_l(monkeypatch):
+def test_generic_l_decides_the_kernel_once_per_l(monkeypatch, cold_caches):
     # the kernel test is memoized per field and coefficient vector: a grid
     # runs it once per distinct L, also for an L whose points are skipped
     calls = []
@@ -450,11 +450,11 @@ def test_generic_l_decides_the_kernel_once_per_l(monkeypatch):
         return gcd(L)
 
     monkeypatch.setattr(fam, "gcd_criterion_is_pp", counting)
-    monkeypatch.setattr(F81, "_derived", {})  # cold caches for this field
+    cold_caches(F81)
     items = list(instantiate_grid("generic_L", [F81], fam.DEFAULT_GRIDS["generic_L"]))
     assert len(items) == 6318 and calls == [LinPoly.trace_map(F81).codes]
     calls.clear()
-    monkeypatch.setattr(F9, "_derived", {})
+    cold_caches(F9)
     params = dict(fam.DEFAULT_GRIDS["generic_L"], L=["trace", "identity"], a="nonzero")
     items = list(instantiate_grid("generic_L", [F9], params))
     skipped = [item.reason for item in items if isinstance(item, SkippedInstance)]

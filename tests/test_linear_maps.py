@@ -131,9 +131,8 @@ def test_generic_L_with_a_non_invariant_h_names_the_first_failure():
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 4), (3, 1, 6)])
-def test_trace_reads_the_trace_map_table(spec, monkeypatch):
-    ctx = make_field(*spec)
-    monkeypatch.setattr(ctx, "_derived", {})  # a private cache to mark an entry in
+def test_trace_reads_the_trace_map_table(spec, cold_caches):
+    ctx = cold_caches(make_field(*spec))  # a private cache to mark an entry in
     table = LinPoly.trace_map(ctx).tabulate()
     assert ctx.linear_map((1,) * ctx.n) is table
     assert [x.trace().code for x in ctx.elements()] == list(table)

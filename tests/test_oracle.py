@@ -270,3 +270,26 @@ def test_no_module_checks_with_assert():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert modules and found == []
+
+
+def test_no_module_keeps_a_cache_of_its_own():
+    # tables are kept only in each field's one bounded cache (FieldCtx.derived):
+    # no module state rebound through `global` and no functools cache, except
+    # on first_irreducible_coeffs, which is keyed by ints and holds no table
+    import ast
+    import pathlib
+
+    import ppforge
+
+    found = []
+    for path in sorted(pathlib.Path(ppforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and func.name == "first_irreducible_coeffs"
+                   for decorator in func.decorator_list for node in ast.walk(decorator)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Global)
+                  or (id(node) not in allowed
+                      and (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                           or isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")))]
+    assert found == []
