@@ -396,7 +396,7 @@ def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
 # q6 sums of Frobenius powers, each one linear map of one power, y ->
 # Lambda(y^e), kept without its ingredients), every linear table by its
 # coefficient vector, and the ones of an instance's elements (an outer table
-# scaled by a, half_power's linear tables by (k, a, b)).  A value list is
+# scaled by a, half_power's tables by (k, a, b)).  A value list is
 # built by whole-table passes: `map` over the tables with the lookups,
 # the add-table rows and the XOR as the mapped functions, so that on fields
 # with XOR or an add table no Python frame runs per element.  Grids sweep delta
@@ -491,15 +491,15 @@ def _generic_L(ctx: FieldCtx, P: dict) -> Composition:
 
 
 def _half_power(ctx: FieldCtx, P: dict) -> Composition:
-    """Inner table a*x^(q^k) - b*x and linear part a*x^(q^k) + b*x."""
+    """y^((q^n+1)/2), a*x^(q^k) - b*x and a*x^(q^k) + b*x, kept together by (k, a, b)."""
     k, a, b = P["k"], P["a"].code, P["b"].code
 
     def table(c: int) -> Sequence[int]:
         return ctx.linear_table(lambda x: ctx._add(ctx._mul(a, ctx._frob(x, k)),
                                                    ctx._mul(c, x)))
 
-    inner, lin = ctx.derived(("half_power", k, a, b), lambda: (table(ctx._neg(b)), table(b)))
-    outer = ctx.derived("half_power", lambda: ctx.power_table((ctx.order + 1) // 2))
+    outer, inner, lin = ctx.derived(("half_power", k, a, b), lambda: (
+        ctx.power_table((ctx.order + 1) // 2), table(ctx._neg(b)), table(b)))
     return [(outer, inner)], P["delta"].code, lin, None
 
 
