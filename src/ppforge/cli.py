@@ -1,12 +1,17 @@
-"""Command-line surface: field inspection, grid verification, census output.
+"""Command-line surface: field inspection, grid verification, census output
+and the commuting-square audit.  `verify`, `census` and `agw-check` run
+their grid through one loop into one report, checking each point by brute
+force (`check_iff`) or by the fiber criterion of its commuting square.
 
-Exit codes: 0 when every checked instance agrees with brute force, 1 when
-a disagreement is found, 2 on usage or schema errors.
+Exit codes: 0 when every checked instance agrees with brute force (for
+`agw-check`, every square satisfies the fiber criterion), 1 when one does
+not, 2 on usage or schema errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import io
@@ -42,6 +47,9 @@ class SchemaError(Exception):
 
 @dataclass
 class RunReport:
+    """A checked grid: counts, the (instance, record) pair of every
+    disagreement and every skipped grid point, in grid order."""
+
     family_id: str
     field_spec: str
     grid_size: int = 0
@@ -54,30 +62,47 @@ class RunReport:
         """Fold one checked grid point in; record is None for a skipped one."""
         self.grid_size += 1
         if record is None:
-            self.skipped.append({"params": item.describe_params(), "reason": item.reason})
+            self.skipped.append(item)
         elif record.agree:
             self.agreements += 1
         else:
-            verdict = record.verdict
-            self.disagreements.append(
-                {"params": item.describe_params(),
-                 "predicted": record.predicted,
-                 "observed": record.observed,
-                 "collision": None if verdict.collision is None
-                 else [str(x) for x in verdict.collision],
-                 "missed": None if verdict.missed is None else str(verdict.missed)})
+            self.disagreements.append((item, record))
 
     def to_dict(self) -> dict:
+        """The report as JSON data, its disagreements from check_iff records."""
         return {
             "schema_version": SCHEMA_VERSION,
             "family": self.family_id,
             "field": self.field_spec,
             "grid_size": self.grid_size,
             "agreements": self.agreements,
-            "disagreements": self.disagreements,
-            "skipped": self.skipped,
+            "disagreements": [
+                {"params": item.describe_params(),
+                 "predicted": record.predicted,
+                 "observed": record.observed,
+                 "collision": None if record.verdict.collision is None
+                 else [str(x) for x in record.verdict.collision],
+                 "missed": None if record.verdict.missed is None else str(record.verdict.missed)}
+                for item, record in self.disagreements],
+            "skipped": [{"params": item.describe_params(), "reason": item.reason}
+                        for item in self.skipped],
             "wall_time": self.wall_time,
         }
+
+
+# one square's audit: agree when the fiber criterion holds, else the problem
+# ("no_diagram" or "violated") and its detail
+SquareRecord = collections.namedtuple("SquareRecord", "agree problem detail")
+
+
+def _audit_square(item, cap: int) -> SquareRecord:
+    """The fiber criterion on the instance's commuting square; the cap was
+    applied when the field was built."""
+    try:
+        report = check_fiber_criterion(wrap_family_instance(item))
+    except NotCommutingError as exc:
+        return SquareRecord(False, "no_diagram", str(exc))
+    return SquareRecord(report.equivalence_holds, "violated", report)
 
 
 def _load_spec(arg: str) -> dict:
@@ -92,6 +117,12 @@ def _load_spec(arg: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}")
+    return _normalize_spec(doc)
+
+
+def _normalize_spec(doc) -> dict:
+    """A spec document checked, with the family's default grid for missing
+    params."""
     if not isinstance(doc, dict):
         raise SchemaError("spec must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
@@ -139,9 +170,10 @@ def _build_field(spec_text: str, cap: int):
     return parse_field_spec(spec_text)
 
 
-def _run_grid(spec: dict, cap: int, seed: int, csv_path=None) -> RunReport:
-    """Check every grid point, folding each into the report and, with
-    csv_path, writing its row as soon as it is checked.  The file is opened
+def _run_grid(spec: dict, cap: int, seed: int, check, csv_path=None) -> RunReport:
+    """Check every grid point with check(instance, cap), a record with
+    `agree`, folding each into the report and, with csv_path, writing its
+    row (a check_iff record's) as soon as it is checked.  The file is opened
     only once the field is built and the grid's parameters resolve."""
     start = time.perf_counter()
     ctx = _build_field(spec["field"], cap)
@@ -152,7 +184,7 @@ def _run_grid(spec: dict, cap: int, seed: int, csv_path=None) -> RunReport:
           else contextlib.nullcontext()) as fh:
         write_row = _row_writer(spec["family"], fh) if fh else None
         for item in itertools.chain([] if first is None else [first], items):
-            record = None if isinstance(item, SkippedInstance) else check_iff(item, cap=cap)
+            record = None if isinstance(item, SkippedInstance) else check(item, cap)
             report.add(item, record)
             if write_row:
                 write_row(item, record)
@@ -219,6 +251,7 @@ def _row_writer(family_id: str, out):
 
 
 def _print_report(report: RunReport) -> None:
+    doc = report.to_dict()
     print(f"family       {report.family_id}")
     print(f"field        {report.field_spec}")
     print(f"grid size    {report.grid_size}")
@@ -226,16 +259,13 @@ def _print_report(report: RunReport) -> None:
     print(f"disagreements {len(report.disagreements)}")
     print(f"skipped      {len(report.skipped)}")
     print(f"wall time    {report.wall_time:.2f}s")
-    for dis in report.disagreements:
+    for dis in doc["disagreements"]:
         witness = ""
         if dis["collision"]:
             witness = f"; collision={'/'.join(dis['collision'])} missed={dis['missed']}"
         print(f"  DISAGREE predicted={dis['predicted']} observed={dis['observed']} "
               f"{dis['params']}{witness}")
-    reasons: dict[str, int] = {}
-    for sk in report.skipped:
-        reasons[sk["reason"]] = reasons.get(sk["reason"], 0) + 1
-    for reason, count in reasons.items():
+    for reason, count in collections.Counter(item.reason for item in report.skipped).items():
         print(f"  skipped {count} x {reason}")
 
 
@@ -263,7 +293,7 @@ def do_field_info(args) -> int:
 
 def do_verify(args) -> int:
     spec = _load_spec(args.spec)
-    report = _run_grid(spec, _resolve_cap(args), args.seed, args.csv)
+    report = _run_grid(spec, _resolve_cap(args), args.seed, check_iff, args.csv)
     if args.json:
         doc = report.to_dict()
         doc["spec"] = spec
@@ -274,14 +304,13 @@ def do_verify(args) -> int:
 
 
 def do_census(args) -> int:
-    spec = {"schema_version": SCHEMA_VERSION, "family": args.family,
-            "field": args.field, "params": DEFAULT_GRIDS[args.family]}
+    doc = {"family": args.family, "field": args.field}
     if args.params:
-        loaded = json.loads(args.params)
-        if not isinstance(loaded, dict):
+        doc["params"] = json.loads(args.params)
+        if not isinstance(doc["params"], dict):
             raise SchemaError("'--params' must be a JSON object")
-        spec["params"] = loaded
-    report = _run_grid(spec, _resolve_cap(args), args.seed, args.output)
+    report = _run_grid(_normalize_spec(doc), _resolve_cap(args), args.seed, check_iff,
+                       args.output)
     print(f"wrote {report.grid_size} rows to {args.output} "
           f"({report.agreements} agree, {len(report.disagreements)} disagree, "
           f"{len(report.skipped)} skipped)")
@@ -289,30 +318,12 @@ def do_census(args) -> int:
 
 
 def do_agw_check(args) -> int:
-    spec = _load_spec(args.spec)
-    cap = _resolve_cap(args)
-    ctx = _build_field(spec["field"], cap)
-    checked = ok = skipped = 0
-    broken = []
-    for item in instantiate_grid(spec["family"], [ctx], spec["params"], seed=args.seed):
-        checked += 1
-        if isinstance(item, SkippedInstance):
-            skipped += 1
-            continue
-        try:
-            report = check_fiber_criterion(wrap_family_instance(item))
-        except NotCommutingError as exc:
-            broken.append((item, "no_diagram", str(exc)))
-            continue
-        if report.equivalence_holds:
-            ok += 1
-        else:
-            broken.append((item, "violated", report))
-    print(f"checked {checked} instances: {ok} satisfy the fiber criterion, "
-          f"{skipped} skipped, {len(broken)} problems")
-    for item, status, info in broken:
-        print(f"  {status}: {item.describe_params()} ({info})")
-    return 0 if not broken else 1
+    report = _run_grid(_load_spec(args.spec), _resolve_cap(args), args.seed, _audit_square)
+    print(f"checked {report.grid_size} instances: {report.agreements} satisfy the fiber "
+          f"criterion, {len(report.skipped)} skipped, {len(report.disagreements)} problems")
+    for item, record in report.disagreements:
+        print(f"  {record.problem}: {item.describe_params()} ({record.detail})")
+    return 0 if not report.disagreements else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

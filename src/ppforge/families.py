@@ -54,6 +54,11 @@ from .recipes import (  # the recipe names are part of this module's API
 )
 
 
+def _describe_params(self) -> str:
+    """A grid point's parameters as name=value pairs, in grid order."""
+    return " ".join(f"{k}={describe_value(v)}" for k, v in self.params.items())
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class FamilyInstance:
     """A fully parameterized family member with its predicted verdict.
@@ -96,8 +101,7 @@ class FamilyInstance:
         fiber = None if fiber_delta is None else (terms[0][1], fiber_delta)
         return _values(self.ctx, composition), fiber
 
-    def describe_params(self) -> str:
-        return " ".join(f"{k}={describe_value(v)}" for k, v in self.params.items())
+    describe_params = _describe_params
 
 
 class CodeMapEdge:
@@ -130,8 +134,7 @@ class SkippedInstance:
     params: dict
     reason: str
 
-    def describe_params(self) -> str:
-        return " ".join(f"{k}={describe_value(v)}" for k, v in self.params.items())
+    describe_params = _describe_params
 
 
 def describe_value(v) -> str:
@@ -623,41 +626,36 @@ def _refused(name: str, takes: str, value) -> ValueError:
 
 
 def _resolve_elem(ctx: FieldCtx, value, family_id: str, name: str) -> list[Elem]:
-    """The elements of an element parameter's grid entry: an element, a
-    code (a JSON integer, not a boolean), a coordinate string, a token, or
-    a list of these."""
+    """The elements one value of an element parameter names: an element, a
+    code (a JSON integer, not a boolean), a coordinate string or a token."""
     if isinstance(value, Elem):
         return [value]
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return [ctx.elem(value)]
     if isinstance(value, str):
         if value and all(c.isdigit() or c == "," for c in value):
             return [ctx.from_coords([int(c) for c in value.split(",")])]
         return _resolve_elem_token(ctx, value, family_id)
-    if isinstance(value, (list, tuple)):
-        return [e for v in value for e in _resolve_elem(ctx, v, family_id, name)]
     raise _refused(name, "element codes, coordinate strings or tokens", value)
 
 
-def _resolve_lin(ctx: FieldCtx, value, seed: int, name: str) -> list[LinPoly]:
-    """The maps of a linearized parameter's grid entry: a map, a name or a
-    linearized polynomial string, or a list of these."""
+def _resolve_lin(ctx: FieldCtx, value, seed: int, name: str) -> LinPoly:
+    """One value of a linearized parameter: a map, a name or a linearized
+    polynomial string."""
     if isinstance(value, LinPoly):
-        return [value]
+        return value
     if isinstance(value, str):
         if value == "identity":
-            return [LinPoly.identity(ctx)]
+            return LinPoly.identity(ctx)
         if value == "trace":
-            return [LinPoly.trace_map(ctx)]
+            return LinPoly.trace_map(ctx)
         if value.startswith("frob:"):
-            return [LinPoly.frobenius_term(ctx, int(value.split(":", 1)[1]))]
+            return LinPoly.frobenius_term(ctx, int(value.split(":", 1)[1]))
         if value == "random_pp":
-            return [random_linearized_pp(ctx, seed)]
+            return random_linearized_pp(ctx, seed)
         if value.startswith("random_pp:"):
-            return [random_linearized_pp(ctx, int(value.split(":", 1)[1]))]
-        return [parse_linpoly(ctx, value)]
-    if isinstance(value, (list, tuple)):
-        return [L for v in value for L in _resolve_lin(ctx, v, seed, name)]
+            return random_linearized_pp(ctx, int(value.split(":", 1)[1]))
+        return parse_linpoly(ctx, value)
     raise _refused(name, "linearized-map names or strings", value)
 
 
@@ -709,62 +707,47 @@ def _recipe_from_spec(ctx: FieldCtx, value, name: str) -> GRecipe:
                          "a list of 'parts', an 'h' and no other keys", value)
 
 
-def _resolve_recipe(ctx: FieldCtx, value, name: str) -> list[GRecipe]:
-    """The recipes of a recipe parameter's grid entry: a recipe, a recipe
-    object, or a list of these."""
+def _resolve_recipe(ctx: FieldCtx, value, name: str) -> GRecipe:
+    """One value of a recipe parameter: a recipe or a recipe object."""
     if isinstance(value, (GRecipe, dict)):
-        return [_recipe_from_spec(ctx, value, name)]
-    if isinstance(value, (list, tuple)):
-        return [r for v in value for r in _resolve_recipe(ctx, v, name)]
+        return _recipe_from_spec(ctx, value, name)
     raise _refused(name, "recipe objects", value)
 
 
-def _resolve_poly_or_recipe(ctx: FieldCtx, value, name: str) -> list:
-    """The polynomials or recipes of such a parameter's grid entry: a
-    polynomial, a recipe, a polynomial or recipe object, a polynomial
-    string, or a list of these."""
+def _resolve_poly_or_recipe(ctx: FieldCtx, value, name: str):
+    """One value of a polynomial-or-recipe parameter: a polynomial, a
+    recipe, a polynomial or recipe object, or a polynomial string."""
     if isinstance(value, (GRecipe, Poly)):
-        return [value]
-    if isinstance(value, dict):
-        if "kind" in value:
-            return [_recipe_from_spec(ctx, value, name)]
-        return [_poly_from_spec(ctx, value, name)]
-    if isinstance(value, str):
-        return [_poly_from_spec(ctx, value, name)]
-    if isinstance(value, (list, tuple)):
-        return [x for v in value for x in _resolve_poly_or_recipe(ctx, v, name)]
+        return value
+    if isinstance(value, dict) and "kind" in value:
+        return _recipe_from_spec(ctx, value, name)
+    if isinstance(value, (dict, str)):
+        return _poly_from_spec(ctx, value, name)
     raise _refused(name, "polynomial or recipe objects or polynomial strings", value)
 
 
-def _resolve_scalar(value) -> list:
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
-
-
-def _resolve_int(name: str, value) -> list[int]:
-    """The integers of an int parameter's grid entry; JSON integers only,
-    not floats, strings or booleans."""
-    values = _resolve_scalar(value)
-    for v in values:
-        if not _is_int(v):
-            raise ValueError(f"parameter {name!r} takes integers, got {v!r}")
-    return values
-
-
-def _resolve_param(ctx: FieldCtx, family_id: str, name: str, value, seed: int) -> list:
+def _resolve_param(ctx: FieldCtx, family_id: str, name: str, value, seed: int,
+                   nested: bool = True) -> list:
+    """The values of a parameter's grid entry: those of each item of a list
+    in turn, else those of the single value.  Lists nest for element, map,
+    recipe and polynomial parameters; an int or string parameter's list is
+    one level deep, so a list inside it is a value (and no integer)."""
     kind = _PARAM_TYPES[name]
+    if nested and isinstance(value, (list, tuple)):
+        deeper = kind not in ("int", "str")
+        return [x for v in value
+                for x in _resolve_param(ctx, family_id, name, v, seed, deeper)]
     if kind == "elem":
         return _resolve_elem(ctx, value, family_id, name)
     if kind == "lin":
-        return _resolve_lin(ctx, value, seed, name)
+        return [_resolve_lin(ctx, value, seed, name)]
     if kind == "recipe":
-        return _resolve_recipe(ctx, value, name)
+        return [_resolve_recipe(ctx, value, name)]
     if kind == "poly_or_recipe":
-        return _resolve_poly_or_recipe(ctx, value, name)
-    if kind == "int":
-        return _resolve_int(name, value)
-    return _resolve_scalar(value)
+        return [_resolve_poly_or_recipe(ctx, value, name)]
+    if kind == "int" and not _is_int(value):  # floats, strings and booleans are refused
+        raise ValueError(f"parameter {name!r} takes integers, got {value!r}")
+    return [value]
 
 
 def _expand_params(family_id: str, ctx: FieldCtx, params: dict,
@@ -779,7 +762,7 @@ def _expand_params(family_id: str, ctx: FieldCtx, params: dict,
 
     if family_id == "generic_L" and params.get("a") == "kernel_nonzero":
         # the kernel elements depend on the concrete L
-        for L in _resolve_lin(ctx, params["L"], seed, "L"):
+        for L in _resolve_param(ctx, family_id, "L", params["L"], seed):
             kernel = ctx.zero_set(L.tabulate())[1:]
             yield from _expand_params(family_id, ctx, {**params, "L": L, "a": kernel}, seed)
         return
