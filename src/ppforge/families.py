@@ -13,6 +13,10 @@ the first inner table and psi is psibar plus the fiber delta.
 
 Huge monomials such as x^((q^n+1)/2) are never materialized as coefficient
 vectors: they are power maps on logs.
+
+A grid (`instantiate_grid`) is the product of its parameters' entries, each
+resolved by `_resolve_param`, the one place that walks a list of values;
+the resolver of each kind of parameter reads a single value.
 """
 
 from __future__ import annotations
@@ -680,6 +684,9 @@ def _poly_from_spec(ctx: FieldCtx, value, name: str) -> Poly:
             degree, coeff = value["mono"], value.get("coeff", 1)
             if (value.keys() <= {"mono", "coeff"} and _is_int(degree) and degree >= 0
                     and (_is_int(coeff) or isinstance(coeff, Elem))):
+                if degree >= ctx.order:  # every map on the field has a degree below its order
+                    raise _refused(name, f"monomial degrees below the field order {ctx.order}",
+                                   value)
                 return Poly.monomial(ctx, degree, coeff)
         elif value.keys() == {"codes"} and _is_codes(value["codes"]):
             return Poly(ctx, value["codes"])

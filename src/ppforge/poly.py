@@ -199,10 +199,21 @@ class Poly:
 
     def tabulate(self):
         """The polynomial on every element code, built once per field and
-        coefficient vector."""
+        coefficient vector: the sum of c*x^i over the nonzero terms, each a
+        power column scaled in one pass unless c = 1."""
         ctx = self.ctx
-        return ctx.derived(("poly", self.codes),
-                           lambda: code_table(map(self.eval_code, range(ctx.order))))
+
+        def build():
+            values = code_table([0]) * ctx.order
+            for i, c in enumerate(self.codes):
+                if c:
+                    term = ctx._power_column(i)
+                    if c != 1:
+                        term = map(ctx._mul_row(c).__getitem__, term)
+                    values = code_table(ctx._add_codes(term, values))
+            return values
+
+        return ctx.derived(("poly", self.codes), build)
 
     # -- display ---------------------------------------------------------------
 

@@ -434,7 +434,7 @@ def test_verify_refuses_a_field_that_is_not_a_string(capsys):
     assert capsys.readouterr().err.startswith("error: 'field' must be a string")
 
 
-@pytest.mark.parametrize("t", [["x"], [2.0], [True], "2", {"t": 2}])
+@pytest.mark.parametrize("t", [["x"], [2.0], [True], "2", {"t": 2}, [[2]]])
 def test_verify_refuses_a_non_integer_t(t, tmp_path, capsys):
     spec = json.dumps({"family": "even_t", "field": "3^1:2",
                        "params": {"t": t, "delta": "sign_kernel", "L": ["identity"]}})
@@ -442,6 +442,16 @@ def test_verify_refuses_a_non_integer_t(t, tmp_path, capsys):
     assert main(["verify", spec, "--csv", str(out_csv)]) == 2
     assert capsys.readouterr().err.startswith("error: parameter 't' takes integers, got ")
     assert not out_csv.exists()
+
+
+def test_element_entries_flatten_nested_lists(capsys):
+    # an element entry's lists flatten at any depth ("t": [[2]] is refused above)
+    spec = {"family": "even_t", "field": "3^1:2",
+            "params": {"t": [0], "delta": [[0, 1], 2], "L": ["identity"]}}
+    assert main(["verify", json.dumps(spec), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["grid_size"], doc["agreements"]) == (3, 1)
+    assert [sk["params"].split()[1] for sk in doc["skipped"]] == ["delta=1,0", "delta=2,0"]
 
 
 @pytest.mark.parametrize("family, params", [
@@ -594,6 +604,8 @@ MALFORMED_GRID_VALUES = [
                      "delta": "base"}, "h"),
     ("additive_g", "3^1:4", {"g": [{"kind": "m_sum", "h": {"mono": 1}, "dd": 2}],
                              "L": ["identity"], "delta": "all"}, "g"),
+    ("q6", "2^1:6", {"variant": ["minus"], "h": {"mono": 64}, "L": ["identity"],
+                     "delta": "base"}, "h"),
 ]
 
 

@@ -293,3 +293,19 @@ def test_no_module_keeps_a_cache_of_its_own():
                       and (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
                            or isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")))]
     assert found == []
+
+
+def test_the_command_line_expands_grids_in_one_loop():
+    # verify, census and agw-check run every grid through cli._run_grid: no
+    # other top-level definition of the command line names instantiate_grid
+    import ast
+    import pathlib
+
+    import ppforge.cli
+
+    tree = ast.parse(pathlib.Path(ppforge.cli.__file__).read_text())
+    users = [getattr(top, "name", f"line {top.lineno}") for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Name) and node.id == "instantiate_grid"
+             or isinstance(node, ast.Attribute) and node.attr == "instantiate_grid"]
+    assert users == ["_run_grid"]

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppforge.gf import CtxMismatchError, make_field
 from ppforge.poly import (
@@ -147,3 +149,20 @@ def test_str_form():
     assert str(Poly(F5, [1, 0, 1])) == "x^2 + 1"
     assert str(Poly(F5, [0, 3])) == "3*x"
     assert str(Poly.zero(F5)) == "0"
+
+
+@pytest.mark.parametrize("ctx", [make_field(2, 1, 6), make_field(3, 1, 4), make_field(3, 1, 6)],
+                         ids=["xor", "add_table", "zech"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tabulate_matches_eval_code(ctx, data):
+    # the fields add by XOR, by the add table (up to 512 elements) and by Zech
+    # logarithms; terms reach degree q^n - 1 on the two small fields, and the
+    # constant term, drawn on its own, is the value at x = 0
+    top = min(ctx.order - 1, 80)
+    terms = data.draw(st.dictionaries(st.integers(1, top), st.integers(1, ctx.order - 1),
+                                      max_size=4), label="terms")
+    codes = [terms.get(i, 0) for i in range(max(terms, default=0) + 1)]
+    codes[0] = data.draw(st.integers(0, ctx.order - 1), label="constant")
+    f = Poly(ctx, codes)
+    assert list(f.tabulate()) == [f.eval_code(x) for x in range(ctx.order)]

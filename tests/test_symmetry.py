@@ -8,6 +8,10 @@ every family's condition is invariant under sigma, so a row and the row of
 its parameters' sigma-image agree on predicted, observed and cycle type.
 Neither side reads a pinned byte: a cache that hands one grid point the
 table of another breaks the agreement.
+
+A second relation holds within a row's own family: translating x by e moves
+delta along the first inner table psi, so the observed verdict is constant
+on each coset delta + Im(psi) (see coset_classes).
 """
 
 import csv
@@ -23,12 +27,13 @@ from ppforge import gf
 from ppforge.cli import main
 
 
-def census_rows(tmp_path, family, field, params=None) -> list[dict]:
+def census_rows(tmp_path, family, field, params=None, code=0) -> list[dict]:
+    """The census rows of a grid whose run exits with code."""
     out_csv = tmp_path / "census.csv"
     args = ["census", family, field, "-o", str(out_csv)]
     if params is not None:
         args += ["--params", json.dumps(params)]
-    assert main(args) == 0
+    assert main(args) == code
     with open(out_csv, newline="") as fh:
         return list(csv.DictReader(fh))
 
@@ -52,13 +57,55 @@ def sigma_pairs(family, ctx, rows) -> int:
 
 
 @pytest.mark.parametrize("family, field, pairs", [
+    # the census_small grids
     ("half_power", "5^1:2", 14400),
     ("alpha_beta", "3^1:4", 2916),
     ("n4k", "2^1:8", 512),
+    # the grids whose census bytes test_cli pins
+    ("additive_g", "3^1:2", 54),
+    ("even_t", "3^1:2", 18),
+    ("trace_gamma", "3^1:2", 72),
+    ("alpha_beta", "3^1:2", 108),
+    ("alpha_beta_gamma", "3^1:2", 324),
+    ("anti_g", "3^1:2", 162),
+    ("n4k", "2^1:4", 32),
+    ("q6", "2^1:6", 12),
+    ("generic_L", "3^1:2", 54),
+    ("half_power", "3^1:2", 576),
+    # the other default grids on 3^1:4
+    ("additive_g", "3^1:4", 486),
+    ("trace_gamma", "3^1:4", 648),
+    ("anti_g", "3^1:4", 1458),
+    ("n4k", "3^1:4", 324),
+    ("generic_L", "3^1:4", 6318),
 ])
 def test_default_grid_rows_agree_with_their_frobenius_images(family, field, pairs, tmp_path):
     ctx = gf.parse_field_spec(field)
     assert sigma_pairs(family, ctx, census_rows(tmp_path, family, field)) == pairs
+
+
+def test_q6_rows_agree_with_their_frobenius_images_through_its_refutations(tmp_path):
+    # the census exits 1 on the plus variant's 3 pinned refutations
+    rows = census_rows(tmp_path, "q6", "3^1:6", code=1)
+    assert sum(row["status"] == "disagree" for row in rows) == 3
+    assert sigma_pairs("q6", gf.parse_field_spec("3^1:6"), rows) == 18
+
+
+# the grids bench/workloads.py checks with `verify --csv` in verify_large; the
+# even_t L include a seeded random_pp, whose coefficients sigma may move, but
+# every delta of that grid is in F_2, so each row is its own image
+@pytest.mark.parametrize("family, field, params, pairs", [
+    ("even_t", "2^1:12", {"t": [0, 2], "delta": "base",
+                          "L": ["identity", "frob:1", "trace", "random_pp"]}, 16),
+    ("anti_g", "3^1:6", {"g": [{"kind": "anti_alternating", "h": {"mono": 1}}],
+                         "delta": "base", "beta": "sign_kernel",
+                         "L": ["identity", "frob:1", "trace"]}, 27),
+    ("n4k", "3^1:8", {"variant": ["plain", "qtwist"], "delta": [0], "a": "base_nonzero"}, 4),
+], ids=["even_t-2^1:12", "anti_g-3^1:6", "n4k-3^1:8"])
+def test_verify_large_rows_agree_with_their_frobenius_images(family, field, params, pairs,
+                                                             tmp_path):
+    ctx = gf.parse_field_spec(field)
+    assert sigma_pairs(family, ctx, census_rows(tmp_path, family, field, params)) == pairs
 
 
 MAPS = ["identity", "frob:1", "trace"]
@@ -89,3 +136,60 @@ def test_random_grid_rows_agree_with_their_frobenius_images(family, field, data,
     with mock.patch.object(gf, "_TABLE_CODES", budget):
         rows = census_rows(tmp_path, family, field, params)
     assert sigma_pairs(family, ctx, rows) == len(rows) > 0
+
+
+def coset_classes(family, ctx, rows, cold) -> tuple[int, int]:
+    """Check that rows sharing every parameter but delta agree on observed
+    over each coset delta + Im(psi); the instances and the cosets checked.
+
+    For a composition with one term and a linear part L, the map at
+    delta + psi(e) is x -> f_delta(x + e) - L(e), so it permutes exactly
+    when f_delta does.  Cycle types may differ.  psi is the term's inner
+    table, built in an empty cache (cold) for each setting of the other
+    parameters of a grid expanded afresh in the order of the rows."""
+    names = [name for name in fam.PARAM_ORDER[family] if name != "delta"]
+    images, verdicts, instances = {}, {}, 0
+    for row, item in zip(rows, fam.instantiate_grid(family, [ctx], fam.DEFAULT_GRIDS[family]),
+                         strict=True):
+        if isinstance(item, fam.SkippedInstance):
+            continue
+        others = tuple(row[name] for name in names)
+        if others not in images:
+            terms = fam.COMPOSITIONS[family](cold(ctx), item.params)[0]
+            images[others] = frozenset(terms[0][1]) if len(terms) == 1 else None
+        if images[others] is None:  # q6 plus: two inner tables
+            continue
+        coset = min(ctx._add(item.params["delta"].code, y) for y in images[others])
+        verdicts.setdefault((others, coset), set()).add(row["observed"])
+        instances += 1
+    assert [key for key, observed in verdicts.items() if len(observed) > 1] == []
+    return instances, len(verdicts)
+
+
+# every family on its pinned census field, and larger grids; the q6 3^1:6
+# census exits 1 on its plus refutations, which coset_classes leaves out
+@pytest.mark.parametrize("family, field, instances, cosets, code", [
+    ("additive_g", "3^1:2", 54, 18, 0),
+    ("even_t", "3^1:2", 18, 6, 0),
+    ("trace_gamma", "3^1:2", 72, 24, 0),
+    ("alpha_beta", "3^1:2", 108, 36, 0),
+    ("alpha_beta_gamma", "3^1:2", 324, 108, 0),
+    ("anti_g", "3^1:2", 162, 54, 0),
+    ("n4k", "2^1:4", 32, 4, 0),
+    ("q6", "2^1:6", 6, 3, 0),
+    ("generic_L", "3^1:2", 54, 18, 0),
+    ("half_power", "3^1:2", 576, 128, 0),
+    ("additive_g", "3^1:4", 486, 18, 0),
+    ("anti_g", "3^1:4", 1458, 54, 0),
+    ("n4k", "3^1:4", 324, 12, 0),
+    ("alpha_beta", "3^1:4", 2916, 324, 0),
+    ("n4k", "2^1:8", 512, 4, 0),
+    ("half_power", "5^1:2", 14400, 1152, 0),
+    ("q6", "3^1:6", 9, 3, 1),
+])
+def test_observed_is_constant_on_each_coset_of_the_inner_image(family, field, instances,
+                                                                cosets, code, tmp_path,
+                                                                cold_caches):
+    ctx = cold_caches(gf.parse_field_spec(field))
+    rows = census_rows(tmp_path, family, field, code=code)
+    assert coset_classes(family, ctx, rows, cold_caches) == (instances, cosets)
