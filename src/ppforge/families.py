@@ -1,15 +1,17 @@
-"""Constructors for the permutation-polynomial families.
+"""The permutation-polynomial families.
 
-Each constructor validates its hypotheses and computes the predicted
-verdict from the family's stated bijectivity condition alone; brute force
-never feeds the prediction.  The map itself is declared once per family as
-a composition of field tables, x -> sum(outer[inner[x] + delta]) + L(x),
-over the field's tables (exp/log/add, the log-Frobenius, the trace) and
-tables of the parameters (g, h, L), each built once per field.  The one
-composition gives both the value list, the code of f(x) for every code x,
-built in whole-table passes (``map`` over lists, no Python frame per
-element), and the fiber maps of the family's commuting square: psibar is
-the first inner table and psi is psibar plus the fiber delta.
+Each family is declared once, by a prediction registered with `_family`
+together with the family's composition.  The prediction validates the
+hypotheses and computes the predicted verdict from the family's stated
+bijectivity condition alone; brute force never feeds it.  Its signature
+gives the family's parameters and their kinds.  The map is a composition
+of field tables, x -> sum(outer[inner[x] + delta]) + L(x), over the field's
+tables (exp/log/add, the log-Frobenius, the trace) and tables of the
+parameters (g, h, L), each built once per field.  The one composition
+gives both the value list, the code of f(x) for every code x, built in
+whole-table passes (``map`` over lists, no Python frame per element), and
+the fiber maps of the family's commuting square: psibar is the first inner
+table and psi is psibar plus the fiber delta.
 
 Huge monomials such as x^((q^n+1)/2) are never materialized as coefficient
 vectors: they are power maps on logs.
@@ -156,10 +158,9 @@ def _require(cond: bool, reason: str, detail: str = "") -> None:
         raise FamilyParameterError(reason, detail)
 
 
-def _check_elem(ctx: FieldCtx, value, name: str) -> Elem:
+def _check_elem(ctx: FieldCtx, value, name: str) -> None:
     if not isinstance(value, Elem) or value.ctx is not ctx:
         raise FamilyParameterError("wrong_field", f"{name} must be an element of {ctx.label}")
-    return value
 
 
 def _negated_by(ctx: FieldCtx, x: Elem, k: int) -> bool:
@@ -185,207 +186,6 @@ def _permutes(L: LinPoly) -> bool:
 def _gcd_permutes(L: LinPoly) -> bool:
     """gcd_criterion_is_pp(L), decided once per field and coefficient vector."""
     return L.ctx.derived(("gcd_permutes", L.codes), lambda: gcd_criterion_is_pp(L))
-
-
-def _instance(family_id: str, ctx: FieldCtx, params: dict,
-              predicted: bool) -> FamilyInstance:
-    return FamilyInstance(family_id=family_id, ctx=ctx, params=params,
-                          predicted_pp=predicted)
-
-
-# ---------------------------------------------------------------------------
-# family constructors
-
-
-def family_additive_g(ctx: FieldCtx, g: GRecipe, L: LinPoly, delta: Elem) -> FamilyInstance:
-    """f(x) = g(x^q - x + delta) + L(x); bijective iff L is."""
-    delta = _check_elem(ctx, delta, "delta")
-    _require(recipe_sign(g) == 1, "recipe_not_invariant", "needs g^q = g")
-    _require(L.subfield_flag, "linearized_coeffs_outside_base")
-    g_codes(g, ctx)  # tabulated and contract-checked once per field; raises if broken
-    return _instance("additive_g", ctx, {"g": g, "L": L, "delta": delta}, _permutes(L))
-
-
-def family_even_t(ctx: FieldCtx, t: int, delta: Elem, L: LinPoly) -> FamilyInstance:
-    """f(x) = (x^(q^k) - x + delta)^t + L(x) on F_{q^2k}; bijective iff L is."""
-    _require(ctx.n % 2 == 0, "n_not_even", f"n={ctx.n}")
-    k = ctx.n // 2
-    _require(t >= 0, "negative_t")
-    _require(t % 2 == 0, "odd_t", f"t={t}")
-    delta = _check_elem(ctx, delta, "delta")
-    _require(_negated_by(ctx, delta, k), "bad_delta",
-             "delta must satisfy delta^(q^k) = -delta")
-    _require(_linpoly_fixed_by(L, k), "linearized_coeffs_outside_intermediate")
-    return _instance("even_t", ctx, {"t": t, "delta": delta, "L": L}, _permutes(L))
-
-
-def family_trace_gamma(ctx: FieldCtx, t: int, delta: Elem, beta: Elem,
-                       gamma: Elem, s: int) -> FamilyInstance:
-    """f(x) = (x^(q^k) - x + delta)^t + beta*Tr(x) + gamma*x^(q^s);
-    bijective iff Tr(beta/gamma) + 1 != 0."""
-    _require(ctx.n % 2 == 0, "n_not_even", f"n={ctx.n}")
-    k = ctx.n // 2
-    _require(t >= 0, "negative_t")
-    _require(t % 2 == 0, "odd_t", f"t={t}")
-    _require(s >= 0, "negative_s")
-    delta = _check_elem(ctx, delta, "delta")
-    beta = _check_elem(ctx, beta, "beta")
-    gamma = _check_elem(ctx, gamma, "gamma")
-    _require(_negated_by(ctx, delta, k), "bad_delta",
-             "delta must satisfy delta^(q^k) = -delta")
-    _require(beta.in_subfield(k), "beta_outside_intermediate")
-    _require(not gamma.is_zero, "gamma_zero")
-    _require(gamma.in_subfield(1), "gamma_outside_base")
-    return _instance(
-        "trace_gamma", ctx,
-        {"t": t, "delta": delta, "beta": beta, "gamma": gamma, "s": s},
-        ctx._add(_trace_code(ctx, ctx._mul(beta.code, ctx._inv(gamma.code))), 1) != 0,
-    )
-
-
-def _check_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
-                      beta: Elem) -> tuple[Elem, Elem, Elem]:
-    _require(ctx.p != 2, "even_characteristic")
-    _require(ctx.n % 2 == 0, "n_not_even", f"n={ctx.n}")
-    k = ctx.n // 2
-    _require(t >= 0, "negative_t")
-    delta = _check_elem(ctx, delta, "delta")
-    alpha = _check_elem(ctx, alpha, "alpha")
-    beta = _check_elem(ctx, beta, "beta")
-    _require(delta.in_subfield(k), "delta_outside_intermediate")
-    _require(_negated_by(ctx, alpha, k), "bad_alpha")
-    _require(_negated_by(ctx, beta, k), "bad_beta")
-    return delta, alpha, beta
-
-
-def family_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
-                      beta: Elem, L: LinPoly) -> FamilyInstance:
-    """f(x) = alpha*(x^(q^k) + x + delta)^t + beta*Tr(x) + L(x), q odd;
-    bijective iff L is."""
-    delta, alpha, beta = _check_alpha_beta(ctx, t, delta, alpha, beta)
-    _require(_linpoly_fixed_by(L, ctx.n // 2), "linearized_coeffs_outside_intermediate")
-    return _instance(
-        "alpha_beta", ctx,
-        {"t": t, "delta": delta, "alpha": alpha, "beta": beta, "L": L},
-        _permutes(L),
-    )
-
-
-def family_alpha_beta_gamma(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
-                            beta: Elem, gamma: Elem, s: int) -> FamilyInstance:
-    """Specialization with L(x) = gamma*x^(q^s); bijective iff gamma != 0."""
-    gamma = _check_elem(ctx, gamma, "gamma")
-    _require(ctx.n % 2 == 0, "n_not_even", f"n={ctx.n}")
-    _require(s >= 0, "negative_s")
-    k = ctx.n // 2
-    _require(gamma.in_subfield(k), "gamma_outside_intermediate")
-    delta, alpha, beta = _check_alpha_beta(ctx, t, delta, alpha, beta)
-    predicted = not gamma.is_zero
-    # checked once per field, s mod n and gamma
-    permutes = ctx.derived(("permutes_frobenius_term", s % ctx.n, gamma.code),
-                           lambda: is_permutation(LinPoly.frobenius_term(ctx, s, gamma)))
-    if permutes != predicted:
-        raise CriteriaDisagreeError(
-            f"gamma*x^(q^{s}) with gamma={gamma}: the linearized criterion "
-            f"disagrees with gamma != 0")
-    return _instance(
-        "alpha_beta_gamma", ctx,
-        {"t": t, "delta": delta, "alpha": alpha, "beta": beta, "gamma": gamma, "s": s},
-        predicted,
-    )
-
-
-def family_anti_g(ctx: FieldCtx, g: GRecipe, delta: Elem, beta: Elem,
-                  L: LinPoly) -> FamilyInstance:
-    """f(x) = g(x^q + x + delta) + beta*Tr(x) + L(x) with g^q = -g and
-    beta^q = -beta, q odd; bijective iff L is."""
-    _require(ctx.p != 2, "even_characteristic")
-    delta = _check_elem(ctx, delta, "delta")
-    beta = _check_elem(ctx, beta, "beta")
-    _require(recipe_sign(g) == -1, "recipe_not_antisymmetric", "needs g^q = -g")
-    _require(_negated_by(ctx, beta, 1), "bad_beta")
-    _require(L.subfield_flag, "linearized_coeffs_outside_base")
-    g_codes(g, ctx)  # tabulated and contract-checked once per field; raises if broken
-    return _instance(
-        "anti_g", ctx, {"g": g, "delta": delta, "beta": beta, "L": L},
-        _permutes(L),
-    )
-
-
-def family_n4k(ctx: FieldCtx, variant: str, delta: Elem, a: Elem) -> FamilyInstance:
-    """Quadratic-monomial sums over F_{q^4k} shifted along x^q - x + delta.
-
-    plain:  g(y) = sum of y^(q^2i + q^(2i+2k)) over even powers,
-            f(x) = g(x^q - x + delta) + a*x, bijective iff Tr(delta) != a.
-    qtwist: g raised to the q-th power as a polynomial, i.e. the same sum
-            over odd powers y^(q^(2i+1) + q^(2i+1+2k)), applied to the same
-            shift; bijective iff Tr(delta) != -a.
-    """
-    _require(ctx.n % 4 == 0, "n_not_multiple_of_4", f"n={ctx.n}")
-    _require(variant in ("plain", "qtwist"), "unknown_variant", str(variant))
-    delta = _check_elem(ctx, delta, "delta")
-    a = _check_elem(ctx, a, "a")
-    _require(not a.is_zero, "zero_a")
-    _require(a.in_subfield(1), "a_outside_base")
-    predicted = _trace_code(ctx, delta.code) != (a.code if variant == "plain"
-                                                 else ctx._neg(a.code))
-    return _instance("n4k", ctx, {"variant": variant, "delta": delta, "a": a}, predicted)
-
-
-def family_q6(ctx: FieldCtx, variant: str, h: Poly, L: LinPoly,
-              delta: Elem) -> FamilyInstance:
-    """Degree-6 tower families built from h along x^(q^2) -+ x^q + x + delta.
-
-    minus: f = h(w)^(q^4) + h(w)^(q^3) - h(w)^q - h(w) + L(x) with
-    w = x^(q^2) - x^q + x + delta.  plus: the mixed-argument variant with
-    w_+ = x^(q^2) + x^q + x + delta in the two leading terms and w_- in the
-    trailing ones.  Both predict: bijective iff L is.
-    """
-    _require(ctx.n == 6, "n_not_six", f"n={ctx.n}")
-    _require(variant in ("minus", "plus"), "unknown_variant", str(variant))
-    delta = _check_elem(ctx, delta, "delta")
-    if h.ctx is not ctx:
-        raise FamilyParameterError("wrong_field", "h must live in the tower field")
-    _require(L.subfield_flag, "linearized_coeffs_outside_base")
-    return _instance(
-        "q6", ctx, {"variant": variant, "h": h, "L": L, "delta": delta},
-        _permutes(L),
-    )
-
-
-def family_generic_L(ctx: FieldCtx, L: LinPoly, a: Elem, h,
-                     L1: LinPoly, delta: Elem) -> FamilyInstance:
-    """f(x) = a*h(L(x) + delta) + L1(x) where L has a nontrivial kernel,
-    L(a) = 0, and h^q = h; bijective iff L1 is."""
-    delta = _check_elem(ctx, delta, "delta")
-    a = _check_elem(ctx, a, "a")
-    _require(L.subfield_flag, "linearized_coeffs_outside_base")
-    _require(not _gcd_permutes(L), "trivial_kernel",
-             "L must have a nonzero kernel")
-    _require(not a.is_zero and L.apply(a).is_zero, "bad_kernel_element",
-             "a must be a nonzero root of L")
-    _require(L1.subfield_flag, "linearized_coeffs_outside_base")
-    symmetric_codes(ctx, h)  # checked once per field; raises if h^q != h
-    return _instance(
-        "generic_L", ctx, {"L": L, "a": a, "h": h, "L1": L1, "delta": delta},
-        _permutes(L1),
-    )
-
-
-def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem,
-                      delta: Elem) -> FamilyInstance:
-    """f(x) = (a*x^(q^k) - b*x + delta)^((q^n+1)/2) + a*x^(q^k) + b*x, q odd;
-    bijective iff a*b is a nonzero square."""
-    _require(ctx.p != 2, "even_characteristic")
-    _require(k >= 1, "bad_k", "k must be positive")
-    a = _check_elem(ctx, a, "a")
-    b = _check_elem(ctx, b, "b")
-    delta = _check_elem(ctx, delta, "delta")
-    _require(not a.is_zero and not b.is_zero, "zero_coefficient")
-    return _instance(
-        "half_power", ctx, {"k": k, "a": a, "b": b, "delta": delta},
-        ctx.residue_class_of_code(ctx._mul(a.code, b.code)) is ResidueClass.D0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -510,20 +310,6 @@ def _half_power(ctx: FieldCtx, P: dict) -> Composition:
     return [(outer, inner)], P["delta"].code, lin, None
 
 
-COMPOSITIONS: dict[str, Callable[[FieldCtx, dict], Composition]] = {
-    "additive_g": _additive_g,
-    "even_t": _even_t,
-    "trace_gamma": _even_t,
-    "alpha_beta": _alpha_beta,
-    "alpha_beta_gamma": _alpha_beta,
-    "anti_g": _anti_g,
-    "n4k": _n4k,
-    "q6": _q6,
-    "generic_L": _generic_L,
-    "half_power": _half_power,
-}
-
-
 def _compile(family_id: str, ctx: FieldCtx, params: dict) -> list[int]:
     """The value list of the family's composition."""
     return _values(ctx, COMPOSITIONS[family_id](ctx, params))
@@ -541,32 +327,198 @@ def _values(ctx: FieldCtx, composition: Composition) -> list[int]:
     return list(values)
 
 
-FAMILY_BUILDERS: dict[str, Callable[..., FamilyInstance]] = {
-    "additive_g": family_additive_g,
-    "even_t": family_even_t,
-    "trace_gamma": family_trace_gamma,
-    "alpha_beta": family_alpha_beta,
-    "alpha_beta_gamma": family_alpha_beta_gamma,
-    "anti_g": family_anti_g,
-    "n4k": family_n4k,
-    "q6": family_q6,
-    "generic_L": family_generic_L,
-    "half_power": family_half_power,
-}
+# ---------------------------------------------------------------------------
+# families: each one prediction, registered once with its composition
 
-# a family's parameters, in its constructor's order after ctx: the CSV columns
-PARAM_ORDER: dict[str, tuple[str, ...]] = {
-    family_id: tuple(inspect.signature(builder).parameters)[1:]
-    for family_id, builder in FAMILY_BUILDERS.items()
-}
+FAMILY_BUILDERS: dict[str, Callable[..., FamilyInstance]] = {}
+COMPOSITIONS: dict[str, Callable[[FieldCtx, dict], Composition]] = {}
+# a family's parameters, in its prediction's order after ctx: the CSV columns
+PARAM_ORDER: dict[str, tuple[str, ...]] = {}
+# each parameter's kind, its annotation: Elem, LinPoly, GRecipe, Poly,
+# Union[Poly, GRecipe], int or str
+PARAM_KINDS: dict[str, dict[str, object]] = {}
+# what a grid point calls: the prediction on the resolved parameters
+_PREDICTIONS: dict[str, Callable[..., bool]] = {}
 
-_PARAM_TYPES: dict[str, str] = {
-    "g": "recipe", "L": "lin", "L1": "lin", "h": "poly_or_recipe",
-    "delta": "elem", "alpha": "elem", "beta": "elem", "gamma": "elem",
-    "a": "elem", "b": "elem",
-    "t": "int", "s": "int", "k": "int",
-    "variant": "str",
-}
+
+def _family(family_id: str, compose: Callable[[FieldCtx, dict], Composition]):
+    """Register the decorated prediction predict(ctx, **params) -> bool,
+    which checks the hypotheses and returns the predicted verdict, with
+    the family's composition; return the public constructor, which takes
+    the same arguments, checks that each element is in ctx and returns the
+    FamilyInstance."""
+    def register(predict: Callable[..., bool]) -> Callable[..., FamilyInstance]:
+        signature = inspect.signature(predict, eval_str=True)
+        kinds = {name: p.annotation for name, p in signature.parameters.items()
+                 if name != "ctx"}
+        elems = [name for name, kind in kinds.items() if kind is Elem]
+
+        @functools.wraps(predict)
+        def build(ctx: FieldCtx, *args, **kwargs) -> FamilyInstance:
+            params = signature.bind(ctx, *args, **kwargs).arguments
+            del params["ctx"]
+            for name in elems:
+                _check_elem(ctx, params[name], name)
+            return FamilyInstance(family_id, ctx, params, predict(ctx, **params))
+
+        FAMILY_BUILDERS[family_id], COMPOSITIONS[family_id] = build, compose
+        PARAM_ORDER[family_id], PARAM_KINDS[family_id] = tuple(kinds), kinds
+        _PREDICTIONS[family_id] = predict
+        return build
+
+    return register
+
+
+@_family("additive_g", _additive_g)
+def family_additive_g(ctx: FieldCtx, g: GRecipe, L: LinPoly, delta: Elem) -> bool:
+    """f(x) = g(x^q - x + delta) + L(x); bijective iff L is."""
+    _require(recipe_sign(g) == 1, "recipe_not_invariant", "needs g^q = g")
+    _require(L.subfield_flag, "linearized_coeffs_outside_base")
+    g_codes(g, ctx)  # tabulated and contract-checked once per field; raises if broken
+    return _permutes(L)
+
+
+@_family("even_t", _even_t)
+def family_even_t(ctx: FieldCtx, t: int, delta: Elem, L: LinPoly) -> bool:
+    """f(x) = (x^(q^k) - x + delta)^t + L(x) on F_{q^2k}; bijective iff L is."""
+    _require(ctx.n % 2 == 0, "n_not_even", f"n={ctx.n}")
+    k = ctx.n // 2
+    _require(t >= 0, "negative_t")
+    _require(t % 2 == 0, "odd_t", f"t={t}")
+    _require(_negated_by(ctx, delta, k), "bad_delta",
+             "delta must satisfy delta^(q^k) = -delta")
+    _require(_linpoly_fixed_by(L, k), "linearized_coeffs_outside_intermediate")
+    return _permutes(L)
+
+
+@_family("trace_gamma", _even_t)
+def family_trace_gamma(ctx: FieldCtx, t: int, delta: Elem, beta: Elem,
+                       gamma: Elem, s: int) -> bool:
+    """f(x) = (x^(q^k) - x + delta)^t + beta*Tr(x) + gamma*x^(q^s);
+    bijective iff Tr(beta/gamma) + 1 != 0."""
+    _require(ctx.n % 2 == 0, "n_not_even", f"n={ctx.n}")
+    k = ctx.n // 2
+    _require(t >= 0, "negative_t")
+    _require(t % 2 == 0, "odd_t", f"t={t}")
+    _require(s >= 0, "negative_s")
+    _require(_negated_by(ctx, delta, k), "bad_delta",
+             "delta must satisfy delta^(q^k) = -delta")
+    _require(beta.in_subfield(k), "beta_outside_intermediate")
+    _require(not gamma.is_zero, "gamma_zero")
+    _require(gamma.in_subfield(1), "gamma_outside_base")
+    return ctx._add(_trace_code(ctx, ctx._mul(beta.code, ctx._inv(gamma.code))), 1) != 0
+
+
+def _check_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem, beta: Elem) -> None:
+    _require(ctx.p != 2, "even_characteristic")
+    _require(ctx.n % 2 == 0, "n_not_even", f"n={ctx.n}")
+    k = ctx.n // 2
+    _require(t >= 0, "negative_t")
+    _require(delta.in_subfield(k), "delta_outside_intermediate")
+    _require(_negated_by(ctx, alpha, k), "bad_alpha")
+    _require(_negated_by(ctx, beta, k), "bad_beta")
+
+
+@_family("alpha_beta", _alpha_beta)
+def family_alpha_beta(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
+                      beta: Elem, L: LinPoly) -> bool:
+    """f(x) = alpha*(x^(q^k) + x + delta)^t + beta*Tr(x) + L(x), q odd;
+    bijective iff L is."""
+    _check_alpha_beta(ctx, t, delta, alpha, beta)
+    _require(_linpoly_fixed_by(L, ctx.n // 2), "linearized_coeffs_outside_intermediate")
+    return _permutes(L)
+
+
+@_family("alpha_beta_gamma", _alpha_beta)
+def family_alpha_beta_gamma(ctx: FieldCtx, t: int, delta: Elem, alpha: Elem,
+                            beta: Elem, gamma: Elem, s: int) -> bool:
+    """Specialization with L(x) = gamma*x^(q^s); bijective iff gamma != 0."""
+    _require(ctx.n % 2 == 0, "n_not_even", f"n={ctx.n}")
+    _require(s >= 0, "negative_s")
+    _require(gamma.in_subfield(ctx.n // 2), "gamma_outside_intermediate")
+    _check_alpha_beta(ctx, t, delta, alpha, beta)
+    predicted = not gamma.is_zero
+    # checked once per field, s mod n and gamma
+    permutes = ctx.derived(("permutes_frobenius_term", s % ctx.n, gamma.code),
+                           lambda: is_permutation(LinPoly.frobenius_term(ctx, s, gamma)))
+    if permutes != predicted:
+        raise CriteriaDisagreeError(
+            f"gamma*x^(q^{s}) with gamma={gamma}: the linearized criterion "
+            f"disagrees with gamma != 0")
+    return predicted
+
+
+@_family("anti_g", _anti_g)
+def family_anti_g(ctx: FieldCtx, g: GRecipe, delta: Elem, beta: Elem, L: LinPoly) -> bool:
+    """f(x) = g(x^q + x + delta) + beta*Tr(x) + L(x) with g^q = -g and
+    beta^q = -beta, q odd; bijective iff L is."""
+    _require(ctx.p != 2, "even_characteristic")
+    _require(recipe_sign(g) == -1, "recipe_not_antisymmetric", "needs g^q = -g")
+    _require(_negated_by(ctx, beta, 1), "bad_beta")
+    _require(L.subfield_flag, "linearized_coeffs_outside_base")
+    g_codes(g, ctx)  # tabulated and contract-checked once per field; raises if broken
+    return _permutes(L)
+
+
+@_family("n4k", _n4k)
+def family_n4k(ctx: FieldCtx, variant: str, delta: Elem, a: Elem) -> bool:
+    """Quadratic-monomial sums over F_{q^4k} shifted along x^q - x + delta.
+
+    plain:  g(y) = sum of y^(q^2i + q^(2i+2k)) over even powers,
+            f(x) = g(x^q - x + delta) + a*x, bijective iff Tr(delta) != a.
+    qtwist: g raised to the q-th power as a polynomial, i.e. the same sum
+            over odd powers y^(q^(2i+1) + q^(2i+1+2k)), applied to the same
+            shift; bijective iff Tr(delta) != -a.
+    """
+    _require(ctx.n % 4 == 0, "n_not_multiple_of_4", f"n={ctx.n}")
+    _require(variant in ("plain", "qtwist"), "unknown_variant", str(variant))
+    _require(not a.is_zero, "zero_a")
+    _require(a.in_subfield(1), "a_outside_base")
+    return _trace_code(ctx, delta.code) != (a.code if variant == "plain"
+                                            else ctx._neg(a.code))
+
+
+@_family("q6", _q6)
+def family_q6(ctx: FieldCtx, variant: str, h: Poly, L: LinPoly, delta: Elem) -> bool:
+    """Degree-6 tower families built from h along x^(q^2) -+ x^q + x + delta.
+
+    minus: f = h(w)^(q^4) + h(w)^(q^3) - h(w)^q - h(w) + L(x) with
+    w = x^(q^2) - x^q + x + delta.  plus: the mixed-argument variant with
+    w_+ = x^(q^2) + x^q + x + delta in the two leading terms and w_- in the
+    trailing ones.  Both predict: bijective iff L is.
+    """
+    _require(ctx.n == 6, "n_not_six", f"n={ctx.n}")
+    _require(variant in ("minus", "plus"), "unknown_variant", str(variant))
+    if not isinstance(h, Poly) or h.ctx is not ctx:
+        raise FamilyParameterError("wrong_field", "h must be a polynomial over the tower field")
+    _require(L.subfield_flag, "linearized_coeffs_outside_base")
+    return _permutes(L)
+
+
+@_family("generic_L", _generic_L)
+def family_generic_L(ctx: FieldCtx, L: LinPoly, a: Elem, h: Union[Poly, GRecipe],
+                     L1: LinPoly, delta: Elem) -> bool:
+    """f(x) = a*h(L(x) + delta) + L1(x) where L has a nontrivial kernel,
+    L(a) = 0, and h^q = h; bijective iff L1 is."""
+    _require(L.subfield_flag, "linearized_coeffs_outside_base")
+    _require(not _gcd_permutes(L), "trivial_kernel",
+             "L must have a nonzero kernel")
+    _require(not a.is_zero and L.apply(a).is_zero, "bad_kernel_element",
+             "a must be a nonzero root of L")
+    _require(L1.subfield_flag, "linearized_coeffs_outside_base")
+    symmetric_codes(ctx, h)  # checked once per field; raises if h^q != h
+    return _permutes(L1)
+
+
+@_family("half_power", _half_power)
+def family_half_power(ctx: FieldCtx, k: int, a: Elem, b: Elem, delta: Elem) -> bool:
+    """f(x) = (a*x^(q^k) - b*x + delta)^((q^n+1)/2) + a*x^(q^k) + b*x, q odd;
+    bijective iff a*b is a nonzero square."""
+    _require(ctx.p != 2, "even_characteristic")
+    _require(k >= 1, "bad_k", "k must be positive")
+    _require(not a.is_zero and not b.is_zero, "zero_coefficient")
+    return ctx.residue_class_of_code(ctx._mul(a.code, b.code)) is ResidueClass.D0
+
 
 DEFAULT_GRIDS: dict[str, dict] = {
     "additive_g": {"g": [{"kind": "trace_of_h", "h": {"mono": 1}},
@@ -629,16 +581,25 @@ def _refused(name: str, takes: str, value) -> ValueError:
     return ValueError(f"parameter {name!r} takes {takes}, got {value!r}")
 
 
-def _resolve_elem(ctx: FieldCtx, value, family_id: str, name: str) -> list[Elem]:
+def _resolve_elem(ctx: FieldCtx, value, family_id: str, name: str,
+                  kernel_of: Optional[LinPoly] = None) -> list[Elem]:
     """The elements one value of an element parameter names: an element, a
-    code (a JSON integer, not a boolean), a coordinate string or a token."""
+    code (a JSON integer, not a boolean), a coordinate string or a token;
+    `kernel_nonzero` names the nonzero roots of kernel_of, the concrete L
+    of a generic_L grid point, and is refused without one."""
     if isinstance(value, Elem):
+        if value.ctx is not ctx:
+            raise _refused(name, f"elements of {ctx.label}", value)
         return [value]
     if _is_int(value):
         return [ctx.elem(value)]
     if isinstance(value, str):
         if value and all(c.isdigit() or c == "," for c in value):
             return [ctx.from_coords([int(c) for c in value.split(",")])]
+        if value == "kernel_nonzero":
+            if kernel_of is None:
+                raise _refused(name, "the token 'kernel_nonzero' only as generic_L's 'a'", value)
+            return list(ctx.zero_set(kernel_of.tabulate())[1:])
         return _resolve_elem_token(ctx, value, family_id)
     raise _refused(name, "element codes, coordinate strings or tokens", value)
 
@@ -734,27 +695,36 @@ def _resolve_poly_or_recipe(ctx: FieldCtx, value, name: str):
 
 
 def _resolve_param(ctx: FieldCtx, family_id: str, name: str, value, seed: int,
-                   nested: bool = True) -> list:
+                   nested: bool = True, kernel_of: Optional[LinPoly] = None) -> list:
     """The values of a parameter's grid entry: those of each item of a list
     in turn, else those of the single value.  Lists nest for element, map,
     recipe and polynomial parameters; an int or string parameter's list is
     one level deep, so a list inside it is a value (and no integer)."""
-    kind = _PARAM_TYPES[name]
+    kind = PARAM_KINDS[family_id][name]
     if nested and isinstance(value, (list, tuple)):
-        deeper = kind not in ("int", "str")
+        deeper = kind not in (int, str)
         return [x for v in value
-                for x in _resolve_param(ctx, family_id, name, v, seed, deeper)]
-    if kind == "elem":
-        return _resolve_elem(ctx, value, family_id, name)
-    if kind == "lin":
+                for x in _resolve_param(ctx, family_id, name, v, seed, deeper, kernel_of)]
+    if kind is Elem:
+        return _resolve_elem(ctx, value, family_id, name, kernel_of)
+    if kind is LinPoly:
         return [_resolve_lin(ctx, value, seed, name)]
-    if kind == "recipe":
+    if kind is GRecipe:
         return [_resolve_recipe(ctx, value, name)]
-    if kind == "poly_or_recipe":
+    if kind is Poly:
+        return [_poly_from_spec(ctx, value, name)]
+    if kind == Union[Poly, GRecipe]:
         return [_resolve_poly_or_recipe(ctx, value, name)]
-    if kind == "int" and not _is_int(value):  # floats, strings and booleans are refused
+    if kind is int and not _is_int(value):  # floats, strings and booleans are refused
         raise ValueError(f"parameter {name!r} takes integers, got {value!r}")
     return [value]
+
+
+def _names_kernel(value) -> bool:
+    """The grid entry holds the token 'kernel_nonzero', at any depth."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_names_kernel, value))
+    return isinstance(value, str) and value == "kernel_nonzero"
 
 
 def _expand_params(family_id: str, ctx: FieldCtx, params: dict,
@@ -767,11 +737,11 @@ def _expand_params(family_id: str, ctx: FieldCtx, params: dict,
     if extra:
         raise ValueError(f"unknown parameters for {family_id}: {', '.join(extra)}")
 
-    if family_id == "generic_L" and params.get("a") == "kernel_nonzero":
+    if family_id == "generic_L" and _names_kernel(params["a"]):
         # the kernel elements depend on the concrete L
         for L in _resolve_param(ctx, family_id, "L", params["L"], seed):
-            kernel = ctx.zero_set(L.tabulate())[1:]
-            yield from _expand_params(family_id, ctx, {**params, "L": L, "a": kernel}, seed)
+            a = _resolve_param(ctx, family_id, "a", params["a"], seed, kernel_of=L)
+            yield from _expand_params(family_id, ctx, {**params, "L": L, "a": a}, seed)
         return
 
     lists = [_resolve_param(ctx, family_id, name, params[name], seed)
@@ -790,9 +760,9 @@ def instantiate_grid(family_id: str, ctxs: Iterable[FieldCtx], params: dict,
     Grid points whose hypotheses cannot hold are not dropped: they are
     emitted as SkippedInstance records carrying the reason.
     """
-    if family_id not in FAMILY_BUILDERS:
+    if family_id not in _PREDICTIONS:
         raise ValueError(f"unknown family {family_id!r}")
-    builder = FAMILY_BUILDERS[family_id]
+    predict = _PREDICTIONS[family_id]
     count = 0
     for ctx in ctxs:
         for concrete in _expand_params(family_id, ctx, dict(params), seed):
@@ -800,7 +770,7 @@ def instantiate_grid(family_id: str, ctxs: Iterable[FieldCtx], params: dict,
                 return
             count += 1
             try:
-                yield builder(ctx, **concrete)
+                yield FamilyInstance(family_id, ctx, concrete, predict(ctx, **concrete))
             except FamilyParameterError as exc:
                 yield SkippedInstance(family_id, ctx, concrete, exc.reason)
             except RecipeContractError as exc:

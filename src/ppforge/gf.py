@@ -545,12 +545,15 @@ class FieldCtx:
             return 0
         return self._exp[self._log[c] * self._qpow[j % self.n] % self._om1]
 
-    def _power_column(self, e: int) -> list[int]:
-        """y -> y^e on every code: exp[log y * (e mod (q^n - 1)) mod (q^n - 1)]
-        in one pass over the log table; 0^0 = 1 as in _pow."""
-        om1 = self._om1
+    def _power_column(self, e: int, c: int = 1) -> Iterator[int]:
+        """y -> c*y^e on every code, c nonzero: exp[log c + (log y * e mod
+        (q^n - 1))], read lazily in one pass over the log table (the exp
+        table spans two periods); 0^0 = 1 as in _pow."""
+        om1, log_c = self._om1, self._log[c]
         logs = map(om1.__rmod__, map((e % om1).__mul__, itertools.islice(self._log, 1, None)))
-        return [self._pow(0, e), *map(self._exp.__getitem__, logs)]
+        if log_c:
+            logs = map(log_c.__add__, logs)
+        return itertools.chain((self._mul(c, self._pow(0, e)),), map(self._exp.__getitem__, logs))
 
     def power_table(self, t: int) -> array:
         """y -> y^t on every code, built once per field and exponent."""
@@ -564,7 +567,7 @@ class FieldCtx:
         only: the caller keeps the result, not its ingredients."""
         values = range(self.order) if h is None else h
         if e != 1:
-            values = map(self._power_column(e).__getitem__, values)
+            values = map(list(self._power_column(e)).__getitem__, values)
         codes = tuple(coeffs) + (0,) * (self.n - len(coeffs))
         if codes != (1,) + (0,) * (self.n - 1):  # Lambda is not the identity
             held = self._tables.get(("lin", codes))

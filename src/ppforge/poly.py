@@ -199,18 +199,15 @@ class Poly:
 
     def tabulate(self):
         """The polynomial on every element code, built once per field and
-        coefficient vector: the sum of c*x^i over the nonzero terms, each a
-        power column scaled in one pass unless c = 1."""
+        coefficient vector: the sum of c*x^i over the nonzero terms, each
+        read in one pass over the log table and added as it is read."""
         ctx = self.ctx
 
         def build():
             values = code_table([0]) * ctx.order
             for i, c in enumerate(self.codes):
                 if c:
-                    term = ctx._power_column(i)
-                    if c != 1:
-                        term = map(ctx._mul_row(c).__getitem__, term)
-                    values = code_table(ctx._add_codes(term, values))
+                    values = code_table(ctx._add_codes(ctx._power_column(i, c), values))
             return values
 
         return ctx.derived(("poly", self.codes), build)

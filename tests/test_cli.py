@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from ppforge import families as fam
 from ppforge.cli import main
-from ppforge.gf import make_field
+from ppforge.gf import make_field, parse_field_spec
 
 HALF_POWER_SPEC = json.dumps({
     "schema_version": 1,
@@ -191,6 +192,26 @@ SKIPPED_ROW_DIGESTS = {
 }
 
 
+# every default grid on its pinned census field, and the grids with skips
+ENTRY_POINT_GRIDS = [(family, field, fam.DEFAULT_GRIDS[family])
+                     for family, field in CENSUS_DIGESTS] + [
+    (spec["family"], spec["field"], spec["params"]) for spec, _ in SKIPPED_ROW_DIGESTS.values()]
+
+
+@pytest.mark.parametrize("family, field, params", ENTRY_POINT_GRIDS)
+def test_constructor_agrees_with_the_grid(family, field, params):
+    # the grid calls the prediction on its resolved parameters; the public
+    # constructor binds them and checks the elements first
+    ctx, build = parse_field_spec(field), fam.FAMILY_BUILDERS[family]
+    for item in fam.instantiate_grid(family, [ctx], params):
+        if isinstance(item, fam.SkippedInstance):
+            with pytest.raises(fam.FamilyParameterError) as raised:
+                build(ctx, **item.params)
+            assert raised.value.reason == item.reason
+        else:
+            assert build(ctx, **item.params).predicted_pp == item.predicted_pp
+
+
 @pytest.mark.parametrize("reason", list(SKIPPED_ROW_DIGESTS))
 def test_skipped_rows_bytes(reason, tmp_path, capsys):
     spec, digest = SKIPPED_ROW_DIGESTS[reason]
@@ -369,7 +390,7 @@ def test_malformed_grid_leaves_no_csv(tmp_path, capsys):
 def test_report_keeps_a_zero_missed_value():
     from ppforge.cli import RunReport
     from ppforge.families import family_half_power
-    from ppforge.gf import make_field
+    from ppforge.gf import make_field, parse_field_spec
     from ppforge.oracle import IffRecord, Verdict
 
     f9 = make_field(3, 1, 2)
@@ -386,7 +407,6 @@ def test_census_shares_scaled_tables_and_makes_no_edges(tmp_path, monkeypatch, c
     # by (alpha, power table): its 3^1:4 grid asks for it at 2,916 points
     # and 162 values of (t, delta, alpha), and builds it once for each of
     # the 18 values of (t, alpha); no census reads an evaluator
-    import ppforge.families as fam
     from ppforge.gf import FieldCtx, parse_field_spec
 
     scales, edges = [], []
@@ -568,8 +588,6 @@ def test_a_census_over_many_maps_keeps_its_memory_flat(tmp_path, monkeypatch, co
 
 def test_alpha_beta_gamma_checks_each_gamma_and_s_once(tmp_path, monkeypatch):
     # the default 3^1:4 grid has 26,244 points over 9 gammas and 2 s
-    import ppforge.families as fam
-
     checked = []
     is_permutation = fam.is_permutation
     monkeypatch.setattr(fam, "is_permutation",
@@ -606,22 +624,32 @@ MALFORMED_GRID_VALUES = [
                              "L": ["identity"], "delta": "all"}, "g"),
     ("q6", "2^1:6", {"variant": ["minus"], "h": {"mono": 64}, "L": ["identity"],
                      "delta": "base"}, "h"),
+    # q6 takes polynomials only: a recipe h once died in family_q6 with exit 1
+    ("q6", "3^1:6", {"variant": ["minus"], "h": [{"kind": "trace_of_h", "h": {"mono": 1}}],
+                     "L": ["identity"], "delta": [0]}, "h"),
+    # 'kernel_nonzero' names the kernel of generic_L's L, and only its 'a' takes it
+    ("n4k", "2^1:4", {"variant": ["plain"], "delta": [0], "a": "kernel_nonzero"}, "a"),
+    ("generic_L", "3^1:2", {"L": ["trace"], "a": "kernel_nonzero",
+                            "h": [{"kind": "trace_of_h", "h": {"mono": 2}}],
+                            "L1": ["identity"], "delta": [["kernel_nonzero"]]}, "delta"),
 ]
 
 
 @pytest.mark.parametrize("family, field, params, name", MALFORMED_GRID_VALUES)
 def test_verify_refuses_malformed_grid_values(family, field, params, name, tmp_path,
                                               capsys, monkeypatch):
-    import ppforge.families as fam
-
+    # the grid calls the family's prediction on every point it builds
     built = []
-    monkeypatch.setitem(fam.FAMILY_BUILDERS, family,
+    monkeypatch.setitem(fam._PREDICTIONS, family,
                         lambda *args, **kwargs: built.append(args))
     spec = json.dumps({"family": family, "field": field, "params": params})
     out_csv = tmp_path / "rows.csv"
     assert main(["verify", spec, "--csv", str(out_csv)]) == 2
     assert capsys.readouterr().err.startswith(f"error: parameter {name!r} takes ")
     assert not out_csv.exists() and built == []
+    # the patch is what the grid calls: a well-formed grid on the field reaches it
+    next(fam.instantiate_grid(family, [parse_field_spec(field)], fam.DEFAULT_GRIDS[family]))
+    assert built
 
 
 @pytest.mark.parametrize("family, field, params, name", MALFORMED_GRID_VALUES)

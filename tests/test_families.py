@@ -1,4 +1,5 @@
 import time
+from typing import Union
 
 import pytest
 
@@ -11,7 +12,7 @@ from ppforge.families import (
     instantiate_grid,
     recipe_sign,
 )
-from ppforge.gf import make_field
+from ppforge.gf import Elem, make_field
 from ppforge.linearized import LinPoly, random_linearized_pp
 from ppforge.oracle import check_iff
 from ppforge.poly import Poly
@@ -376,6 +377,12 @@ def test_q6_requires_degree_six():
     assert exc.value.reason == "n_not_six"
 
 
+def test_q6_refuses_a_recipe_h():
+    with pytest.raises(FamilyParameterError) as exc:
+        fam.family_q6(F64, "minus", fam.trace_of_h(Poly.x(F64)), LinPoly.identity(F64), F64.zero)
+    assert exc.value.reason == "wrong_field"
+
+
 def test_q6_zero_h_reduces_to_l():
     inst = fam.family_q6(F64, "minus", Poly.zero(F64),
                          LinPoly.identity(F64), F64.generator)
@@ -584,6 +591,34 @@ def test_instantiate_grid_kernel_token():
     assert len(items) == 2  # the trace kernel has two nonzero points in F_9
     for inst in items:
         assert_agrees(inst)
+
+
+@pytest.mark.parametrize("a, extra", [(["kernel_nonzero"], []), ([["kernel_nonzero"]], []),
+                                      ([["kernel_nonzero"], 2], [2])])
+def test_instantiate_grid_kernel_token_anywhere_in_a(a, extra):
+    # the token resolves against each concrete L: the trace's kernel, then
+    # that of x^q - x, the base field F_3, which meets it only in 0
+    shift = LinPoly(F9, [2, 1])
+    params = {"L": ["trace", shift], "a": a,
+              "h": [fam.trace_of_h(X9SQ)], "L1": ["identity"], "delta": [0]}
+    got = [(item.params["L"], item.params["a"])
+           for item in instantiate_grid("generic_L", [F9], params)]
+    assert got == [(L, x) for L in (L_TRACE, shift)
+                   for x in [*F9.zero_set(L.tabulate())[1:], *map(F9.elem, extra)]]
+
+
+def test_every_family_is_registered_whole():
+    # one registration fills every table, and the grid resolves every kind
+    kinds = {Elem, LinPoly, GRecipe, Poly, Union[Poly, GRecipe], int, str}
+    families = set(fam.FAMILY_BUILDERS)
+    for table in (fam.COMPOSITIONS, fam.DEFAULT_GRIDS, fam.PARAM_ORDER, fam.PARAM_KINDS,
+                  fam._PREDICTIONS):
+        assert set(table) == families
+    for family in families:
+        assert tuple(fam.PARAM_KINDS[family]) == fam.PARAM_ORDER[family]
+        assert set(fam.DEFAULT_GRIDS[family]) == set(fam.PARAM_ORDER[family])
+        assert set(fam.PARAM_KINDS[family].values()) <= kinds
+        assert fam.FAMILY_BUILDERS[family].__doc__ == fam._PREDICTIONS[family].__doc__
 
 
 def test_instantiate_grid_rejects_unknown_family():

@@ -41,7 +41,7 @@ def census_rows(tmp_path, family, field, params=None, code=0) -> list[dict]:
 def sigma_pairs(family, ctx, rows) -> int:
     """Check every row against the row of its sigma-image; the pairs checked."""
     names = fam.PARAM_ORDER[family]
-    elems = [name for name in names if fam._PARAM_TYPES[name] == "elem"]
+    elems = [name for name in names if fam.PARAM_KINDS[family][name] is gf.Elem]
 
     def sigma(cell: str) -> str:
         return str(ctx.from_coords([int(c) for c in cell.split(",")]) ** ctx.p)
@@ -124,7 +124,7 @@ def test_random_grid_rows_agree_with_their_frobenius_images(family, field, data,
     ctx = cold_caches(gf.parse_field_spec(field))
     params = dict(fam.DEFAULT_GRIDS[family])
     for name in fam.PARAM_ORDER[family]:
-        if fam._PARAM_TYPES[name] == "elem":
+        if fam.PARAM_KINDS[family][name] is gf.Elem:
             pool = fam._resolve_elem(ctx, params[name], family, name)
             drawn = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2), label=name)
             params[name] = sorted({(x ** ctx.p ** i).code for x in drawn for i in range(ctx.dim)})
