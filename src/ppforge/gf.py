@@ -22,11 +22,12 @@ Contexts never change after construction apart from one cache per field
 of the tables derived from it, bounded by a budget of _TABLE_CODES codes
 (see `FieldCtx.derived`).
 
-The module has no polynomial arithmetic of its own.  The modulus search,
-the validation of a given modulus and the primitive element search run on
-`poly.Poly` over F_p, where Rabin's irreducibility test and modular powering
-live; the exp table iterates x -> g*x, an F_p-linear map whose table takes
-dim products.
+Building a field makes no `poly.Poly`.  The modulus search, the
+validation of a given modulus (Rabin's test, `_is_irreducible`) and the
+primitive element search run on coefficient lists of ints over F_p (the
+`_fp_*` helpers); the exp table iterates x -> g*x, an F_p-linear map whose
+table takes dim products.  Fields up to _ELEM_CACHE_MAX elements intern
+their elements, each made on its first use.
 """
 
 from __future__ import annotations
@@ -152,11 +153,71 @@ def _undigits(digits: Sequence[int], p: int) -> int:
     return code
 
 
-def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin's irreducibility test for coeffs as a polynomial over F_p."""
-    from .poly import Poly, is_irreducible  # deferred: poly depends on this module
+# ---------------------------------------------------------------------------
+# polynomials over F_p for building fields: lists of ints in [0, p),
+# constant term first, no trailing zeros (the zero polynomial is [])
 
-    return is_irreducible(Poly(make_field(p), coeffs))
+def _fp_mod(a: list[int], m: Sequence[int], p: int) -> list[int]:
+    """a mod m over F_p, m monic; a is any list of ints, used as scratch."""
+    d = len(m) - 1
+    low = [(i, c) for i, c in enumerate(m[:d]) if c]
+    for top in range(len(a) - 1, d - 1, -1):
+        c = a[top] % p
+        if c:
+            for i, mi in low:
+                a[top - d + i] -= c * mi
+    out = [c % p for c in a[:d]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _fp_mulmod(a: list[int], b: list[int], m: Sequence[int], p: int) -> list[int]:
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    return _fp_mod(prod, m, p)
+
+
+def _fp_powmod(a: list[int], k: int, m: Sequence[int], p: int) -> list[int]:
+    """a^k mod m over F_p, a reduced and k >= 1: square-and-multiply."""
+    out = a
+    for bit in bin(k)[3:]:
+        out = _fp_mulmod(out, out, m, p)
+        if bit == "1":
+            out = _fp_mulmod(out, a, m, p)
+    return out
+
+
+def _fp_coprime(a: list[int], m: Sequence[int], p: int) -> bool:
+    """Whether gcd(a, m) = 1 over F_p, for a reduced mod the monic m: the
+    Euclidean algorithm, each divisor made monic."""
+    while a:
+        inv = pow(a[-1], p - 2, p)
+        a, m = _fp_mod(list(m), [c * inv % p for c in a], p), a
+    return len(m) == 1
+
+
+def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
+    """Rabin's test (Rabin 1980, "Probabilistic algorithms in finite
+    fields"): a monic m of degree d >= 1 over F_p is irreducible exactly
+    when x^(p^d) = x mod m and gcd(x^(p^(d/r)) - x, m) = 1 for every prime
+    r dividing d."""
+    d = len(coeffs) - 1
+    x = _fp_mod([0, 1], coeffs, p)
+    powers = [x]  # x^(p^i) mod m
+    for _ in range(d):
+        powers.append(_fp_powmod(powers[-1], p, coeffs, p))
+    if powers[d] != x:
+        return False
+    for r in prime_factors(d):  # none for d = 1, so x is [0, 1] here
+        y = powers[d // r] + [0, 0]
+        y[1] -= 1
+        if not _fp_coprime(_fp_mod(y, coeffs, p), coeffs, p):
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,9 +421,11 @@ class FieldCtx:
         self._build_mul_tables()
         if self.p != 2 and self._add_table is None:
             self._add = self._zech_add()
-        self._elems: Optional[tuple[Elem, ...]] = None
+        # interned elements, each made on its first _wrap; a tuple once
+        # elements() has made them all
+        self._elems: Optional[Sequence[Optional[Elem]]] = None
         if self.order <= _ELEM_CACHE_MAX:
-            self._elems = tuple(Elem(self, c) for c in range(self.order))
+            self._elems = [None] * self.order
         self._subfield_codes = self._build_subfield_codes()
         self._subfield_set = frozenset(self._subfield_codes)
         # key -> (derived value, codes charged), oldest first: see derived
@@ -376,27 +439,16 @@ class FieldCtx:
 
     # -- construction ------------------------------------------------------
     #
-    # Before the exp/log tables exist, products are taken directly: a * b % p
-    # in the prime field, and in an extension as Polys over F_p modulo the
-    # modulus (Poly needs the prime field, which is therefore built first).
-
-    def _as_poly(self, c: int):
-        from .poly import Poly  # deferred: poly depends on this module
-
-        return Poly(make_field(self.p), _digits(c, self.p))
+    # Before the exp/log tables exist, products are taken on coefficient
+    # lists over F_p modulo the modulus.
 
     def _raw_mul(self, a: int, b: int) -> int:
-        if self.dim == 1:
-            return a * b % self.p
-        prod = self._as_poly(a) * self._as_poly(b) % self.modulus
-        return _undigits(prod.codes, self.p)
+        p = self.p
+        return _undigits(_fp_mulmod(_digits(a, p), _digits(b, p), self.modulus_coeffs, p), p)
 
     def _raw_pow(self, c: int, k: int) -> int:
-        if self.dim == 1:
-            return pow(c, k, self.p)
-        from .poly import powmod  # deferred: poly depends on this module
-
-        return _undigits(powmod(self._as_poly(c), k, self.modulus).codes, self.p)
+        p = self.p
+        return _undigits(_fp_powmod(_digits(c, p), k, self.modulus_coeffs, p), p)
 
     def _find_primitive_code(self) -> int:
         """Smallest code whose multiplicative order is q^n - 1."""
@@ -481,9 +533,13 @@ class FieldCtx:
     # the add table for small odd fields, the Zech table otherwise.
 
     def _wrap(self, code: int) -> Elem:
-        if self._elems is not None:
-            return self._elems[code]
-        return Elem(self, code)
+        elems = self._elems
+        if elems is None:
+            return Elem(self, code)
+        elem = elems[code]
+        if elem is None:
+            elem = elems[code] = Elem(self, code)
+        return elem
 
     def _neg(self, a: int) -> int:
         if self.p == 2 or a == 0:
@@ -564,10 +620,14 @@ class FieldCtx:
         """x -> Lambda(h[x]^e) on every code, Lambda(y) = sum(coeffs[j] *
         y^(q^j)) and h the identity when None.  The power column, and
         Lambda's table unless the field holds it, are built for this call
-        only: the caller keeps the result, not its ingredients."""
-        values = range(self.order) if h is None else h
-        if e != 1:
-            values = map(list(self._power_column(e)).__getitem__, values)
+        only: the caller keeps the result, not its ingredients.  With h
+        None the power column is read in order and never held whole."""
+        if e == 1:
+            values = range(self.order) if h is None else h
+        elif h is None:
+            values = self._power_column(e)
+        else:
+            values = map(list(self._power_column(e)).__getitem__, h)
         codes = tuple(coeffs) + (0,) * (self.n - len(coeffs))
         if codes != (1,) + (0,) * (self.n - 1):  # Lambda is not the identity
             held = self._tables.get(("lin", codes))
@@ -708,9 +768,12 @@ class FieldCtx:
         """All q^n elements in canonical order (ascending packed code): the
         interned tuple up to _ELEM_CACHE_MAX elements, above that a view that
         makes each element as it is read."""
-        if self._elems is not None:
-            return self._elems
-        return _ElementView(self)
+        elems = self._elems
+        if elems is None:
+            return _ElementView(self)
+        if not isinstance(elems, tuple):
+            elems = self._elems = tuple(map(self._wrap, range(self.order)))
+        return elems
 
     def subfield_elements(self) -> tuple[Elem, ...]:
         """The q elements of the tower base field, ascending code order."""

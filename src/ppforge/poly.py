@@ -4,9 +4,8 @@ Coefficients are stored constant term first with no trailing zeros; the
 zero polynomial is the empty vector.  Division requires a nonzero divisor
 and gcds are normalized monic, so the coprimality test used by the
 linearized permutation criterion is exact equality with 1.  The module
-also holds modular powering and Rabin's irreducibility test, on which
-`gf` builds its fields: the default modulus search, the validation of a
-given modulus and the primitive element search.
+also holds modular powering and Rabin's irreducibility test over any field
+context; `gf` builds its fields without them, on coefficient lists over F_p.
 """
 
 from __future__ import annotations

@@ -598,3 +598,158 @@ def test_power_table_matches_pow(data):
                             st.integers(0, 2 * om1), st.integers(0, 1 << 200)), label="t")
     assert list(ctx.power_table(t)) == [ctx._pow(y, t) for y in range(ctx.order)]
     assert ctx.power_table(t) is ctx.power_table(t)
+
+
+# Field identity of fields the tests above do not pin (GOLDEN_FIELDS holds
+# 2^1:8, 2^1:12, 3^1:4, 3^1:6, 3^1:8 and 5^1:2, the 2^20 test 2^1:20):
+# (default modulus, generator code), at the values every earlier build gave.
+# One fresh interpreter builds them one at a time, so the fields above 2^16
+# elements are not kept for later tests.
+
+FIELD_IDENTITY = {
+    "3^1:12": ((1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1), 4),
+    "5^1:8": ((1, 0, 0, 0, 0, 1, 1, 0, 1), 6),
+    "7^1:6": ((1, 0, 0, 0, 1, 0, 1), 8),
+    "2^2:3": ((1, 0, 0, 0, 0, 1, 1), 2),
+    "3^2:2": ((1, 0, 1, 1, 1), 10),
+}
+
+IDENTITY_SCRIPT = """
+from ppforge import gf
+for spec in {specs!r}:
+    ctx = gf.parse_field_spec(spec)
+    print(spec, ctx.modulus_coeffs, ctx.generator_code, sep="|")
+    gf._FIELD_CACHE.clear()
+    del ctx
+"""
+
+
+def test_field_identity_is_pinned(run_python):
+    proc = run_python(IDENTITY_SCRIPT.format(specs=list(FIELD_IDENTITY)))
+    assert proc.returncode == 0, proc.stderr
+    expected = [f"{spec}|{modulus}|{generator}"
+                for spec, (modulus, generator) in FIELD_IDENTITY.items()]
+    assert proc.stdout.splitlines() == expected
+
+
+def _times(a, b, m, p):
+    """The product of two codes as polynomials over F_p modulo m, digit by
+    digit, for the brute-force generator check."""
+    def digits(c):
+        return [c // p ** i % p for i in range(len(m) - 1)]
+    prod = [0] * (2 * len(m))
+    for i, x in enumerate(digits(a)):
+        for j, y in enumerate(digits(b)):
+            prod[i + j] += x * y
+    rem = _remainder([c % p for c in prod], m, p)
+    return sum(c * p ** i for i, c in enumerate(rem))
+
+
+def _orbit_length(g, m, p):
+    """Length of the orbit of 1 under x -> g*x, g nonzero."""
+    x, length = _times(1, g, m, p), 1
+    while x != 1:
+        x, length = _times(x, g, m, p), length + 1
+    return length
+
+
+@pytest.mark.parametrize("p, d", SMALL_DEGREES)
+def test_generator_is_the_smallest_code_of_full_orbit(p, d):
+    ctx = make_field(p, 1, d)
+    m = ctx.modulus_coeffs
+    full = [c for c in range(1, ctx.generator_code + 1)
+            if _orbit_length(c, m, p) == ctx.order - 1]
+    assert full == [ctx.generator_code]
+
+
+# The F_p coefficient-list helpers that build fields, against poly.Poly over
+# the prime field: Rabin's test and modular powering, on random monic moduli
+# up to degree 16 and on products of two random monic factors (reducible,
+# and often passing x^(p^d) = x, so the gcd step decides them).
+
+def _monic(p, degree):
+    return st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree).map(
+        lambda low: tuple(low) + (1,))
+
+
+def _poly_product(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_field_helpers_match_poly(data):
+    from ppforge import gf
+    from ppforge.poly import Poly, is_irreducible, powmod
+
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    if data.draw(st.booleans(), label="product"):
+        left, right = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        m = _poly_product(data.draw(_monic(p, left)), data.draw(_monic(p, right)), p)
+    else:
+        m = data.draw(st.integers(1, 16).flatmap(lambda d: _monic(p, d)), label="m")
+    fp = make_field(p)
+    assert gf._is_irreducible(m, p) == is_irreducible(Poly(fp, m))
+    a = data.draw(st.lists(st.integers(0, p - 1), max_size=len(m) - 1), label="a")
+    while a and not a[-1]:
+        a.pop()
+    k = data.draw(st.integers(1, 1 << 20), label="k")
+    expected = powmod(Poly(fp, a), k, Poly(fp, m)).codes
+    assert tuple(gf._fp_powmod(a, k, m, p)) == expected
+
+
+# Building a field runs on plain integers: no Poly is made, nothing is
+# imported from poly, and a field makes only zero, one and its generator
+# until something reads another element.
+
+def test_building_a_field_makes_no_poly_and_three_elements(monkeypatch):
+    import sys
+
+    from ppforge import gf, poly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Poly was made while building a field")
+
+    made = []
+    make_elem = gf.Elem.__init__
+
+    def counted(self, ctx, code):
+        made.append((ctx, code))
+        make_elem(self, ctx, code)
+
+    built = []
+    init_ctx = gf.FieldCtx.__init__
+
+    def counted_ctx(self, *args):
+        built.append(self)
+        init_ctx(self, *args)
+
+    monkeypatch.setattr(poly.Poly, "__init__", refuse)
+    monkeypatch.setitem(sys.modules, "ppforge.poly", None)  # an import would fail
+    monkeypatch.setattr(gf.Elem, "__init__", counted)
+    monkeypatch.setattr(gf.FieldCtx, "__init__", counted_ctx)
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    gf.first_irreducible_coeffs.cache_clear()
+    fields = [make_field(3, 1, 6),  # Zech addition, modulus searched afresh
+              make_field(2, 1, 8, modulus=(1, 1, 0, 1, 1, 0, 0, 0, 1)),
+              make_field(5, 1, 3)]
+    assert built == fields  # an extension field no longer builds F_p first
+    for ctx in fields:
+        assert sorted(code for owner, code in made if owner is ctx) == [0, 1, ctx.generator_code]
+    assert fields[1].label == "2^1:8:mod=1,1,0,1,1,0,0,0,1"
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 4), (2, 1, 8)])
+def test_elements_are_interned_as_first_made(spec):
+    ctx = make_field(*spec)
+    early = {c: ctx._wrap(c) for c in (5, 0, ctx.order - 1)}
+    elements = ctx.elements()
+    assert isinstance(elements, tuple) and len(elements) == ctx.order
+    assert [x.code for x in elements] == list(range(ctx.order))
+    assert all(elements[c] is ctx._wrap(c) for c in range(ctx.order))
+    assert all(elements[c] is x for c, x in early.items())
+    assert ctx.elements() is elements
