@@ -20,21 +20,17 @@ from .gf import (
     make_field,
     parse_field_spec,
 )
-from .poly import Poly, gcd, irreducible_first, format_poly, parse_poly
+from .poly import Poly, gcd, format_poly, parse_poly
 from .linearized import (
     CriteriaDisagreeError,
     LinPoly,
     SubfieldCoefficientError,
     circulant_det_is_nonzero,
-    compose,
     format_linpoly,
-    from_linearized,
     gcd_criterion_is_pp,
     is_permutation,
     parse_linpoly,
     random_linearized_pp,
-    to_linearized,
-    trace_commutation_check,
 )
 from .agw import (
     AGWInstance,
@@ -79,11 +75,9 @@ from .oracle import (
     DEFAULT_CAP,
     FieldTooLargeError,
     IffRecord,
-    NotBijectiveError,
     Verdict,
     check_bijective,
     check_iff,
-    cycle_structure,
     scan_codes,
     format_cycle_type,
 )

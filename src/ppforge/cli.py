@@ -126,8 +126,9 @@ def _normalize_spec(doc) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError("spec must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {version}")
+    # True and 1.0 equal 1 in Python, but only the JSON integer is version 1
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema_version {version!r}")
     family = doc.get("family")
     if family not in FAMILY_BUILDERS:
         raise SchemaError(f"unknown or missing family {family!r}")
@@ -251,7 +252,6 @@ def _row_writer(family_id: str, out):
 
 
 def _print_report(report: RunReport) -> None:
-    doc = report.to_dict()
     print(f"family       {report.family_id}")
     print(f"field        {report.field_spec}")
     print(f"grid size    {report.grid_size}")
@@ -259,12 +259,14 @@ def _print_report(report: RunReport) -> None:
     print(f"disagreements {len(report.disagreements)}")
     print(f"skipped      {len(report.skipped)}")
     print(f"wall time    {report.wall_time:.2f}s")
-    for dis in doc["disagreements"]:
+    for item, record in report.disagreements:
+        verdict = record.verdict
         witness = ""
-        if dis["collision"]:
-            witness = f"; collision={'/'.join(dis['collision'])} missed={dis['missed']}"
-        print(f"  DISAGREE predicted={dis['predicted']} observed={dis['observed']} "
-              f"{dis['params']}{witness}")
+        if verdict.collision is not None:
+            witness = (f"; collision={'/'.join(map(str, verdict.collision))} "
+                       f"missed={verdict.missed}")
+        print(f"  DISAGREE predicted={record.predicted} observed={record.observed} "
+              f"{item.describe_params()}{witness}")
     for reason, count in collections.Counter(item.reason for item in report.skipped).items():
         print(f"  skipped {count} x {reason}")
 

@@ -341,7 +341,7 @@ PARAM_KINDS: dict[str, dict[str, object]] = {}
 _PREDICTIONS: dict[str, Callable[..., bool]] = {}
 
 
-def _family(family_id: str, compose: Callable[[FieldCtx, dict], Composition]):
+def _family(family_id: str, composition: Callable[[FieldCtx, dict], Composition]):
     """Register the decorated prediction predict(ctx, **params) -> bool,
     which checks the hypotheses and returns the predicted verdict, with
     the family's composition; return the public constructor, which takes
@@ -361,7 +361,7 @@ def _family(family_id: str, compose: Callable[[FieldCtx, dict], Composition]):
                 _check_elem(ctx, params[name], name)
             return FamilyInstance(family_id, ctx, params, predict(ctx, **params))
 
-        FAMILY_BUILDERS[family_id], COMPOSITIONS[family_id] = build, compose
+        FAMILY_BUILDERS[family_id], COMPOSITIONS[family_id] = build, composition
         PARAM_ORDER[family_id], PARAM_KINDS[family_id] = tuple(kinds), kinds
         _PREDICTIONS[family_id] = predict
         return build

@@ -332,13 +332,7 @@ class Elem:
         return f"Elem({self.ctx.label}|{','.join(map(str, self.coords))})"
 
     def __str__(self):
-        # memoized per field and code: census rows print the same few
-        # parameters thousands of times
-        labels = self.ctx._labels
-        label = labels.get(self.code)
-        if label is None:
-            label = labels[self.code] = ",".join(map(str, self.coords))
-        return label
+        return ",".join(map(str, self.coords))
 
 
 # Elem's slots are written only by its __init__, through their descriptors:
@@ -431,7 +425,6 @@ class FieldCtx:
         # key -> (derived value, codes charged), oldest first: see derived
         self._tables: dict[Hashable, tuple[object, int]] = {}
         self._charged = 0
-        self._labels: dict[int, str] = {}  # str(Elem) by code, filled as printed
 
         self.zero = self._wrap(0)
         self.one = self._wrap(1)

@@ -4,13 +4,11 @@ Two exact criteria are provided: the Frobenius-twisted circulant
 determinant, valid for arbitrary coefficients in F_{q^n}, and the
 coprimality test gcd(l(x), x^n - 1) = 1 on the conventional associate,
 valid only when all coefficients lie in the base field F_q.  The module
-also carries the associate correspondence between ordinary and linearized
-polynomials and a deterministic generator of linearized permutations.
+also carries a deterministic generator of linearized permutations.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from array import array
 from typing import Iterable
@@ -121,27 +119,6 @@ class LinPoly:
         return Poly(self.ctx, self.codes)
 
 
-def to_linearized(l: Poly) -> LinPoly:
-    """Linearized associate of an ordinary polynomial with F_q coefficients.
-
-    Exponents at or above n are folded modulo n with coefficient
-    accumulation, which is exact on F_{q^n} because x^(q^n) = x.
-    """
-    ctx = l.ctx
-    for c in l.codes:
-        if not ctx.is_subfield_code(c):
-            raise SubfieldCoefficientError(
-                "associate requires coefficients in the base field")
-    folded = [0] * ctx.n
-    for i, c in enumerate(l.codes):
-        folded[i % ctx.n] = ctx._add(folded[i % ctx.n], c)
-    return LinPoly(ctx, folded)
-
-
-def from_linearized(L: LinPoly) -> Poly:
-    return L.conventional()
-
-
 def circulant_det_is_nonzero(L: LinPoly) -> bool:
     """Permutation test via the n x n twisted circulant matrix.
 
@@ -198,41 +175,6 @@ def is_permutation(L: LinPoly) -> bool:
         raise CriteriaDisagreeError(
             f"circulant criterion says {circ}, gcd criterion disagrees for {L!r}")
     return circ
-
-
-def trace_commutation_check(L: LinPoly) -> bool:
-    """Exhaustively confirm L(Tr(x)) = Tr(L(x)) = (sum a_i) * Tr(x)."""
-    if not L.subfield_flag:
-        raise SubfieldCoefficientError(
-            "trace commutation needs base-field coefficients")
-    ctx = L.ctx
-    coeff_sum = functools.reduce(ctx._add, L.codes)
-    for x in ctx.elements():
-        t = x.trace()
-        lhs = L.apply(t)
-        mid = L.apply(x).trace()
-        rhs = ctx._wrap(ctx._mul(coeff_sum, t.code))
-        if lhs != mid or mid != rhs:
-            return False
-    return True
-
-
-def compose(outer: LinPoly, inner: LinPoly) -> LinPoly:
-    """Composition outer(inner(x)) via associate multiplication mod x^n - 1.
-
-    Valid for base-field coefficients, where composition of q-polynomials
-    matches ordinary multiplication of their associates.
-    """
-    if not (outer.subfield_flag and inner.subfield_flag):
-        raise SubfieldCoefficientError("composition needs base-field coefficients")
-    ctx = outer.ctx
-    if inner.ctx is not ctx:
-        raise CtxMismatchError("operands from different field contexts")
-    prod = outer.conventional() * inner.conventional()
-    folded = [0] * ctx.n
-    for i, c in enumerate(prod.codes):
-        folded[i % ctx.n] = ctx._add(folded[i % ctx.n], c)
-    return LinPoly(ctx, folded)
 
 
 def random_linearized_pp(ctx: FieldCtx, seed: int) -> LinPoly:

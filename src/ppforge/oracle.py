@@ -23,10 +23,6 @@ class FieldTooLargeError(Exception):
     """Raised when a scan would exceed the configured field-size cap."""
 
 
-class NotBijectiveError(Exception):
-    """Raised when a cycle decomposition is requested for a non-bijection."""
-
-
 class Verdict(NamedTuple):
     """Outcome of an exhaustive bijection scan (an immutable named tuple)."""
 
@@ -103,15 +99,6 @@ def check_bijective(evaluator: Callable[[Elem], Elem], ctx: FieldCtx,
     if len(codes) != ctx.order:
         raise CtxMismatchError(f"the map's values must be elements of {ctx.label}")
     return scan_codes(codes, ctx)
-
-
-def cycle_structure(evaluator: Callable[[Elem], Elem], ctx: FieldCtx,
-                    cap: int = DEFAULT_CAP) -> tuple[int, ...]:
-    """Cycle lengths of a bijective map, ascending."""
-    verdict = check_bijective(evaluator, ctx, cap=cap)
-    if not verdict.bijective:
-        raise NotBijectiveError(f"map is not bijective: collision {verdict.collision}")
-    return verdict.cycle_type
 
 
 def format_cycle_type(cycle_type: tuple[int, ...]) -> str:

@@ -17,8 +17,6 @@ from .gf import (
     Elem,
     FieldCtx,
     code_table,
-    first_irreducible_coeffs,
-    make_field,
     prime_factors,
 )
 
@@ -275,11 +273,6 @@ def is_irreducible(m: Poly) -> bool:
         return False
     one = Poly.one(m.ctx)
     return all(gcd(powers[d // r] - x, m) == one for r in prime_factors(d))
-
-
-def irreducible_first(p: int, d: int) -> Poly:
-    """Lexicographically first monic irreducible of degree d over F_p."""
-    return Poly(make_field(p, 1, 1), first_irreducible_coeffs(p, d))
 
 
 # ---------------------------------------------------------------------------

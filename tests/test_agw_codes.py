@@ -156,11 +156,11 @@ def _grid(family, spec):
 def test_one_composition_call_per_square(family, spec, monkeypatch):
     ctx, grid = _grid(family, spec)
     calls = []
-    compose = fam.COMPOSITIONS[family]
+    composition = fam.COMPOSITIONS[family]
 
     def counting(*args):
         calls.append(args)
-        return compose(*args)
+        return composition(*args)
 
     monkeypatch.setitem(fam.COMPOSITIONS, family, counting)
     for inst in grid:

@@ -90,23 +90,6 @@ def test_verify_csv(tmp_path, capsys):
     assert len(rows) == 577
 
 
-def test_verify_csv_memoizes_only_the_printed_labels(tmp_path, capsys):
-    ctx = make_field(3, 1, 8)
-    ctx._labels.clear()
-    spec = json.dumps({"family": "n4k", "field": "3^1:8",
-                       "params": {"variant": ["plain", "qtwist"], "delta": [0],
-                                  "a": "base_nonzero"}})
-    out_csv = tmp_path / "rows.csv"
-    assert main(["verify", spec, "--csv", str(out_csv)]) == 0
-    with open(out_csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 4
-    printed = {ctx.from_coords([int(c) for c in row[name].split(",")]).code
-               for row in rows for name in ("delta", "a")}
-    assert printed == {0, 1, 2}
-    assert set(ctx._labels) == printed
-
-
 def test_census_default_grid(tmp_path, capsys):
     out_csv = tmp_path / "census.csv"
     assert main(["census", "n4k", "3^1:4", "-o", str(out_csv)]) == 0
@@ -452,6 +435,16 @@ def test_verify_refuses_a_field_that_is_not_a_string(capsys):
     assert capsys.readouterr().err == "error: 'field' must be a string, got 9\n"
     assert main(["agw-check", '{"family": "n4k", "field": null}']) == 2
     assert capsys.readouterr().err.startswith("error: 'field' must be a string")
+
+
+@pytest.mark.parametrize("version, shown", [(True, "True"), (1.0, "1.0"), ("1", "'1'"),
+                                             (2, "2")], ids=["true", "float", "string", "2"])
+def test_verify_refuses_a_schema_version_that_is_not_the_integer_1(version, shown, capsys):
+    spec = json.dumps({"schema_version": version, "family": "n4k", "field": "3^1:2"})
+    assert main(["verify", spec]) == 2
+    assert capsys.readouterr().err == f"error: unsupported schema_version {shown}\n"
+    assert main(["agw-check", spec]) == 2
+    assert capsys.readouterr().err == f"error: unsupported schema_version {shown}\n"
 
 
 @pytest.mark.parametrize("t", [["x"], [2.0], [True], "2", {"t": 2}, [[2]]])

@@ -561,15 +561,13 @@ def test_table_passes_match_scalar_arithmetic(data):
     assert row == [ctx._mul(scale, v) for v in range(ctx.order)]
 
 
-# str(Elem) is memoized per field and code.
+# str(Elem) is the comma-separated coordinate vector.
 
 @pytest.mark.parametrize("spec", [(3, 1, 4), (2, 1, 8)])
 def test_labels_match_coordinates_exhaustive(spec):
     ctx = make_field(*spec)
     for x in ctx.elements():
         assert str(x) == ",".join(map(str, x.coords))
-        assert str(x) == ",".join(map(str, x.coords))  # read from the memo
-    assert set(ctx._labels) == set(range(ctx.order))
 
 
 @settings(max_examples=50, deadline=None)
@@ -577,7 +575,7 @@ def test_labels_match_coordinates_exhaustive(spec):
 def test_labels_above_the_interning_bound(code):
     ctx = make_field(2, 1, 17)
     x, y = ctx.elem(code), ctx.elem(code)
-    assert x is not y  # not interned at this order: one label serves both
+    assert x is not y  # not interned at this order
     assert str(x) == ",".join(map(str, x.coords)) == str(y)
     assert len(str(x).split(",")) == 17
 

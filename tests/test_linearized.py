@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -9,18 +10,13 @@ from ppforge.linearized import (
     LinPoly,
     SubfieldCoefficientError,
     circulant_det_is_nonzero,
-    compose,
     format_linpoly,
-    from_linearized,
     gcd_criterion_is_pp,
     is_permutation,
     parse_linpoly,
     random_linearized_pp,
-    to_linearized,
-    trace_commutation_check,
 )
 from ppforge.oracle import check_bijective
-from ppforge.poly import Poly
 
 F9 = make_field(3, 1, 2)
 F27 = make_field(3, 1, 3)
@@ -107,42 +103,19 @@ def test_circulant_matches_oracle_with_general_coefficients():
 
 
 def test_trace_commutation():
-    assert trace_commutation_check(LinPoly.identity(F9))
-    assert trace_commutation_check(LinPoly.trace_map(F9))
-    assert trace_commutation_check(LinPoly.frobenius_term(F9, 1, 2))
+    # L(Tr x) = Tr(L x) = (sum a_i) Tr(x) for every base-field L, on tables
+    trace = LinPoly.trace_map(F9).tabulate()
     for L in all_subfield_linpolys(F9):
-        assert trace_commutation_check(L)
-
-
-def test_to_linearized_examples():
-    assert to_linearized(Poly.x(F9)).codes == (0, 1)
-    assert to_linearized(Poly(F27, [1, 1, 1])) == LinPoly.trace_map(F27)
-
-
-def test_to_linearized_folds_high_exponents():
-    # x^n folds onto the constant slot because x^(q^n) = x
-    folded = to_linearized(Poly.monomial(F9, 2))
-    assert folded.codes == (1, 0)
-
-
-def test_to_linearized_rejects_outside_subfield():
-    w = F9.from_coords([0, 1])
-    with pytest.raises(SubfieldCoefficientError):
-        to_linearized(Poly(F9, [w]))
+        table = F9.linear_map(L.codes)
+        coeff_sum = functools.reduce(F9._add, L.codes)
+        for x in range(F9.order):
+            assert table[trace[x]] == trace[table[x]] == F9._mul(coeff_sum, trace[x])
 
 
 def test_associate_round_trip():
+    # the conventional associate keeps the coefficient vector
     for L in all_subfield_linpolys(F27):
-        assert to_linearized(from_linearized(L)) == L
-
-
-def test_compose_consistency_exhaustive_f27():
-    sample = list(all_subfield_linpolys(F27))
-    els = F27.elements()
-    for L1, L2 in itertools.product(sample[:9], sample[:9]):
-        C = compose(L1, L2)
-        for x in els:
-            assert C.apply(x) == L1.apply(L2.apply(x))
+        assert LinPoly(F27, L.conventional().codes) == L
 
 
 def test_random_linearized_pp():

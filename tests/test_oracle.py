@@ -9,12 +9,10 @@ from ppforge.gf import CtxMismatchError, make_field, parse_field_spec
 from ppforge.oracle import (
     FieldTooLargeError,
     IffRecord,
-    NotBijectiveError,
     Verdict,
     check_bijective,
     check_iff,
     scan_codes,
-    cycle_structure,
     format_cycle_type,
 )
 
@@ -45,23 +43,18 @@ def test_frobenius_bijective():
     assert v.bijective
 
 
-def test_cycle_structure_identity():
-    assert cycle_structure(lambda x: x, F7) == (1,) * 7
+def test_cycle_type_identity():
+    assert check_bijective(lambda x: x, F7).cycle_type == (1,) * 7
 
 
-def test_cycle_structure_frobenius_f4():
+def test_cycle_type_frobenius_f4():
     # fixes the subfield, swaps the two outside elements
-    assert cycle_structure(lambda x: x.frobenius(), F4) == (1, 1, 2)
+    assert check_bijective(lambda x: x.frobenius(), F4).cycle_type == (1, 1, 2)
 
 
-def test_cycle_structure_additive_shift():
+def test_cycle_type_additive_shift():
     one = F7.one
-    assert cycle_structure(lambda x: x + one, F7) == (7,)
-
-
-def test_cycle_structure_rejects_non_bijection():
-    with pytest.raises(NotBijectiveError):
-        cycle_structure(lambda x: x * x, F5)
+    assert check_bijective(lambda x: x + one, F7).cycle_type == (7,)
 
 
 def test_field_cap():
@@ -136,8 +129,6 @@ def test_values_from_another_field_are_refused(spec):
     assert other is not F8
     with pytest.raises(CtxMismatchError):
         check_bijective(lambda x: other.elem(x.code), F8)
-    with pytest.raises(CtxMismatchError):
-        cycle_structure(lambda x: other.elem(x.code), F8)
 
 
 @pytest.mark.parametrize("evaluator", [lambda x: x.code, lambda x: None], ids=["code", "none"])

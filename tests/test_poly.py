@@ -10,7 +10,6 @@ from ppforge.poly import (
     Poly,
     format_poly,
     gcd,
-    irreducible_first,
     is_irreducible,
     parse_poly,
     powmod,
@@ -99,13 +98,6 @@ def test_eval_is_ring_homomorphism():
         for x in F9.elements():
             assert (f + g).eval(x) == f.eval(x) + g.eval(x)
             assert (f * g).eval(x) == f.eval(x) * g.eval(x)
-
-
-def test_irreducible_first_examples():
-    assert irreducible_first(3, 2).codes == (1, 0, 1)
-    assert irreducible_first(2, 1).codes == (0, 1)
-    assert irreducible_first(2, 2).codes == (1, 1, 1)
-    assert irreducible_first(2, 1).ctx.order == 2
 
 
 def test_powmod_matches_repeated_multiplication():
