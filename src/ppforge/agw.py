@@ -27,8 +27,7 @@ point by point and in the same order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 _ADDITIVITY_EXHAUSTIVE_MAX = 256
 _ADDITIVITY_SAMPLES = 10_000
@@ -219,8 +218,7 @@ class AGWInstance:
                 for s, fiber in self._fibers.groups().items()}
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     f_bijective: bool
     h_bijective: bool
     fiber_injective: bool
@@ -290,8 +288,7 @@ def _commuting(A, psi, psibar, f, h) -> AGWInstance:
         raise HypothesisViolatedError("commutes", str(exc)) from None
 
 
-@dataclass(frozen=True)
-class PerturbReport:
+class PerturbReport(NamedTuple):
     perturbed_bijective: bool   # u + v
     base_bijective: bool        # u
     counterexample: Optional[tuple] = None
@@ -325,8 +322,7 @@ def check_perturbed_bijection(A: Sequence, psi: MapLike, psibar: MapLike,
     return PerturbReport(perturbed, base, mismatch)
 
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(NamedTuple):
     shifted_bijective: bool          # p = f + g(psi(.))
     h_bijective: bool
     base_fiber_injective: bool       # f injective on each fiber

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .agw import NotCommutingError, check_fiber_criterion, wrap_family_instance
 from .families import (
@@ -45,18 +44,18 @@ class SchemaError(Exception):
     """Malformed family spec document."""
 
 
-@dataclass
 class RunReport:
     """A checked grid: counts, the (instance, record) pair of every
     disagreement and every skipped grid point, in grid order."""
 
-    family_id: str
-    field_spec: str
-    grid_size: int = 0
-    agreements: int = 0
-    disagreements: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(self, family_id: str, field_spec: str):
+        self.family_id = family_id
+        self.field_spec = field_spec
+        self.grid_size = 0
+        self.agreements = 0
+        self.disagreements: list = []
+        self.skipped: list = []
+        self.wall_time = 0.0
 
     def add(self, item, record) -> None:
         """Fold one checked grid point in; record is None for a skipped one."""

@@ -27,7 +27,7 @@ import functools
 import inspect
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .gf import CtxMismatchError, Elem, FieldCtx, ResidueClass, code_table
 from .linearized import (
@@ -86,10 +86,14 @@ class FamilyInstance:
 
     def __init__(self, family_id: str, ctx: FieldCtx, params: dict, predicted_pp: bool,
                  evaluator: Optional[Callable[[Elem], Elem]] = None):
-        # written past the frozen __setattr__, which refuses every assignment;
-        # a census never reads the evaluator, so it makes no edge
+        # written past the frozen __setattr__, which refuses every assignment,
+        # by one dict store a field; a census never reads the evaluator, so it
+        # makes no edge
         fields = self.__dict__
-        fields.update(family_id=family_id, ctx=ctx, params=params, predicted_pp=predicted_pp)
+        fields["family_id"] = family_id
+        fields["ctx"] = ctx
+        fields["params"] = params
+        fields["predicted_pp"] = predicted_pp
         if evaluator is not None:
             fields["evaluator"] = evaluator
 
@@ -128,12 +132,15 @@ class CodeMapEdge:
             raise CtxMismatchError("argument from a different field")
         if self._values is None:
             self._values = _compile(self.family_id, ctx, self.params)
-        return ctx._wrap(self._values[x.code])
+        code = self._values[x.code]
+        if ctx._elems is None:  # a field above the interning bound
+            return Elem(ctx, code)
+        return ctx._wrap(code)
 
 
-@dataclass(frozen=True, eq=False)
-class SkippedInstance:
-    """A grid point whose hypotheses cannot be satisfied, with the reason."""
+class SkippedInstance(NamedTuple):
+    """A grid point whose hypotheses cannot be satisfied, with the reason
+    (an immutable named tuple)."""
 
     family_id: str
     ctx: FieldCtx

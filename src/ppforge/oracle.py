@@ -44,13 +44,15 @@ def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
     yet seen and marks the points it passes.  For a bijection every walk
     closes at its start, and the walks are the cycles.  A walk that meets a
     marked point before it closes proves a repeated value; the map is then
-    scanned in canonical order (:func:`_first_collision`).
+    scanned in canonical order (:func:`_first_collision`).  The marks are a
+    list of booleans, whose subscripts CPython specializes (a ``bytearray``'s
+    it does not), at 8 bytes per element while the scan runs.
     """
     if len(codes) != ctx.order:
         raise ValueError(f"expected {ctx.order} values, got {len(codes)}")
     if min(codes) < 0 or max(codes) >= ctx.order:
         raise ValueError(f"values must be codes in [0, {ctx.order})")
-    seen = bytearray(ctx.order)
+    seen = [False] * ctx.order
     lengths = []
     for start, c in enumerate(codes):
         if seen[start]:
@@ -61,29 +63,29 @@ def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
         while c != start:
             if seen[c]:
                 return _first_collision(codes, ctx)
-            seen[c] = 1
+            seen[c] = True
             c = codes[c]
             length += 1
         lengths.append(length)
     lengths.sort()
-    return Verdict(bijective=True, cycle_type=tuple(lengths))
+    return Verdict(True, None, None, tuple(lengths))
 
 
 def _first_collision(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
     """The verdict on a map known not to be bijective: the collision is the
     first repeated value in canonical order together with its first
     preimage, and the missed value is the smallest code not hit."""
-    hit = bytearray(ctx.order)
+    hit = [False] * ctx.order
     for x, y in enumerate(codes):
         if hit[y]:
             break
-        hit[y] = 1
+        hit[y] = True
     else:
         raise AssertionError("no repeated value in a map found not to be bijective")
     collision = (ctx._wrap(codes.index(y)), ctx._wrap(x))
     for y in itertools.islice(codes, x + 1, None):
-        hit[y] = 1
-    return Verdict(bijective=False, collision=collision, missed=ctx._wrap(hit.index(0)))
+        hit[y] = True
+    return Verdict(False, collision, ctx._wrap(hit.index(False)))
 
 
 def check_bijective(evaluator: Callable[[Elem], Elem], ctx: FieldCtx,
@@ -134,9 +136,5 @@ def check_iff(instance, cap: int = DEFAULT_CAP) -> IffRecord:
     ctx = instance.ctx
     _check_cap(ctx, cap)
     verdict = scan_codes(instance.code_values(), ctx)
-    return IffRecord(
-        family_id=instance.family_id,
-        predicted=instance.predicted_pp,
-        observed=verdict.bijective,
-        verdict=verdict,
-    )
+    # positional: a keyword call costs a per-point argument match
+    return IffRecord(instance.family_id, instance.predicted_pp, verdict.bijective, verdict)

@@ -428,6 +428,24 @@ def test_family_instances_stay_frozen():
     assert dataclasses.replace(inst, evaluator=len).evaluator is len
 
 
+def test_code_map_edge_interns_below_the_bound_and_makes_elements_above(monkeypatch):
+    small = make_field(2, 1, 8)
+    inst = fam.family_additive_g(small, fam.trace_of_h(Poly.x(small)),
+                                 LinPoly(small, [small.one, small.one]), small.one)
+    values = inst.code_values()
+    assert all(inst.evaluator(x) is small.elem(values[x.code]) for x in small.elements())
+    # above the interning bound the edge makes each element itself, not
+    # through the field's interning _wrap
+    ctx = make_field(2, 1, 17)
+    inst = fam.family_additive_g(ctx, fam.trace_of_h(Poly.x(ctx)),
+                                 LinPoly(ctx, [ctx.one, ctx.one]), ctx.one)
+    values = inst.code_values()
+    monkeypatch.setattr(gf.FieldCtx, "_wrap", None)
+    for code in (0, 1, 2, 255, 256, 65535, 65536, 65537, ctx.order - 1):
+        y = inst.evaluator(gf.Elem(ctx, code))
+        assert type(y) is gf.Elem and y.ctx is ctx and y.code == values[code]
+
+
 def test_half_power_tables_follow_field_k_a_and_b():
     # half_power keeps its linear tables in each field's cache by (k, a, b):
     # compiles interleaved across two fields with equal codes, and across k,

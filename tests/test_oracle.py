@@ -1,3 +1,5 @@
+import array
+import itertools
 import textwrap
 
 import pytest
@@ -165,8 +167,8 @@ SMALL_FIELDS = [make_field(2), make_field(3), F4, F5, F7, make_field(2, 1, 3), F
 
 
 @st.composite
-def value_lists(draw):
-    ctx = draw(st.sampled_from(SMALL_FIELDS))
+def value_lists(draw, fields=SMALL_FIELDS):
+    ctx = draw(st.sampled_from(fields))
     n = ctx.order
     kind = draw(st.sampled_from(["bijection", "map", "last", "cycles_then_rho"]))
     if kind == "bijection":
@@ -194,6 +196,22 @@ def test_scan_codes_matches_a_two_pass_scan(case):
     assert (v.bijective, v.collision, v.missed, v.cycle_type) == _reference_scan(codes, ctx)
 
 
+# codes past CPython's small-int cache (256), so marks are indexed by ints that
+# are not shared objects
+LARGE_FIELDS = [make_field(2, 1, 9), make_field(3, 1, 6)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(value_lists(LARGE_FIELDS))
+def test_scan_codes_matches_a_two_pass_scan_above_256_on_any_sequence(case):
+    # scan_codes takes any Sequence[int] and its walk indexes it directly
+    ctx, codes = case
+    expected = _reference_scan(codes, ctx)
+    for copy in (codes, tuple(codes), array.array("I", codes)):
+        v = scan_codes(copy, ctx)
+        assert (v.bijective, v.collision, v.missed, v.cycle_type) == expected, type(copy)
+
+
 def test_records_are_immutable_with_unchanged_fields():
     v = Verdict(bijective=True)
     assert Verdict._fields == ("bijective", "collision", "missed", "cycle_type")
@@ -206,6 +224,39 @@ def test_records_are_immutable_with_unchanged_fields():
         with pytest.raises(AttributeError):
             setattr(record, name, False)
     assert hash(v) == hash(Verdict(True)) and v == Verdict(True)
+
+
+def test_grid_and_square_records_are_immutable_with_unchanged_fields():
+    from ppforge.agw import FiberReport, PerturbReport, ShiftReport
+    from ppforge.families import SkippedInstance
+
+    assert SkippedInstance._fields == ("family_id", "ctx", "params", "reason")
+    assert SkippedInstance._field_defaults == {}
+    assert FiberReport._fields == ("f_bijective", "h_bijective", "fiber_injective",
+                                   "fiber_witness")
+    assert FiberReport._field_defaults == {"fiber_witness": None}
+    assert PerturbReport._fields == ("perturbed_bijective", "base_bijective", "counterexample")
+    assert PerturbReport._field_defaults == {"counterexample": None}
+    assert ShiftReport._fields == ("shifted_bijective", "h_bijective", "base_fiber_injective",
+                                   "kernel_condition", "base_bijective", "counterexample")
+    assert ShiftReport._field_defaults == {"base_bijective": None, "counterexample": None}
+    skipped = SkippedInstance("n4k", F9, {"a": F9.one}, "n_not_multiple_of_4")
+    assert skipped.describe_params() == "a=1,0"
+    bools = (False, True)
+    for f, h, injective in itertools.product(bools, repeat=3):
+        assert FiberReport(f, h, injective).equivalence_holds == (f == (h and injective))
+    for perturbed, base in itertools.product(bools, repeat=2):
+        assert PerturbReport(perturbed, base).equivalence_holds == (perturbed == base)
+    for shifted, h, injective, kernel, base in itertools.product(bools, repeat=5):
+        report = ShiftReport(shifted, h, injective, kernel, base if kernel else None)
+        assert report.equivalence_holds == (shifted == (h and injective))
+        assert report.reduction_holds == (shifted == base if kernel else None)
+    records = (skipped, FiberReport(True, True, True), PerturbReport(True, True),
+               ShiftReport(True, True, True, False))
+    for record in records:
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, False)
 
 
 OPTIMIZED_SCRIPT = textwrap.dedent("""
@@ -284,6 +335,30 @@ def test_no_module_keeps_a_cache_of_its_own():
                       and (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
                            or isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")))]
     assert found == []
+
+
+def test_only_two_classes_are_dataclasses():
+    # a dataclass decorator generates its methods' source and compiles it at
+    # import time; records are named tuples or plain classes instead.  Two stay:
+    # - FamilyInstance, which dataclasses.replace copies with a new evaluator
+    #   (the bench's trace wrapper does, and test_family_instances_stay_frozen);
+    # - GRecipe, since a tuple recipe would be flattened by the grid resolver
+    #   as a list of values
+    import ast
+    import pathlib
+
+    import ppforge
+
+    found = []
+    for path in sorted(pathlib.Path(ppforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = getattr(target, "id", getattr(target, "attr", None))
+                    if name == "dataclass":
+                        found.append(f"{path.name}:{node.name}")
+    assert found == ["families.py:FamilyInstance", "recipes.py:GRecipe"]
 
 
 def test_the_command_line_expands_grids_in_one_loop():
