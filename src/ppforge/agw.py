@@ -8,10 +8,11 @@ equivalence, and its corollaries for maps perturbed by fiber-constant
 kernel-valued terms, on concrete finite instances, reporting
 counterexamples rather than bare booleans.
 
-Maps are held as lists by position in A: a family's square as lists of
+Maps are held as lists or tuples by position in A: a family's square as
 element codes, any other domain numbered once, at the API edge.  A square
-is audited on f, g = psibar . f and a fiber table of psi (for every
-position, the position of the first point of its fiber):
+is audited on f, g = psibar . f (one gather of psibar by f) and a fiber
+table of psi (for every position, the position of the first point of its
+fiber):
 
 - the square commutes iff g agrees with g read at those first points;
 - f is bijective iff it takes #A distinct values;
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 import random
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+
+from .gf import gather
 
 _ADDITIVITY_EXHAUSTIVE_MAX = 256
 _ADDITIVITY_SAMPLES = 10_000
@@ -122,11 +125,11 @@ class FiberTable:
         self.points = list(first)
         self._groups: Optional[dict] = None
 
-    def first_varying(self, values: list) -> Optional[int]:
+    def first_varying(self, values: Sequence) -> Optional[int]:
         """The first position of the first fiber (in order of first
         appearance) on which values is not constant; None if there is none."""
-        at_rep = list(map(values.__getitem__, self.rep))
-        if at_rep == values:
+        at_rep = gather(values, self.rep)
+        if at_rep == tuple(values):
             return None
         return min(r for r, u, v in zip(self.rep, at_rep, values) if u != v)
 
@@ -186,7 +189,7 @@ class AGWInstance:
         S = fibers.points if S is None else tuple(S)
         if len(S) != len(Sbar):
             raise HypothesisViolatedError("cardinality", "#S != #Sbar")
-        self._build(A, f, list(map(psibar.__getitem__, f)), fibers, S, len(set(Sbar)),
+        self._build(A, f, gather(psibar, f), fibers, S, len(set(Sbar)),
                     lambda s: s, h)
 
     def _build(self, A, f, g, fibers, order, n_Sbar, label, h=None) -> None:
@@ -389,6 +392,6 @@ def wrap_family_instance(instance) -> AGWInstance:
     fibers = ctx.derived(("fibers", key), lambda: FiberTable(psibar))
     label = ctx._wrap if delta == 0 else (lambda s: ctx._wrap(ctx._add(s, delta)))
     inst = AGWInstance.__new__(AGWInstance)
-    inst._build(ctx.elements(), f, list(map(fibers.values.__getitem__, f)), fibers,
+    inst._build(ctx.elements(), f, gather(fibers.values, f), fibers,
                 fibers.points, len(fibers.points), label)
     return inst

@@ -197,9 +197,11 @@ def _row_writer(family_id: str, out):
 
     Each row is one write of cells rendered once per grid.  A grid's rows
     share a few parameter objects, so each is rendered once, as its final
-    cell, quoted by the csv module's own rules: the cache is keyed by id()
-    and keeps the object, so no id is reused while the grid is written.
-    Cycle types are formatted once each while the memo has room."""
+    cell, quoted by the csv module's own rules: the memo is keyed by id()
+    and keeps the object, so no id is reused while the grid is written.  A
+    row's parameter cells are read from the memo by one C-level map over
+    the ids; only a row with an object not seen before renders it.  Cycle
+    types are formatted once each while the memo has room."""
     names = PARAM_ORDER[family_id]
     buffer = io.StringIO()
     quoter = csv.writer(buffer, lineterminator="\n")
@@ -214,7 +216,8 @@ def _row_writer(family_id: str, out):
 
     out.write(",".join(map(quote, names + ("predicted", "observed", "status", "cycle_type")))
               + "\n")
-    cells: dict[int, tuple] = {}
+    cells: dict[int, str] = {}
+    kept: list = []  # the objects whose ids key cells
     cycle_types: dict[tuple, str] = {}
     room = _CYCLE_TYPE_MEMO_CYCLES
     # the cells between the parameters and the cycle type, by (predicted, observed)
@@ -223,15 +226,19 @@ def _row_writer(family_id: str, out):
                 for p in (True, False) for o in (True, False)}
 
     def cell(value) -> str:
-        entry = cells.get(id(value))
-        if entry is None:
-            entry = cells[id(value)] = (value, quote(describe_value(value)))
-        return entry[1]
+        text = cells.get(id(value))
+        if text is None:
+            kept.append(value)
+            text = cells[id(value)] = quote(describe_value(value))
+        return text
 
     def write_row(item, record) -> None:
         nonlocal room
         params = item.params
-        row = ",".join([cell(params[name]) for name in names])
+        try:
+            row = ",".join(map(cells.__getitem__, map(id, map(params.__getitem__, names))))
+        except KeyError:  # an object the memo does not hold yet
+            row = ",".join(map(cell, map(params.__getitem__, names)))
         if record is None:
             out.write(f"{row},,,{quote(f'skipped:{item.reason}')},\n")
             return

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .gf import CtxMismatchError, Elem, FieldCtx, ResidueClass, code_table
+from .gf import _GATHER_CHUNK, CtxMismatchError, Elem, FieldCtx, ResidueClass, code_table, gather
 from .linearized import (
     CriteriaDisagreeError,
     LinPoly,
@@ -236,12 +236,12 @@ def _linear_part(ctx: FieldCtx, P: dict) -> Sequence[int]:
         [ctx._add(beta, c) for c in P["L"].codes]))
 
 
-def _scaled(ctx: FieldCtx, a: int, table: Sequence[int]) -> list[int]:
+def _scaled(ctx: FieldCtx, a: int, table: Sequence[int]) -> tuple[int, ...]:
     """y -> a*table[y]: an outer table scaled by an instance's element,
     kept in the field's cache by (a, table).  The entry holds the table,
     so its id in the key is not reused while the entry lives."""
     return ctx.derived(("scaled", a, id(table)), lambda: (
-        table, list(map(ctx._mul_row(a).__getitem__, table))))[1]
+        table, gather(ctx._mul_row(a), table)))[1]
 
 
 def _additive_g(ctx: FieldCtx, P: dict) -> Composition:
@@ -323,15 +323,31 @@ def _compile(family_id: str, ctx: FieldCtx, params: dict) -> list[int]:
 
 
 def _values(ctx: FieldCtx, composition: Composition) -> list[int]:
-    """The value list of a composition: the code of f(x) for every code x."""
+    """The value list of a composition: the code of f(x) for every code x.
+    Above a gather chunk it is built a chunk of codes at a time, so that no
+    gathered tuple of the whole field is alive beside the list."""
     terms, delta, lin, _ = composition
-    values = lin
+    # each term as (the table it reads, the shift still to add, its inner table)
+    reads = []
     for outer, inner in terms:
         view = ctx.shift_view(outer, delta)
-        looked_up = (map(outer.__getitem__, map(ctx._add_const(delta), inner))
-                     if view is None else map(view.__getitem__, inner))
-        values = ctx._add_codes(looked_up, values)
-    return list(values)
+        reads.append((outer, delta, inner) if view is None else (view, 0, inner))
+    if ctx.order <= _GATHER_CHUNK:
+        return list(_sum_of_reads(ctx, reads, lin))
+    values: list[int] = []
+    for lo in range(0, ctx.order, _GATHER_CHUNK):
+        part = slice(lo, lo + _GATHER_CHUNK)
+        values += _sum_of_reads(ctx, [(table, b, inner[part]) for table, b, inner in reads],
+                                lin[part])
+    return values
+
+
+def _sum_of_reads(ctx: FieldCtx, reads: list, values: Iterable[int]) -> Iterator[int]:
+    """values plus table[inner[x] + b] for every read, over the positions x
+    of the inner tables: one gather per read."""
+    for table, b, inner in reads:
+        values = ctx._add_codes(gather(table, ctx._shift(inner, b) if b else inner), values)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,39 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 _ADD_TABLE_MAX = 512      # full add table for odd characteristic up to this order
 _ELEM_CACHE_MAX = 1 << 16  # interned Elem objects up to this order
 _TABLE_CODES = 1 << 23    # budget of a field's table cache, in codes (FieldCtx.derived)
+_GATHER_CHUNK = 1 << 16   # indices one gather call reads at a time
 
 
 def code_table(values: Iterable[int]) -> array:
     """A table indexed by element code.  Unsigned 32-bit integers in an
     array (codes stay far below 2^32: the field's exp table must fit in
-    memory), so a table costs 4 bytes per element and no int objects."""
+    memory), so a table costs 4 bytes per element and no int objects.
+    Tables are read a whole index at a time through `gather`."""
     return array("I", values)
+
+
+def gather(table: Sequence[int], index: Iterable[int]) -> tuple[int, ...]:
+    """table[i] for every i of index, as a tuple: the whole-table lookup
+    pass behind every value list, shift view, linear table and square.
+
+    A list, tuple, array or range of up to _GATHER_CHUNK indices is read
+    by one operator.itemgetter(*index) call, which runs neither a Python
+    frame nor a slot wrapper per element (mapping an array's __getitem__
+    does); itemgetter refuses no indices and returns one bare, so those go
+    through a comprehension.  A longer index, or an iterator, is read a
+    chunk at a time: no tuple of a whole index is made, nor the int objects
+    of all of an array's codes."""
+    if isinstance(index, (list, tuple, array, range)) and len(index) <= _GATHER_CHUNK:
+        if len(index) > 1:
+            return operator.itemgetter(*index)(table)
+        return tuple([table[i] for i in index])
+    index = iter(index)
+    chunks = iter(lambda: tuple(itertools.islice(index, _GATHER_CHUNK)), ())
+    head = gather(table, next(chunks, ()))
+    if len(head) < _GATHER_CHUNK:
+        return head
+    return tuple(itertools.chain(head, itertools.chain.from_iterable(
+        map(functools.partial(gather, table), chunks))))
 
 
 def _codes_held(value) -> int:
@@ -401,7 +427,7 @@ class FieldCtx:
         self._qpow = tuple(pow(self.q, j, self._om1) for j in range(n))
 
         # the add table first: the exp table is built with linear_table,
-        # which adds constants to codes (_add_const); the Zech table and _neg
+        # which adds constants to codes (_shift); the Zech table and _neg
         # need the logs built after it
         self._add_table: Optional[list[list[int]]] = None
         if self.p == 2:
@@ -539,35 +565,37 @@ class FieldCtx:
             return a
         return self._exp[self._log[a] + self._om1 // 2]  # -1 = g^((q^n-1)/2)
 
-    def _add_const(self, b: int) -> Callable[[int], int]:
-        """v -> v + b on codes: XOR, a row of the add table, or, above the
-        table, two rows of _shift_row for the low and the high half of the
-        digits (needs no logs, so it also serves the exp table's build)."""
+    def _shift(self, codes: Iterable[int], b: int) -> Iterable[int]:
+        """v + b for every code v of codes: XOR by b, a gather through the
+        add table's row of b, or, above the table, two rows of _shift_row
+        for the low and the high half of the digits (needs no logs, so it
+        also serves the exp table's build)."""
         if self.p == 2:
-            return b.__xor__
+            return map(operator.xor, codes, itertools.repeat(b))
         if self._add_table is not None:
-            return self._add_table[b].__getitem__
+            return gather(self._add_table[b], codes)
         low = self.p ** (self.dim // 2)
         lo = self._shift_row(b % low, low)
         hi = [v * low for v in self._shift_row(b // low, self.order // low)]
-        return lambda v: hi[v // low] + lo[v % low]
+        return map(lambda v: hi[v // low] + lo[v % low], codes)
 
     def _add_codes(self, a: Iterable[int], b: Iterable[int]) -> Iterator[int]:
         """a[i] + b[i] for every i, as an iterator: XOR, or add-table rows
-        picked by a and indexed by b, both without a Python frame per
+        gathered by a and indexed by b, both without a Python frame per
         element; above the table, the Zech addition."""
         if self.p == 2:
             return map(operator.xor, a, b)
         if self._add_table is not None:
-            return map(list.__getitem__, map(self._add_table.__getitem__, a), b)
+            return map(list.__getitem__, gather(self._add_table, a), b)
         return map(self._add, a, b)
 
     def _mul_row(self, a: int) -> list[int]:
-        """v -> a*v on every code, in one pass over the log table."""
+        """v -> a*v on every code: exp[log a + log v], one gather of the
+        log table through the exp table from log a on."""
         if a == 0:
             return [0] * self.order
-        return [0, *map(self._exp.__getitem__,
-                        map(self._log[a].__add__, itertools.islice(self._log, 1, None)))]
+        log_a = self._log[a]
+        return [0, *gather(self._exp[log_a:log_a + self._om1], self._log[1:])]
 
     def _mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -599,9 +627,10 @@ class FieldCtx:
         (q^n - 1))], read lazily in one pass over the log table (the exp
         table spans two periods); 0^0 = 1 as in _pow."""
         om1, log_c = self._om1, self._log[c]
-        logs = map(om1.__rmod__, map((e % om1).__mul__, itertools.islice(self._log, 1, None)))
+        logs = map(operator.mod, map(operator.mul, itertools.islice(self._log, 1, None),
+                                     itertools.repeat(e % om1)), itertools.repeat(om1))
         if log_c:
-            logs = map(log_c.__add__, logs)
+            logs = map(operator.add, logs, itertools.repeat(log_c))
         return itertools.chain((self._mul(c, self._pow(0, e)),), map(self._exp.__getitem__, logs))
 
     def power_table(self, t: int) -> array:
@@ -609,25 +638,26 @@ class FieldCtx:
         return self.derived(("power", t), lambda: code_table(self._power_column(t)))
 
     def linear_of_power(self, coeffs: Sequence[int], e: int = 1,
-                        h: Optional[Sequence[int]] = None) -> list[int]:
+                        h: Optional[Sequence[int]] = None) -> tuple[int, ...]:
         """x -> Lambda(h[x]^e) on every code, Lambda(y) = sum(coeffs[j] *
         y^(q^j)) and h the identity when None.  The power column, and
         Lambda's table unless the field holds it, are built for this call
         only: the caller keeps the result, not its ingredients.  With h
-        None the power column is read in order and never held whole."""
+        None the power column is read in order, a gather chunk at a time,
+        and never held whole."""
         if e == 1:
             values = range(self.order) if h is None else h
         elif h is None:
             values = self._power_column(e)
         else:
-            values = map(list(self._power_column(e)).__getitem__, h)
+            values = gather(tuple(self._power_column(e)), h)
         codes = tuple(coeffs) + (0,) * (self.n - len(coeffs))
         if codes != (1,) + (0,) * (self.n - 1):  # Lambda is not the identity
             held = self._tables.get(("lin", codes))
             lin = held[0] if held else self.linear_table(
                 functools.partial(self._linear_code, codes))
-            values = map(lin.__getitem__, values)
-        return list(values)
+            values = gather(lin, values)
+        return tuple(values)
 
     def linear_table(self, image: Callable[[int], int]) -> array:
         """Table over every code of an F_p-linear map, given by its value
@@ -636,10 +666,10 @@ class FieldCtx:
         so each block is the previous one shifted by image(p^i)."""
         table = [0]
         for _ in range(self.dim):
-            plus = self._add_const(image(len(table)))
+            b = image(len(table))
             block = table
             for _ in range(self.p - 1):
-                block = list(map(plus, block))
+                block = tuple(self._shift(block, b))
                 table += block
         return code_table(table)
 
@@ -676,7 +706,7 @@ class FieldCtx:
         """table read through y -> table[y + b], or None when the caller is
         to add b on the fly.  b = 0 gives the table itself.  For b != 0 the
         first request for a (table, b) only records it, the second builds
-        the view as a list in one pass, and later ones read that list: a
+        the view as a tuple in one gather, and later ones read it: a
         view built on the first request costs a pass no later request may
         repay.  The record is an entry [table, view] of the field's cache,
         keyed by id(table) and b and charged the two tables from the start,
@@ -694,9 +724,9 @@ class FieldCtx:
             view[1] = self._shifted(table, b)
         return view[1]
 
-    def _shifted(self, table: Sequence[int], b: int) -> list[int]:
-        """y -> table[y + b] on every code, in one pass."""
-        return list(map(table.__getitem__, map(self._add_const(b), range(self.order))))
+    def _shifted(self, table: Sequence[int], b: int) -> tuple[int, ...]:
+        """y -> table[y + b] on every code, in one gather."""
+        return gather(table, self._shift(range(self.order), b))
 
     def zero_set(self, table: Sequence[int]) -> tuple[Elem, ...]:
         """The x with table[x] = 0, ascending code order, in one pass over

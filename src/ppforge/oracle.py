@@ -47,26 +47,34 @@ def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
     scanned in canonical order (:func:`_first_collision`).  The marks are a
     list of booleans, whose subscripts CPython specializes (a ``bytearray``'s
     it does not), at 8 bytes per element while the scan runs.
+
+    Codes outside [0, q^n) are refused with ValueError.  Every value is
+    used as an index of the marks, by the walk or by the canonical scan, so
+    a code of q^n or more raises IndexError there; a negative one would
+    index them from the end, so one C-level ``min`` pass refuses those first.
     """
     if len(codes) != ctx.order:
         raise ValueError(f"expected {ctx.order} values, got {len(codes)}")
-    if min(codes) < 0 or max(codes) >= ctx.order:
+    if min(codes) < 0:
         raise ValueError(f"values must be codes in [0, {ctx.order})")
     seen = [False] * ctx.order
     lengths = []
-    for start, c in enumerate(codes):
-        if seen[start]:
-            continue
-        # the start itself is left unmarked: a later walk that reaches it
-        # marks it and steps on to a marked point of its closed cycle
-        length = 1
-        while c != start:
-            if seen[c]:
-                return _first_collision(codes, ctx)
-            seen[c] = True
-            c = codes[c]
-            length += 1
-        lengths.append(length)
+    try:
+        for start, c in enumerate(codes):
+            if seen[start]:
+                continue
+            # the start itself is left unmarked: a later walk that reaches it
+            # marks it and steps on to a marked point of its closed cycle
+            length = 1
+            while c != start:
+                if seen[c]:
+                    return _first_collision(codes, ctx)
+                seen[c] = True
+                c = codes[c]
+                length += 1
+            lengths.append(length)
+    except IndexError:
+        raise ValueError(f"values must be codes in [0, {ctx.order})") from None
     lengths.sort()
     return Verdict(True, None, None, tuple(lengths))
 

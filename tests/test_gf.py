@@ -1,11 +1,16 @@
 import hashlib
 import itertools
 import random
+import sys
+import tracemalloc
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppforge import gf
 from ppforge.gf import (
     CtxMismatchError,
     DegreeMismatchError,
@@ -440,7 +445,7 @@ def test_field_of_order_2_20_builds_in_seconds(run_python):
 
 
 # Addition above the add table (Zech logarithms for _add, half-digit rows for
-# _add_const) and the add table itself, against digit-by-digit references.
+# _shift) and the add table itself, against digit-by-digit references.
 
 def _digit_add(a, b, p):
     out, shift = 0, 1
@@ -480,8 +485,8 @@ def test_zech_addition_matches_digit_reference(data):
     add, sub, mul = ctx._add, ctx._sub, ctx._mul
     assert add(a, b) == _digit_add(a, b, p)
     assert sub(a, b) == _digit_add(a, _digit_neg(b, p), p)
-    assert ctx._add_const(b)(a) == _digit_add(a, b, p)
-    assert ctx._add_const(a)(b) == _digit_add(a, b, p)
+    assert [*ctx._shift([a], b)] == [_digit_add(a, b, p)]
+    assert [*ctx._shift([b], a)] == [_digit_add(a, b, p)]
     assert add(a, b) == add(b, a)
     assert add(add(a, b), c) == add(a, add(b, c))
     assert mul(c, add(a, b)) == add(mul(c, a), mul(c, b))
@@ -496,8 +501,8 @@ def test_zech_addition_edge_cases_exhaustive_on_3_6():
         assert ctx._sub(a, a) == 0
         assert ctx._add(a, 0) == a and ctx._add(0, a) == a
         assert ctx._add(a, a) == _digit_add(a, a, 3)
-        assert ctx._add_const(0)(a) == a and ctx._add_const(a)(0) == a
-        assert ctx._add_const(neg)(a) == 0
+        assert [*ctx._shift([a], 0)] == [a] and [*ctx._shift([0], a)] == [a]
+        assert [*ctx._shift([a], neg)] == [0]
 
 
 @pytest.mark.parametrize("p, d", [(3, 5), (5, 3), (7, 3), (509, 1)])
@@ -516,9 +521,9 @@ print("optimize", sys.flags.optimize)
 print("table", ctx._add_table is None)
 for a in (1, 2, 3, 364, 728):
     b = ctx._neg(a)
-    print("neg", a, b, ctx._add(a, b), ctx._add(b, a), ctx._sub(a, a), ctx._add_const(b)(a))
-    print("zero", a, ctx._add(a, 0), ctx._add(0, a), ctx._add_const(0)(a), ctx._add_const(a)(0))
-print("zero_zero", ctx._add(0, 0), ctx._sub(0, 0), ctx._add_const(0)(0))
+    print("neg", a, b, ctx._add(a, b), ctx._add(b, a), ctx._sub(a, a), *ctx._shift([a], b))
+    print("zero", a, ctx._add(a, 0), ctx._add(0, a), *ctx._shift([a], 0), *ctx._shift([0], a))
+print("zero_zero", ctx._add(0, 0), ctx._sub(0, 0), *ctx._shift([0], 0))
 """
 
 
@@ -559,6 +564,62 @@ def test_table_passes_match_scalar_arithmetic(data):
     row = ctx._mul_row(scale)
     assert len(row) == ctx.order
     assert row == [ctx._mul(scale, v) for v in range(ctx.order)]
+
+
+# gather: table[i] for every i of an index, one itemgetter call a chunk.
+
+INDEX_KINDS = {"list": list, "tuple": tuple, "array": lambda v: array("I", v),
+               "iterator": iter, "generator": lambda v: (i for i in v)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_gather_matches_a_comprehension(data):
+    chunk = data.draw(st.integers(2, 5), label="chunk")
+    table = data.draw(st.lists(st.integers(0, (1 << 32) - 1), min_size=1, max_size=30),
+                      label="table")
+    table = data.draw(st.sampled_from([list, tuple, lambda v: array("I", v)]))(table)
+    # 0 and 1 indices, 2, and lengths on both sides of one and two chunks
+    length = data.draw(st.sampled_from([0, 1, 2, chunk - 1, chunk, chunk + 1,
+                                        2 * chunk, 2 * chunk + 1, 3 * chunk + 2]),
+                       label="length")
+    kind = data.draw(st.sampled_from(sorted(INDEX_KINDS) + ["range"]), label="kind")
+    if kind == "range":
+        start = data.draw(st.integers(0, len(table) - 1), label="start")
+        step = data.draw(st.sampled_from([1, -1]), label="step")
+        codes = index = range(start, -1 if step < 0 else len(table), step)[:length]
+    else:
+        codes = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=length,
+                                   max_size=length), label="codes")
+        index = INDEX_KINDS[kind](codes)
+    with mock.patch.object(gf, "_GATHER_CHUNK", chunk):
+        out = gf.gather(table, index)
+    assert type(out) is tuple
+    assert out == tuple([table[i] for i in codes])
+
+
+@pytest.mark.parametrize("kind", sorted(INDEX_KINDS))
+@pytest.mark.parametrize("codes", [[3], [0, 3], [0, 1, 2, 0, 1, 2, 0, 3]])
+def test_gather_refuses_an_index_outside_the_table(kind, codes):
+    # [0, 1, 2, 0, 1, 2, 0, 3] is three chunks of 3 with the bad index last
+    with mock.patch.object(gf, "_GATHER_CHUNK", 3), pytest.raises(IndexError):
+        gf.gather(array("I", [7, 8, 9]), INDEX_KINDS[kind](codes))
+
+
+def test_gather_through_a_long_array_index_holds_about_its_result():
+    # one itemgetter(*index) call would unpack all 2^18 codes into a tuple of
+    # new ints beside the result, about 5.5 times the result's size; a chunk
+    # at a time the peak stays under 3 times it
+    n = 1 << 18
+    table, index = list(range(n)), array("I", reversed(range(n)))
+    tracemalloc.start()
+    try:
+        out = gf.gather(table, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == tuple(reversed(table))
+    assert peak < 3 * sys.getsizeof(out)
 
 
 # str(Elem) is the comma-separated coordinate vector.

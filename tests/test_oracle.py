@@ -109,6 +109,18 @@ def test_scan_codes_refuses_values_outside_the_field(codes):
         scan_codes(codes, make_field(3))
 
 
+@pytest.mark.parametrize("codes, order", [
+    ([-1, 0], 2),        # walked as the 2-cycle 0 -> -1 (= 1 from the end) -> 0
+    ([1, 2], 2),         # q^n met by the walk
+    ([0, 0, 5], 3),      # q^n after the first repeat: read by the canonical scan only
+    ([1, 1, 0, 7], 2 ** 2),
+])
+def test_scan_codes_refuses_codes_outside_the_field_on_both_scans(codes, order):
+    ctx = {2: make_field(2), 3: make_field(3), 4: F4}[order]
+    with pytest.raises(ValueError, match="codes in"):
+        scan_codes(codes, ctx)
+
+
 def test_format_cycle_type():
     assert format_cycle_type((1, 1, 1, 2, 2, 5)) == "1^3 2^2 5^1"
     assert format_cycle_type((9,)) == "9^1"
