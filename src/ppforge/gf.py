@@ -11,8 +11,11 @@ deterministically chosen primitive element.  Addition is XOR in
 characteristic 2, a full add table for odd-characteristic fields up to 512
 elements, and above that Zech logarithms: a + b = g^(log a + z[log b -
 log a]) with z[d] = log(1 + g^d), a table built once with the exp/log
-tables.  Adding a constant, as linear tables and the exp table's own build
-do, looks the result up in rows built digit by digit.  Frobenius is the
+tables.  Adding a constant (a shift view, the exp table's build) needs no
+logs: XOR, a row of the add table, on F_p the integer sum mod p, and
+otherwise two rows of one add table on half the digits, for the high and
+the low digits of a code (see `_shift`); every q-linear table is the outer
+sum of the map's values on the high and on the low digits.  Frobenius is the
 power map on logs, x^(q^j) = exp[log[x] * q^j mod (q^n - 1)]; a power
 column y -> y^e is one pass over the log table, and every sum of Frobenius
 powers of one power, sum(c_j * y^(e*q^j)), is a q-linear map of such a
@@ -426,16 +429,29 @@ class FieldCtx:
         # q^j mod (q^n - 1): the log multiplier of x -> x^(q^j)
         self._qpow = tuple(pow(self.q, j, self._om1) for j in range(n))
 
-        # the add table first: the exp table is built with linear_table,
+        # the add tables first: the exp table is built with linear_table,
         # which adds constants to codes (_shift); the Zech table and _neg
         # need the logs built after it
         self._add_table: Optional[list[list[int]]] = None
+        self._digit_add: Optional[list[list[int]]] = None
         if self.p == 2:
             self._add = self._sub = operator.xor
         else:
             if self.order <= _ADD_TABLE_MAX:
-                table = self._add_table = self._build_add_table()
+                table = self._add_table = self._build_add_table(self.order)
                 self._add = lambda a, b: table[a][b]
+            elif self.dim > 1:
+                # a code is h*_split + l: h its high floor(dim/2) digits and
+                # l its low ceil(dim/2), on odd dims a middle digit over as
+                # many low digits as h has; constants are added to each part
+                # through rows of the add table of floor(dim/2)-digit codes,
+                # to the middle digit mod p
+                size = self.p ** (self.dim // 2)
+                self._split = self.p ** (self.dim - self.dim // 2)
+                self._digit_add = self._build_add_table(size)
+                self._high_codes = list(range(0, self.order, self._split))
+                # _mids[t][d]: the middle digit d plus t, times size
+                self._mids = [[size * d for d in row[:self.p]] for row in self._digit_add[:self.p]]
             self._sub = lambda a, b: self._add(a, self._neg(b))
         self.generator_code = self._find_primitive_code()
         self._build_mul_tables()
@@ -492,28 +508,21 @@ class FieldCtx:
         self._exp = exp
         self._log = log
 
-    def _shift_row(self, b: int, size: int) -> list[int]:
-        """v -> v + b on the codes v < size, a power of p, with b < size.
-        Built a digit at a time: the codes below p*step are the p blocks
-        j*step + (codes below step), so the next row is the lane of those
-        blocks over the last row, rotated by the next digit of b."""
-        p, row, step = self.p, [0], 1
+    def _build_add_table(self, size: int) -> list[list[int]]:
+        """table[b][v] = v + b on the codes below size, a power of p, digit
+        by digit: the codes below p*step are the p blocks j*step + (codes
+        below step), so the b that share their lower digits share one lane,
+        the blocks over their last row, whose rotations (slices of the lane
+        laid twice) are their rows.  A lane reads its blocks out of
+        list(range(size)), so the table holds only that list's ints."""
+        p, codes, table, step = self.p, list(range(size)), [[0]], 1
         while step < size:
-            b, d = divmod(b, p)
-            lane = [j * step + v for j in range(p) for v in row]
-            row = lane[d * step:] + lane[:d * step]
-            step *= p
-        return row
-
-    def _build_add_table(self) -> list[list[int]]:
-        """table[b][v] = v + b, built as in _shift_row for every b at once:
-        the b that share their lower digits share one lane, whose rotations
-        (slices of the lane laid twice) are their rows."""
-        p, table, step = self.p, [[0]], 1
-        while step < self.order:
-            lanes = [[j * step + v for j in range(p) for v in row] * 2 for row in table]
-            table = [lane[d * step:(d + p) * step] for d in range(p) for lane in lanes]
-            step *= p
+            blocks = [codes[j * step:(j + 1) * step] for j in range(p)]
+            rows: list[list[int]] = [[]] * (p * len(table))
+            for b, row in enumerate(table):  # one lane alive at a time
+                lane = [block[v] for block in blocks for v in row] * 2
+                rows[b::len(table)] = [lane[d * step:(d + p) * step] for d in range(p)]
+            table, step = rows, step * p
         return table
 
     def _zech_add(self) -> Callable[[int, int], int]:
@@ -565,19 +574,27 @@ class FieldCtx:
             return a
         return self._exp[self._log[a] + self._om1 // 2]  # -1 = g^((q^n-1)/2)
 
-    def _shift(self, codes: Iterable[int], b: int) -> Iterable[int]:
-        """v + b for every code v of codes: XOR by b, a gather through the
-        add table's row of b, or, above the table, two rows of _shift_row
-        for the low and the high half of the digits (needs no logs, so it
-        also serves the exp table's build)."""
+    def _shift(self, codes: Sequence[int], b: int) -> tuple[int, ...]:
+        """v + b for every code v of codes, as a tuple: XOR by b, a gather
+        through the add table's row of b, on F_p the integer sum mod p, and
+        otherwise each part of v read through the digit add table's row of
+        b's part, the middle digit of an odd dim added mod p (needs no logs,
+        so it also serves the exp table's build)."""
         if self.p == 2:
-            return map(operator.xor, codes, itertools.repeat(b))
+            return tuple(map(operator.xor, codes, itertools.repeat(b)))
         if self._add_table is not None:
             return gather(self._add_table[b], codes)
-        low = self.p ** (self.dim // 2)
-        lo = self._shift_row(b % low, low)
-        hi = [v * low for v in self._shift_row(b // low, self.order // low)]
-        return map(lambda v: hi[v // low] + lo[v % low], codes)
+        if self.dim == 1:
+            return tuple(map(operator.mod, map(operator.add, codes, itertools.repeat(b)),
+                             itertools.repeat(self.p)))
+        split, digits = self._split, self._digit_add
+        size = len(digits)
+        high, low = digits[b // split], digits[b % size]
+        if split == size:
+            return tuple([high[v // split] * split + low[v % split] for v in codes])
+        p, mid = self.p, self._mids[b % split // size]
+        return tuple([high[v // split] * split + mid[v // size % p] + low[v % size]
+                      for v in codes])
 
     def _add_codes(self, a: Iterable[int], b: Iterable[int]) -> Iterator[int]:
         """a[i] + b[i] for every i, as an iterator: XOR, or add-table rows
@@ -661,17 +678,62 @@ class FieldCtx:
 
     def linear_table(self, image: Callable[[int], int]) -> array:
         """Table over every code of an F_p-linear map, given by its value
-        on codes; only the basis codes p^i are evaluated.  The codes in
-        [j*p^i, (j+1)*p^i) are those in [0, p^i) plus j*p^i digit by digit,
-        so each block is the previous one shifted by image(p^i)."""
-        table = [0]
-        for _ in range(self.dim):
-            b = image(len(table))
-            block = table
-            for _ in range(self.p - 1):
-                block = tuple(self._shift(block, b))
-                table += block
+        on codes; only the basis codes p^i are evaluated.  On F_p it is
+        c -> c*image(1).  On a field with a digit add table it is the outer
+        sum T[h*_split + l] = high[h] + low[l] of the map's values on the
+        high and on the low digits, split into parts once (_linear_parts):
+        a block of _split entries for each h is a gather of each part of
+        low through an add row of high[h]'s part, and their sum.  Otherwise
+        the codes in [j*p^i, (j+1)*p^i) are those in [0, p^i) plus j*p^i
+        digit by digit, so each block is the previous one shifted by
+        image(p^i)."""
+        if self.dim == 1:
+            return code_table(map(operator.mod, map(operator.mul, range(self.p),
+                                                    itertools.repeat(image(1))),
+                                  itertools.repeat(self.p)))
+        if self._digit_add is None:
+            table = [0]
+            for _ in range(self.dim):
+                b = image(len(table))
+                block = table
+                for _ in range(self.p - 1):
+                    block = self._shift(block, b)
+                    table += block
+            return code_table(table)
+        digits = self._digit_add
+        parts = [operator.itemgetter(*part)
+                 for part in self._linear_parts(image, 1, self.dim - self.dim // 2)]
+        high_part, low_part = parts[0], parts[-1]
+        table = []
+        for h, *t, l in zip(*self._linear_parts(image, self._split, self.dim // 2)):
+            block = map(operator.add, high_part(gather(self._high_codes, digits[h])),
+                        low_part(digits[l]))
+            if t:  # an odd dim's middle digit
+                block = map(operator.add, block, parts[1](self._mids[t[0]]))
+            table += block
         return code_table(table)
+
+    def _linear_parts(self, image: Callable[[int], int], unit: int,
+                      count: int) -> list[list[int]]:
+        """The map's values on c*unit for the codes c below p^count, each
+        value v in parts: v // _split and v % size, size the digit add
+        table's, and on odd dims between them the middle digit v % _split //
+        size.  Built a digit at a time as in linear_table, a block shifted
+        by gathering each of its parts through the add row of that part of
+        the shift: digit-wise addition carries nothing between them."""
+        p, split, digits = self.p, self._split, self._digit_add
+        size = len(digits)
+        bounds = (self.order, split, size, 1) if split > size else (self.order, split, 1)
+        parts = [[0] for _ in bounds[1:]]
+        for i in range(count):
+            b = image(p ** i * unit)
+            rows = [digits[b % top // bottom] for top, bottom in zip(bounds, bounds[1:])]
+            block = parts
+            for _ in range(p - 1):
+                block = [gather(row, part) for row, part in zip(rows, block)]
+                for part, shifted in zip(parts, block):
+                    part += shifted
+        return parts
 
     def _linear_code(self, coeffs: Sequence[int], c: int) -> int:
         """sum(coeffs[i] * c^(q^i)) for one code c: the evaluator behind

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from array import array
 
 import pytest
 
@@ -503,6 +504,36 @@ def test_census_builds_a_shift_view_on_the_second_request(family, field, views, 
     assert main(["census", family, field, "-o", str(out_csv)]) == 0
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
     assert len(built) == views and 0 not in built
+
+
+def test_value_lists_gather_through_sequences_before_a_view_exists(tmp_path, monkeypatch,
+                                                                   cold_caches):
+    # n4k on 2^1:8 reads each (table, delta) once, so every nonzero delta is
+    # added by _shift; the gather behind each value list reads what it
+    # returns in one itemgetter call, never through the chunked path that
+    # an iterator index takes
+    from ppforge.gf import FieldCtx
+
+    shifted, read, chunked = [], [], []
+    gather, shift = fam.gather, FieldCtx._shift
+
+    def counted_shift(self, codes, b):
+        shifted.append(shift(self, codes, b))
+        return shifted[-1]
+
+    def counted_gather(table, index):
+        if not isinstance(index, (list, tuple, array, range)):
+            chunked.append(index)
+        elif any(index is codes for codes in shifted):
+            read.append(index)
+        return gather(table, index)
+
+    monkeypatch.setattr(FieldCtx, "_shift", counted_shift)
+    monkeypatch.setattr(fam, "gather", counted_gather)
+    cold_caches(parse_field_spec("2^1:8"))
+    assert main(["census", "n4k", "2^1:8", "-o", str(tmp_path / "census.csv")]) == 0
+    assert len(read) > 100
+    assert chunked == []
 
 
 def test_a_field_above_the_view_budget_keeps_no_views(capsys, monkeypatch, cold_caches):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -444,8 +445,9 @@ def test_field_of_order_2_20_builds_in_seconds(run_python):
     assert float(seconds) < 10.0
 
 
-# Addition above the add table (Zech logarithms for _add, half-digit rows for
-# _shift) and the add table itself, against digit-by-digit references.
+# Addition above the add table (Zech logarithms for _add, digit add rows or
+# integers mod p for _shift) and the add table itself, against digit-by-digit
+# references.
 
 def _digit_add(a, b, p):
     out, shift = 0, 1
@@ -536,6 +538,65 @@ def test_zech_zero_and_negation_cases_under_python_O(run_python):
         assert f"neg {a} {_digit_neg(a, 3)} 0 0 0 0" in lines
         assert f"zero {a} {a} {a} {a} {a}" in lines
     assert lines[-1] == "zero_zero 0 0 0"
+
+
+# Constant shifts and linear tables above the add table, against the Zech
+# addition and the scalar linear map: digit add rows on even and odd
+# dimensions, integers mod p on a prime field.
+
+DIGIT_FIELDS = [(3, 6), (7, 4), (3, 7), (5, 5), (11, 3), (1009, 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_digit_shifts_and_linear_tables_match_zech_addition(data):
+    p, d = data.draw(st.sampled_from(DIGIT_FIELDS), label="field")
+    ctx = make_field(p, 1, d)
+    assert ctx._add_table is None and (ctx._digit_add is None) == (d == 1)
+    code = st.integers(0, ctx.order - 1)
+    coeffs = data.draw(st.lists(st.one_of(st.just(0), st.just(1), code),
+                                min_size=d, max_size=d), label="coeffs")
+    table = ctx.linear_table(functools.partial(ctx._linear_code, coeffs))
+    assert list(table) == [ctx._linear_code(coeffs, c) for c in range(ctx.order)]
+    # b is 0, a multiple of the split (high digits only), below it (low
+    # digits only), the last code or any code
+    split = getattr(ctx, "_split", 1)
+    b = data.draw(st.one_of(st.sampled_from([0, ctx.order - 1]), code,
+                            st.integers(0, ctx.order // split - 1).map(split.__mul__),
+                            st.integers(0, split - 1)), label="b")
+    assert ctx._shifted(table, b) == tuple([table[ctx._add(y, b)] for y in range(ctx.order)])
+    codes = data.draw(st.one_of(st.lists(code, max_size=40), st.just(range(ctx.order))),
+                      label="codes")
+    assert ctx._shift(codes, b) == tuple([ctx._add(v, b) for v in codes])
+
+
+@pytest.mark.parametrize("p, d", [(3, 6), (3, 7), (3, 10), (5, 5), (7, 4), (11, 3)])
+def test_digit_add_table_is_small_and_shares_its_ints(p, d):
+    # p^floor(d/2) rows of as many codes, all of them the ints of one list:
+    # a (p*size)^2 table on odd dims, or an int per entry, is a measured
+    # memory blow-up
+    ctx = make_field(p, 1, d)
+    table, size = ctx._digit_add, p ** (d // 2)
+    assert len(table) == size and {len(row) for row in table} == {size}
+    assert size * size <= ctx.order
+    assert len({id(v) for row in table for v in row}) == size
+    assert table == [[_digit_add(a, b, p) for a in range(size)] for b in range(size)]
+
+
+@pytest.mark.parametrize("p, d", [(3, 10), (3, 11)])
+def test_a_constant_shift_reads_the_digit_rows_in_place(p, d):
+    # adding a constant to one code allocates about its result: no row of
+    # the p^floor(d/2) high or p^ceil(d/2) low codes is built per call
+    ctx = make_field(p, 1, d)
+    b = ctx.order - 2
+    assert ctx._shift([5], b) == (ctx._add(5, b),)
+    tracemalloc.start()
+    try:
+        ctx._shift([5], b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ctx._split
 
 
 # Whole-table passes (_add_codes, _mul_row) against the scalar _add and _mul,
@@ -667,6 +728,11 @@ def test_power_table_matches_pow(data):
 
 FIELD_IDENTITY = {
     "3^1:12": ((1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1), 4),
+    # prime fields past the add table; 1048573 is the largest prime under
+    # the 2^20 cap, and 8191 is pinned further below
+    "8191^1:1": ((0, 1), 17),
+    "65521^1:1": ((0, 1), 17),
+    "1048573^1:1": ((0, 1), 2),
     "5^1:8": ((1, 0, 0, 0, 0, 1, 1, 0, 1), 6),
     "7^1:6": ((1, 0, 0, 0, 1, 0, 1), 8),
     "2^2:3": ((1, 0, 0, 0, 0, 1, 1), 2),
@@ -689,6 +755,15 @@ def test_field_identity_is_pinned(run_python):
     expected = [f"{spec}|{modulus}|{generator}"
                 for spec, (modulus, generator) in FIELD_IDENTITY.items()]
     assert proc.stdout.splitlines() == expected
+
+
+def test_prime_field_past_the_add_table_is_pinned():
+    # the exp table iterates linear_table's x -> 17*x, on F_p the integers c*17 mod p
+    ctx = make_field(8191)
+    assert ctx._add_table is None and ctx._digit_add is None
+    assert ctx.generator_code == 17
+    assert ctx._exp[:5] == [1, 17, 289, 4913, 1611]
+    assert ctx._exp[ctx._log[4913] + ctx._log[1611]] == 4913 * 1611 % 8191
 
 
 def _times(a, b, m, p):
