@@ -27,10 +27,11 @@ point by point and in the same order.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .gf import gather
+from .gf import _GATHER_CHUNK, gather
 
 _ADDITIVITY_EXHAUSTIVE_MAX = 256
 _ADDITIVITY_SAMPLES = 10_000
@@ -114,21 +115,25 @@ class FiberTable:
     the position of the first point of x's fiber and ``points`` are the
     distinct values in order of first appearance.  Built in one C-level
     pass: ``setdefault`` on a dict of each value's first position records a
-    new value and returns the first position of a seen one."""
+    new value and returns the first position of a seen one.  Up to a
+    gather chunk of positions the table keeps the itemgetter of ``rep``
+    (sharing its tuple), which every square it serves reads through."""
 
-    __slots__ = ("values", "rep", "points", "_groups")
+    __slots__ = ("values", "rep", "points", "_groups", "_at_rep")
 
     def __init__(self, values: Sequence):
         first: dict = {}
         self.values = values
-        self.rep = list(map(first.setdefault, values, range(len(values))))
+        self.rep = tuple(map(first.setdefault, values, range(len(values))))
         self.points = list(first)
         self._groups: Optional[dict] = None
+        self._at_rep = (operator.itemgetter(*self.rep)
+                        if 1 < len(self.rep) <= _GATHER_CHUNK else None)
 
     def first_varying(self, values: Sequence) -> Optional[int]:
         """The first position of the first fiber (in order of first
         appearance) on which values is not constant; None if there is none."""
-        at_rep = gather(values, self.rep)
+        at_rep = gather(values, self.rep) if self._at_rep is None else self._at_rep(values)
         if at_rep == tuple(values):
             return None
         return min(r for r, u, v in zip(self.rep, at_rep, values) if u != v)

@@ -38,6 +38,9 @@ SCHEMA_VERSION = 1
 # the cycle types a row writer keeps formatted, counted in cycles, so that its
 # memory stays flat on a long grid however long each cycle type is
 _CYCLE_TYPE_MEMO_CYCLES = 1 << 16
+# field-info lists the base subfield's elements up to this many, and above
+# it prints their count: on a prime field the base subfield is the field
+_LISTED_SUBFIELD_MAX = 256
 
 
 class SchemaError(Exception):
@@ -295,7 +298,10 @@ def do_field_info(args) -> int:
         print(f"|D0|           {(ctx.order - 1) // 2}")
     else:
         print("|D0|           - (even characteristic)")
-    print(f"base subfield  {' '.join(str(x) for x in ctx.subfield_elements())}")
+    if ctx.q <= _LISTED_SUBFIELD_MAX:
+        print(f"base subfield  {' '.join(str(x) for x in ctx.subfield_elements())}")
+    else:
+        print(f"base subfield  {ctx.q} elements")
     return 0
 
 

@@ -216,7 +216,9 @@ def _gcd_permutes(L: LinPoly) -> bool:
 # with XOR or an add table no Python frame runs per element.  Grids sweep delta
 # over the same few outer tables, so each term reads its outer table through
 # the field's shift view y -> outer[y + delta] (see FieldCtx.shift_view) and
-# adds delta on the fly only where the field has no view yet.
+# adds delta on the fly only where the field has no view yet; the inner and
+# lin tables, shared by a grid's points, are read through their cached
+# readers (FieldCtx.reader).
 
 Composition = tuple[Sequence[tuple[Sequence[int], Sequence[int]]], int,
                     Sequence[int], Optional[int]]
@@ -324,29 +326,47 @@ def _compile(family_id: str, ctx: FieldCtx, params: dict) -> list[int]:
 
 def _values(ctx: FieldCtx, composition: Composition) -> list[int]:
     """The value list of a composition: the code of f(x) for every code x.
-    Above a gather chunk it is built a chunk of codes at a time, so that no
+    Each table is read through its reader (FieldCtx.reader), so a point
+    unpacks no table the grid's earlier points read; on add-table fields
+    lin is added through its add rows, lin[x] + t = rows[x][t].  Above a
+    gather chunk it is built a chunk of codes at a time, so that no
     gathered tuple of the whole field is alive beside the list."""
+    terms, delta, lin, _ = composition
+    if ctx.order > _GATHER_CHUNK:
+        return _chunked_values(ctx, composition)
+    _, lin_codes, _, lin_rows = ctx.reader(lin)
+    values = None
+    for outer, inner in terms:
+        _, codes, read, _ = ctx.reader(inner)
+        view = ctx.shift_view(outer, delta)
+        term = gather(outer, ctx._shift(codes, delta)) if view is None else read(view)
+        if values is not None:
+            values = ctx._add_codes(term, values)
+        elif lin_rows is not None:
+            values = map(list.__getitem__, lin_rows, term)
+        else:
+            values = ctx._add_codes(term, lin_codes)
+    return list(values)
+
+
+def _chunked_values(ctx: FieldCtx, composition: Composition) -> list[int]:
+    """_values a chunk of codes at a time: each term reads its table
+    through the shift view, or adds delta on the fly where the field has
+    no view yet, one gather per term and chunk."""
     terms, delta, lin, _ = composition
     # each term as (the table it reads, the shift still to add, its inner table)
     reads = []
     for outer, inner in terms:
         view = ctx.shift_view(outer, delta)
         reads.append((outer, delta, inner) if view is None else (view, 0, inner))
-    if ctx.order <= _GATHER_CHUNK:
-        return list(_sum_of_reads(ctx, reads, lin))
     values: list[int] = []
     for lo in range(0, ctx.order, _GATHER_CHUNK):
         part = slice(lo, lo + _GATHER_CHUNK)
-        values += _sum_of_reads(ctx, [(table, b, inner[part]) for table, b, inner in reads],
-                                lin[part])
-    return values
-
-
-def _sum_of_reads(ctx: FieldCtx, reads: list, values: Iterable[int]) -> Iterator[int]:
-    """values plus table[inner[x] + b] for every read, over the positions x
-    of the inner tables: one gather per read."""
-    for table, b, inner in reads:
-        values = ctx._add_codes(gather(table, ctx._shift(inner, b) if b else inner), values)
+        chunk = lin[part]
+        for table, b, inner in reads:
+            chunk = ctx._add_codes(gather(table, ctx._shift(inner[part], b) if b
+                                          else inner[part]), chunk)
+        values += chunk
     return values
 
 

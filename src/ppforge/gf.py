@@ -23,7 +23,11 @@ column (`linear_of_power`).  Everything is exact integer arithmetic on
 element codes; `Elem` is the boxed view of a code used at the API edge.
 Contexts never change after construction apart from one cache per field
 of the tables derived from it, bounded by a budget of _TABLE_CODES codes
-(see `FieldCtx.derived`).
+(see `FieldCtx.derived`).  On fields of up to _GATHER_CHUNK elements that
+cache also holds a reader of each table a grid reads over and over
+(`FieldCtx.reader`): the table as a tuple of the field's interned code
+ints, the itemgetter over that tuple, and on add-table fields its add
+rows, so a grid point reads a shared table without unpacking it again.
 
 Building a field makes no `poly.Poly`.  The modulus search, the
 validation of a given modulus (Rabin's test, `_is_irreducible`) and the
@@ -40,6 +44,7 @@ import enum
 import functools
 import itertools
 import operator
+import sys
 from array import array
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -67,7 +72,9 @@ def gather(table: Sequence[int], index: Iterable[int]) -> tuple[int, ...]:
     does); itemgetter refuses no indices and returns one bare, so those go
     through a comprehension.  A longer index, or an iterator, is read a
     chunk at a time: no tuple of a whole index is made, nor the int objects
-    of all of an array's codes."""
+    of all of an array's codes.  An index read again and again, such as a
+    grid's shared inner table, has a cached reader instead
+    (`FieldCtx.reader`), whose itemgetter is built once."""
     if isinstance(index, (list, tuple, array, range)) and len(index) <= _GATHER_CHUNK:
         if len(index) > 1:
             return operator.itemgetter(*index)(table)
@@ -464,6 +471,8 @@ class FieldCtx:
             self._elems = [None] * self.order
         self._subfield_codes = self._build_subfield_codes()
         self._subfield_set = frozenset(self._subfield_codes)
+        # the int of every code, made on the first reader: see reader
+        self._codes: Optional[list[int]] = None
         # key -> (derived value, codes charged), oldest first: see derived
         self._tables: dict[Hashable, tuple[object, int]] = {}
         self._charged = 0
@@ -597,13 +606,15 @@ class FieldCtx:
                       for v in codes])
 
     def _add_codes(self, a: Iterable[int], b: Iterable[int]) -> Iterator[int]:
-        """a[i] + b[i] for every i, as an iterator: XOR, or add-table rows
-        gathered by a and indexed by b, both without a Python frame per
-        element; above the table, the Zech addition."""
+        """a[i] + b[i] for every i, as an iterator: XOR, add-table rows
+        gathered by a and indexed by b, or on F_p the integer sum mod p, all
+        without a Python frame per element; otherwise the Zech addition."""
         if self.p == 2:
             return map(operator.xor, a, b)
         if self._add_table is not None:
             return map(list.__getitem__, gather(self._add_table, a), b)
+        if self.dim == 1:
+            return map(operator.mod, map(operator.add, a, b), itertools.repeat(self.p))
         return map(self._add, a, b)
 
     def _mul_row(self, a: int) -> list[int]:
@@ -790,6 +801,32 @@ class FieldCtx:
         """y -> table[y + b] on every code, in one gather."""
         return gather(table, self._shift(range(self.order), b))
 
+    def reader(self, table: Sequence[int]) -> tuple:
+        """(table, codes, read, rows) for a table read again and again, on a
+        field of up to _GATHER_CHUNK elements (a larger field reads its
+        tables a chunk at a time, see gather): codes is the table as a tuple
+        of the field's interned code ints, read(seq) the tuple of seq[t]
+        for every entry t of the table, and rows, on add-table fields, the
+        add row of every entry, rows[x][v] = table[x] + v (None elsewhere).
+        Built on the first request and kept in the field's cache under
+        id(table); the entry holds the table, so its id is not reused while
+        the entry lives.  It is charged the bytes it adds, in 4-byte codes:
+        the tuples and the itemgetter (which shares codes); the codes are
+        ints of one list of the field, the rows those of its add table.  A
+        hit is one dict.get."""
+        key = ("reader", id(table))
+        entry = self._tables.get(key)
+        if entry is not None:
+            return entry[0]
+        if self._codes is None:
+            self._codes = list(range(self.order))
+        codes = gather(self._codes, table)
+        rows = None if self._add_table is None else gather(self._add_table, codes)
+        reader = (table, codes, operator.itemgetter(*codes), rows)
+        held = sum(sys.getsizeof(part) for part in (reader, *reader[1:]) if part is not None)
+        self._store(key, reader, -(-held // 4))
+        return reader
+
     def zero_set(self, table: Sequence[int]) -> tuple[Elem, ...]:
         """The x with table[x] = 0, ascending code order, in one pass over
         the table; an element is made only for each member."""
@@ -798,10 +835,10 @@ class FieldCtx:
 
     def derived(self, key: Hashable, build: Callable[[], object]):
         """build() memoized on this field under key: the field's one cache of
-        tables (linear, power, recipe, fiber and scaled tables, shift views)
-        and verdicts on them.  Each entry is charged the codes it holds, and
-        when the charges pass _TABLE_CODES the oldest entries are evicted; a
-        hit does not reorder them."""
+        tables (linear, power, recipe, fiber and scaled tables, shift views,
+        readers) and verdicts on them.  Each entry is charged the codes it
+        holds, and when the charges pass _TABLE_CODES the oldest entries are
+        evicted; a hit does not reorder them."""
         entry = self._tables.get(key)
         if entry is None:
             value = build()

@@ -3,8 +3,11 @@ reference written here with Elem arithmetic only, on random small fields
 and random grid points; the Elem-edge scan against the code-list scan; and
 the commuting-square audit against an Elem-keyed reference."""
 
+import collections
 import functools
+import json
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ppforge import families as fam
+from ppforge.cli import main
 from ppforge.agw import (
     AGWError,
     AGWInstance,
@@ -446,6 +450,23 @@ def test_code_map_edge_interns_below_the_bound_and_makes_elements_above(monkeypa
         assert type(y) is gf.Elem and y.ctx is ctx and y.code == values[code]
 
 
+def test_fields_above_a_gather_chunk_build_no_reader():
+    # a reader holds a tuple of every code of its table; above a gather
+    # chunk value lists and squares read their tables a chunk at a time
+    ctx = make_field(2, 1, 17)
+    inst = fam.family_additive_g(ctx, fam.trace_of_h(Poly.x(ctx)),
+                                 LinPoly(ctx, [ctx.one, ctx.one]), ctx.elem(3))
+    values = inst.code_values()
+    assert inst.code_values() == values  # the second request builds the view
+    square = wrap_family_instance(inst)
+    assert ctx._codes is None and not any(key[0] == "reader" for key in ctx._tables)
+    assert square._fibers._at_rep is None
+    (outer, inner), = fam.COMPOSITIONS["additive_g"](ctx, inst.params)[0]
+    lin = inst.params["L"].tabulate()
+    for x in random.Random(3).sample(range(ctx.order), 300):
+        assert values[x] == ctx._add(outer[ctx._add(inner[x], 3)], lin[x])
+
+
 def test_half_power_tables_follow_field_k_a_and_b():
     # half_power keeps its linear tables in each field's cache by (k, a, b):
     # compiles interleaved across two fields with equal codes, and across k,
@@ -499,20 +520,89 @@ def test_values_read_shift_views_like_the_reference(spec, data, cold_caches):
             assert ctx._charged <= budget
 
 
+# an add-table, an XOR and a Zech field; each L sweeps the deltas over the
+# same g, so the field builds views from the second L on
+EVICTION_GRIDS = [("3^1:4", "all"), ("2^1:8", list(range(0, 256, 9))),
+                  ("3^1:6", list(range(0, 729, 61)))]
+
+
+@pytest.mark.parametrize("field, deltas", EVICTION_GRIDS)
+def test_readers_evicted_mid_grid_change_no_output(field, deltas, tmp_path, monkeypatch,
+                                                   cold_caches):
+    # under a budget of 12 tables of the field, readers (with their add
+    # rows), views and linear tables are evicted and built again mid-grid;
+    # the value lists, census bytes and fiber reports equal those of a run
+    # under a budget of 0, which keeps no table, view or reader, and whose
+    # value lists equal the reference sum
+    params = {"g": [{"kind": "trace_of_h", "h": {"mono": 1}}],
+              "L": ["identity", "frob:1", "trace"], "delta": deltas}
+    ctx = gf.parse_field_spec(field)
+
+    def run(budget):
+        cold_caches(ctx)
+        monkeypatch.setattr(gf, "_TABLE_CODES", budget)
+        grid = [inst for inst in fam.instantiate_grid("additive_g", [ctx], params)
+                if isinstance(inst, fam.FamilyInstance)]
+        values = [inst.code_values() for inst in grid]
+        reports = [check_fiber_criterion(wrap_family_instance(inst)) for inst in grid]
+        out_csv = tmp_path / f"census-{budget}.csv"
+        assert main(["census", "additive_g", field, "-o", str(out_csv),
+                     "--params", json.dumps(params)]) == 0
+        assert ctx._charged <= budget
+        return grid, values, reports, out_csv.read_bytes()
+
+    grid, reference, reports, census = run(0)
+    assert reference == [ref_values(ctx, fam.COMPOSITIONS["additive_g"](ctx, inst.params))
+                         for inst in grid]
+    evicted = collections.Counter()
+    store = gf.FieldCtx._store
+
+    def watched_store(self, key, value, charge):
+        kept = set(self._tables)
+        store(self, key, value, charge)
+        evicted.update(key[0] for key in kept - self._tables.keys())
+
+    monkeypatch.setattr(gf.FieldCtx, "_store", watched_store)
+    assert run(12 * ctx.order)[1:] == (reference, reports, census)
+    assert evicted["reader"] and evicted["view"] and evicted["lin"]
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 4), (2, 1, 8), (3, 1, 6)])
+def test_a_reader_is_charged_at_least_what_it_holds(spec, monkeypatch, cold_caches):
+    # tracemalloc sees every byte a reader adds; its code ints are the
+    # field's, made by the first reader
+    ctx = cold_caches(make_field(*spec))
+    ctx.reader(ctx.linear_map([1]))
+    table, charged = ctx.linear_map([0, 1]), [None]
+    monkeypatch.setattr(gf, "_TABLE_CODES", 0)  # kept nowhere: only the reader is alive
+    monkeypatch.setattr(gf.FieldCtx, "_store",
+                        lambda self, key, value, charge: charged.__setitem__(0, charge))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reader = ctx.reader(table)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert reader[0] is table and list(reader[1]) == list(table)
+    assert held >= 8 * ctx.order and 4 * charged[0] >= held
+
+
 def test_a_rebuilt_table_never_reads_a_stale_view():
     # tables made and dropped one after another tend to reuse an address;
-    # each is requested twice with the same delta, so a view keyed by a
-    # freed table's id would be read by the next table at that address
+    # each is requested twice with the same delta, so a view or a reader
+    # keyed by a freed table's id would be read by the next table at that
+    # address
     ctx = make_field(3, 1, 2)
     rng = random.Random(5)
-    lin, inner = [0] * ctx.order, list(range(ctx.order))
     for _ in range(200):
-        outer = [rng.randrange(ctx.order) for _ in range(ctx.order)]
+        outer, inner, lin = ([rng.randrange(ctx.order) for _ in range(ctx.order)]
+                             for _ in range(3))
         composition = ([(outer, inner)], 4, lin, None)
         expected = ref_values(ctx, composition)
         assert fam._values(ctx, composition) == expected
         assert fam._values(ctx, composition) == expected
-        del outer, composition
+        del outer, inner, lin, composition
 
 
 @pytest.mark.parametrize("family, spec", [("trace_gamma", (3, 1, 4)),

@@ -570,6 +570,23 @@ def test_digit_shifts_and_linear_tables_match_zech_addition(data):
     assert ctx._shift(codes, b) == tuple([ctx._add(v, b) for v in codes])
 
 
+@pytest.mark.parametrize("p", [1009, 65521])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_prime_fields_past_the_add_table_add_value_lists_like_zech(p, data):
+    # value lists on F_p past the add table add as integers mod p; the Zech
+    # _add is the reference, and a = 0, b = 0 and b = -a, the cases the
+    # Zech addition special-cases, are drawn on purpose
+    ctx = make_field(p)
+    assert ctx._add_table is None and ctx.dim == 1
+    code = st.integers(0, p - 1)
+    pairs = data.draw(st.lists(st.one_of(
+        st.tuples(code, code), st.tuples(st.just(0), code), st.tuples(code, st.just(0)),
+        code.map(lambda a: (a, -a % p))), max_size=60), label="pairs")
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    assert list(ctx._add_codes(a, b)) == [ctx._add(x, y) for x, y in pairs]
+
+
 @pytest.mark.parametrize("p, d", [(3, 6), (3, 7), (3, 10), (5, 5), (7, 4), (11, 3)])
 def test_digit_add_table_is_small_and_shares_its_ints(p, d):
     # p^floor(d/2) rows of as many codes, all of them the ints of one list:
