@@ -27,11 +27,10 @@ point by point and in the same order.
 
 from __future__ import annotations
 
-import operator
 import random
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .gf import _GATHER_CHUNK, gather
+from .gf import gather
 
 _ADDITIVITY_EXHAUSTIVE_MAX = 256
 _ADDITIVITY_SAMPLES = 10_000
@@ -115,11 +114,10 @@ class FiberTable:
     the position of the first point of x's fiber and ``points`` are the
     distinct values in order of first appearance.  Built in one C-level
     pass: ``setdefault`` on a dict of each value's first position records a
-    new value and returns the first position of a seen one.  Up to a
-    gather chunk of positions the table keeps the itemgetter of ``rep``
-    (sharing its tuple), which every square it serves reads through."""
+    new value and returns the first position of a seen one.  ``rep`` is a
+    tuple, which every square it serves gathers through without a copy."""
 
-    __slots__ = ("values", "rep", "points", "_groups", "_at_rep")
+    __slots__ = ("values", "rep", "points", "_groups")
 
     def __init__(self, values: Sequence):
         first: dict = {}
@@ -127,13 +125,11 @@ class FiberTable:
         self.rep = tuple(map(first.setdefault, values, range(len(values))))
         self.points = list(first)
         self._groups: Optional[dict] = None
-        self._at_rep = (operator.itemgetter(*self.rep)
-                        if 1 < len(self.rep) <= _GATHER_CHUNK else None)
 
     def first_varying(self, values: Sequence) -> Optional[int]:
         """The first position of the first fiber (in order of first
         appearance) on which values is not constant; None if there is none."""
-        at_rep = gather(values, self.rep) if self._at_rep is None else self._at_rep(values)
+        at_rep = gather(values, self.rep)
         if at_rep == tuple(values):
             return None
         return min(r for r, u, v in zip(self.rep, at_rep, values) if u != v)

@@ -459,8 +459,7 @@ def test_fields_above_a_gather_chunk_build_no_reader():
     values = inst.code_values()
     assert inst.code_values() == values  # the second request builds the view
     square = wrap_family_instance(inst)
-    assert ctx._codes is None and not any(key[0] == "reader" for key in ctx._tables)
-    assert square._fibers._at_rep is None
+    assert not any(key[0] in ("reader", "codes") for key in ctx._tables)
     (outer, inner), = fam.COMPOSITIONS["additive_g"](ctx, inst.params)[0]
     lin = inst.params["L"].tabulate()
     for x in random.Random(3).sample(range(ctx.order), 300):
@@ -569,23 +568,32 @@ def test_readers_evicted_mid_grid_change_no_output(field, deltas, tmp_path, monk
 
 @pytest.mark.parametrize("spec", [(3, 1, 4), (2, 1, 8), (3, 1, 6)])
 def test_a_reader_is_charged_at_least_what_it_holds(spec, monkeypatch, cold_caches):
-    # tracemalloc sees every byte a reader adds; its code ints are the
-    # field's, made by the first reader
+    # tracemalloc sees every byte a reader adds; the first reader also
+    # makes the field's list of code ints, a cache entry of its own, which
+    # the second reads
     ctx = cold_caches(make_field(*spec))
-    ctx.reader(ctx.linear_map([1]))
-    table, charged = ctx.linear_map([0, 1]), [None]
-    monkeypatch.setattr(gf, "_TABLE_CODES", 0)  # kept nowhere: only the reader is alive
-    monkeypatch.setattr(gf.FieldCtx, "_store",
-                        lambda self, key, value, charge: charged.__setitem__(0, charge))
+    tables, charged, store = [ctx.linear_map([1]), ctx.linear_map([0, 1])], [], gf.FieldCtx._store
+
+    def store_codes_only(self, key, value, charge):  # no reader is kept: only they are alive
+        charged.append((key[0], charge))
+        if key[0] == "codes":
+            store(self, key, value, charge)
+
+    monkeypatch.setattr(gf.FieldCtx, "_store", store_codes_only)
+    held, readers = [], []
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        reader = ctx.reader(table)
-        held = tracemalloc.get_traced_memory()[0] - before
+        for table in tables:
+            before = tracemalloc.get_traced_memory()[0]
+            readers.append(ctx.reader(table))
+            held.append(tracemalloc.get_traced_memory()[0] - before)
     finally:
         tracemalloc.stop()
-    assert reader[0] is table and list(reader[1]) == list(table)
-    assert held >= 8 * ctx.order and 4 * charged[0] >= held
+    assert all(r[0] is table and list(r[1]) == list(table) for r, table in zip(readers, tables))
+    (_, ints), (_, first), (_, second) = charged
+    assert [key for key, _ in charged] == ["codes", "reader", "reader"]
+    assert 4 * (ints + first) >= held[0]
+    assert held[1] >= 8 * ctx.order and 4 * second >= held[1]
 
 
 def test_a_rebuilt_table_never_reads_a_stale_view():
