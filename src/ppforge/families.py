@@ -334,12 +334,12 @@ def _values(ctx: FieldCtx, composition: Composition) -> list[int]:
     terms, delta, lin, _ = composition
     if ctx.order > _GATHER_CHUNK:
         return _chunked_values(ctx, composition)
-    _, lin_codes, lin_rows = ctx.reader(lin)
+    _, lin_codes, _, lin_rows = ctx.reader(lin)
     values = None
     for outer, inner in terms:
-        codes = ctx.reader(inner)[1]
+        _, codes, read, _ = ctx.reader(inner)
         view = ctx.shift_view(outer, delta)
-        term = gather(outer, ctx._shift(codes, delta)) if view is None else gather(view, codes)
+        term = gather(outer, ctx._shift(codes, delta)) if view is None else read(view)
         if values is not None:
             values = ctx._add_codes(term, values)
         elif lin_rows is not None:

@@ -26,9 +26,8 @@ of the tables derived from it, bounded by a budget of _TABLE_CODES codes
 (see `FieldCtx.derived`).  On fields of up to _GATHER_CHUNK elements that
 cache also holds a reader of each table a grid reads over and over
 (`FieldCtx.reader`): the table as a tuple of the field's interned code
-ints, which `gather` reads through without a copy, and on add-table
-fields its add rows, so a grid point reads a shared table without
-unpacking it again.
+ints, the itemgetter over that tuple, and on add-table fields its add
+rows, so a grid point reads a shared table without unpacking it again.
 
 Building a field makes no `poly.Poly`.  The modulus search, the
 validation of a given modulus (Rabin's test, `_is_irreducible`) and the
@@ -74,8 +73,9 @@ def gather(table: Sequence[int], index: Iterable[int]) -> tuple[int, ...]:
     through a comprehension.  A longer index, or an iterator, is read a
     chunk at a time: no tuple of a whole index is made, nor the int objects
     of all of an array's codes.  A tuple index is not copied: itemgetter
-    keeps it as its argument tuple, so an index read again and again, such
-    as a grid's shared inner table, is kept as a tuple (`FieldCtx.reader`)."""
+    keeps it as its argument tuple.  An index read again and again, such
+    as a grid's shared inner table, has a cached reader instead
+    (`FieldCtx.reader`), whose itemgetter is built once."""
     if isinstance(index, (list, tuple, array, range)) and len(index) <= _GATHER_CHUNK:
         if len(index) > 1:
             return operator.itemgetter(*index)(table)
@@ -801,19 +801,22 @@ class FieldCtx:
         return gather(table, self._shift(range(self.order), b))
 
     def reader(self, table: Sequence[int]) -> tuple:
-        """(table, codes, rows) for a table read again and again, on a field
-        of up to _GATHER_CHUNK elements (a larger field reads its tables a
-        chunk at a time, see gather): codes is the table as a tuple of the
-        field's interned code ints, which gather(seq, codes) reads through
-        an itemgetter sharing that tuple, and rows, on add-table fields, the
-        add row of every entry, rows[x][v] = table[x] + v (None elsewhere).
-        Built on the first request and kept in the field's cache under
-        id(table); the entry holds the table, so its id is not reused while
-        the entry lives.  It is charged the bytes of its tuples, in 4-byte
-        codes: its rows are the add table's, and its code ints those of the
-        field's one list of them, a cache entry charged its list and ints
-        (readers outliving that entry keep some of its ints, and are evicted
-        before the list built after it).  A hit is one dict.get."""
+        """(table, codes, read, rows) for a table read again and again, on a
+        field of up to _GATHER_CHUNK elements (a larger field reads its
+        tables a chunk at a time, see gather): codes is the table as a tuple
+        of the field's interned code ints, read(seq) the tuple of seq[t] for
+        every entry t of the table (gather(seq, codes) without the call and
+        checks of gather, about 1 us a call on fields of up to 81 elements),
+        and rows, on add-table fields, the add row of every entry,
+        rows[x][v] = table[x] + v (None elsewhere).  Built on the first
+        request and kept in the field's cache under id(table); the entry
+        holds the table, so its id is not reused while the entry lives.  It
+        is charged the bytes of its tuples and getter (which shares codes),
+        in 4-byte codes: its rows are the add table's, and its code ints
+        those of the field's one list of them, a cache entry charged its
+        list and ints (readers outliving that entry keep some of its ints,
+        and are evicted before the list built after it).  A hit is one
+        dict.get."""
         key = ("reader", id(table))
         entry = self._tables.get(key)
         if entry is not None:
@@ -827,7 +830,7 @@ class FieldCtx:
             ints = entry[0]
         codes = gather(ints, table)
         rows = None if self._add_table is None else gather(self._add_table, codes)
-        reader = (table, codes, rows)
+        reader = (table, codes, operator.itemgetter(*codes), rows)
         held = sum(sys.getsizeof(part) for part in (reader, *reader[1:]) if part is not None)
         self._store(key, reader, -(-held // 4))
         return reader
