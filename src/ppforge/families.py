@@ -97,11 +97,12 @@ class FamilyInstance:
         if evaluator is not None:
             fields["evaluator"] = evaluator
 
-    def code_values(self) -> list[int]:
-        """The code of f(x) for every element code x, in code order."""
+    def code_values(self) -> Sequence[int]:
+        """The code of f(x) for every element code x, in code order: a list,
+        and above a gather chunk a code table."""
         return _compile(self.family_id, self.ctx, self.params)
 
-    def square_codes(self) -> tuple[list[int], Optional[tuple[Sequence[int], int]]]:
+    def square_codes(self) -> tuple[Sequence[int], Optional[tuple[Sequence[int], int]]]:
         """The value list and (psibar, fiber delta) of the family's
         commuting square, from one composition call: psibar is the first
         term's inner table and psi = psibar + fiber delta; None in place of
@@ -124,7 +125,7 @@ class CodeMapEdge:
         self.family_id = family_id
         self.ctx = ctx
         self.params = params
-        self._values: Optional[list[int]] = None
+        self._values: Optional[Sequence[int]] = None
 
     def __call__(self, x: Elem) -> Elem:
         ctx = self.ctx
@@ -319,18 +320,18 @@ def _half_power(ctx: FieldCtx, P: dict) -> Composition:
     return [(outer, inner)], P["delta"].code, lin, None
 
 
-def _compile(family_id: str, ctx: FieldCtx, params: dict) -> list[int]:
+def _compile(family_id: str, ctx: FieldCtx, params: dict) -> Sequence[int]:
     """The value list of the family's composition."""
     return _values(ctx, COMPOSITIONS[family_id](ctx, params))
 
 
-def _values(ctx: FieldCtx, composition: Composition) -> list[int]:
+def _values(ctx: FieldCtx, composition: Composition) -> Sequence[int]:
     """The value list of a composition: the code of f(x) for every code x.
     Each table is read through its reader (FieldCtx.reader), so a point
     unpacks no table the grid's earlier points read; on add-table fields
     lin is added through its add rows, lin[x] + t = rows[x][t].  Above a
-    gather chunk it is built a chunk of codes at a time, so that no
-    gathered tuple of the whole field is alive beside the list."""
+    gather chunk it is built a chunk of codes at a time into a code table
+    (_chunked_values)."""
     terms, delta, lin, _ = composition
     if ctx.order > _GATHER_CHUNK:
         return _chunked_values(ctx, composition)
@@ -349,24 +350,27 @@ def _values(ctx: FieldCtx, composition: Composition) -> list[int]:
     return list(values)
 
 
-def _chunked_values(ctx: FieldCtx, composition: Composition) -> list[int]:
+def _chunked_values(ctx: FieldCtx, composition: Composition) -> Sequence[int]:
     """_values a chunk of codes at a time: each term reads its table
     through the shift view, or adds delta on the fly where the field has
-    no view yet, one gather per term and chunk."""
+    no view yet, one gather per term and chunk.  The chunks go into a code
+    table, so no gathered tuple of the whole field is alive beside it and
+    it keeps no int object of a sum (XOR and the split tables make a new
+    int per sum): on 3^1:12 a list of the sums held 7 MB more."""
     terms, delta, lin, _ = composition
     # each term as (the table it reads, the shift still to add, its inner table)
     reads = []
     for outer, inner in terms:
         view = ctx.shift_view(outer, delta)
         reads.append((outer, delta, inner) if view is None else (view, 0, inner))
-    values: list[int] = []
+    values = code_table(())
     for lo in range(0, ctx.order, _GATHER_CHUNK):
         part = slice(lo, lo + _GATHER_CHUNK)
         chunk = lin[part]
         for table, b, inner in reads:
             chunk = ctx._add_codes(gather(table, ctx._shift(inner[part], b) if b
                                           else inner[part]), chunk)
-        values += chunk
+        values.extend(chunk)
     return values
 
 

@@ -7,15 +7,15 @@ reduced), packed into the integer sum(c_i * p^i).  Equality and hashing are
 therefore bit-exact.
 
 Multiplication, inversion and powering run on exp/log tables built from a
-deterministically chosen primitive element.  Addition is XOR in
-characteristic 2, a full add table for odd-characteristic fields up to 512
-elements, and above that Zech logarithms: a + b = g^(log a + z[log b -
-log a]) with z[d] = log(1 + g^d), a table built once with the exp/log
-tables.  Adding a constant (a shift view, the exp table's build) needs no
-logs: XOR, a row of the add table, on F_p the integer sum mod p, and
-otherwise two rows of one add table on half the digits, for the high and
-the low digits of a code (see `_shift`); every q-linear table is the outer
-sum of the map's values on the high and on the low digits.  Frobenius is the
+deterministically chosen primitive element.  Addition needs no logs.  It is
+XOR in characteristic 2, a full add table for odd-characteristic fields up
+to 512 elements, above that the integer sum mod p on F_p, and on extension
+fields split tables: digit-wise addition carries nothing between a code's
+high and low digits, so each half adds through one add table of half the
+digits, read through lists of every code's halves (see
+`_build_split_tables`).  The same tables add a constant (`_shift`: a shift
+view, the exp table's build), and every q-linear table is the outer sum of
+the map's values on the high and on the low digits.  Frobenius is the
 power map on logs, x^(q^j) = exp[log[x] * q^j mod (q^n - 1)]; a power
 column y -> y^e is one pass over the log table, and every sum of Frobenius
 powers of one power, sum(c_j * y^(e*q^j)), is a q-linear map of such a
@@ -438,8 +438,8 @@ class FieldCtx:
         self._qpow = tuple(pow(self.q, j, self._om1) for j in range(n))
 
         # the add tables first: the exp table is built with linear_table,
-        # which adds constants to codes (_shift); the Zech table and _neg
-        # need the logs built after it
+        # which adds constants to codes (_shift); _neg needs the logs built
+        # after it
         self._add_table: Optional[list[list[int]]] = None
         self._digit_add: Optional[list[list[int]]] = None
         if self.p == 2:
@@ -448,23 +448,14 @@ class FieldCtx:
             if self.order <= _ADD_TABLE_MAX:
                 table = self._add_table = self._build_add_table(self.order)
                 self._add = lambda a, b: table[a][b]
-            elif self.dim > 1:
-                # a code is h*_split + l: h its high floor(dim/2) digits and
-                # l its low ceil(dim/2), on odd dims a middle digit over as
-                # many low digits as h has; constants are added to each part
-                # through rows of the add table of floor(dim/2)-digit codes,
-                # to the middle digit mod p
-                size = self.p ** (self.dim // 2)
-                self._split = self.p ** (self.dim - self.dim // 2)
-                self._digit_add = self._build_add_table(size)
-                self._high_codes = list(range(0, self.order, self._split))
-                # _mids[t][d]: the middle digit d plus t, times size
-                self._mids = [[size * d for d in row[:self.p]] for row in self._digit_add[:self.p]]
+            elif self.dim == 1:
+                p = self.p
+                self._add = lambda a, b: (a + b) % p
+            else:
+                self._add = self._build_split_tables()
             self._sub = lambda a, b: self._add(a, self._neg(b))
         self.generator_code = self._find_primitive_code()
         self._build_mul_tables()
-        if self.p != 2 and self._add_table is None:
-            self._add = self._zech_add()
         # interned elements, each made on its first _wrap; a tuple once
         # elements() has made them all
         self._elems: Optional[Sequence[Optional[Elem]]] = None
@@ -533,27 +524,36 @@ class FieldCtx:
             table, step = rows, step * p
         return table
 
-    def _zech_add(self) -> Callable[[int, int], int]:
-        """Addition on logs: a + b = g^(log a + z[log b - log a]), with the
-        Zech logarithm z[d] = log(1 + g^d) built in one pass over the exp
-        table (1 + c only bumps the lowest digit of c).  1 + g^d = 0 only
-        at d = (q^n - 1)/2, where z holds log[0] = 0, which no other d
-        has (1 + g^d = 1 would need g^d = 0), so z[d] = 0 means b = -a.
-        z refers to the int objects of the log table, and a negative index
-        log b - log a wraps modulo q^n - 1 by itself."""
-        p, exp, log = self.p, self._exp, self._log
-        zech = [log[c - c % p + (c + 1) % p] for c in itertools.islice(exp, self._om1)]
-
-        def add(a: int, b: int) -> int:
-            if a == 0:
-                return b
-            if b == 0:
-                return a
-            la = log[a]
-            d = zech[log[b] - la]
-            return exp[la + d] if d else 0
-
-        return add
+    def _build_split_tables(self) -> Callable[[int, int], int]:
+        """The split tables of an odd extension field past the add table,
+        and its addition of two codes.  A code is h*_split + l: h its high
+        floor(dim/2) digits and l its low ceil(dim/2), on odd dims a middle
+        digit over as many low digits as h has.  Digit-wise addition carries
+        nothing between the parts, so each adds on its own: the low parts
+        through the add table of floor(dim/2)-digit codes (_digit_add), the
+        high parts through its rows scaled by _split (_high_add, read out of
+        the size distinct multiples of _split, so it holds no more ints), a
+        middle digit through _mids.  _hi, _lo and on odd dims _mid hold
+        every code's parts, so a sum is a few list reads; 0 is returned
+        before them, since value lists are often dense in zeros."""
+        p, dim = self.p, self.dim
+        size = p ** (dim // 2)
+        split = self._split = p ** (dim - dim // 2)
+        low = self._digit_add = self._build_add_table(size)
+        scaled = list(range(0, self.order, split))
+        high = self._high_add = [list(gather(scaled, row)) for row in low]
+        hi = self._hi = list(itertools.chain.from_iterable(
+            map(itertools.repeat, range(size), itertools.repeat(split))))
+        lo = self._lo = list(range(size)) * (self.order // size)
+        self._mid = None
+        if split == size:
+            return lambda x, y: high[hi[x]][hi[y]] + low[lo[x]][lo[y]] if x and y else x or y
+        # _mids[t][d]: the middle digit d plus t, times size
+        mids = self._mids = [[size * d for d in row[:p]] for row in low[:p]]
+        mid = self._mid = list(itertools.chain.from_iterable(
+            map(itertools.repeat, range(p), itertools.repeat(size)))) * size
+        return lambda x, y: (high[hi[x]][hi[y]] + mids[mid[x]][mid[y]] + low[lo[x]][lo[y]]
+                             if x and y else x or y)
 
     def _build_subfield_codes(self) -> tuple[int, ...]:
         if self.n == 1:
@@ -566,7 +566,8 @@ class FieldCtx:
     # -- code-level arithmetic ---------------------------------------------
     #
     # _add and _sub are bound per field in __init__: XOR in characteristic 2,
-    # the add table for small odd fields, the Zech table otherwise.
+    # the add table for small odd fields, integers mod p on larger prime
+    # fields and the split tables on larger extension fields.
 
     def _wrap(self, code: int) -> Elem:
         elems = self._elems
@@ -585,9 +586,8 @@ class FieldCtx:
     def _shift(self, codes: Sequence[int], b: int) -> tuple[int, ...]:
         """v + b for every code v of codes, as a tuple: XOR by b, a gather
         through the add table's row of b, on F_p the integer sum mod p, and
-        otherwise each part of v read through the digit add table's row of
-        b's part, the middle digit of an odd dim added mod p (needs no logs,
-        so it also serves the exp table's build)."""
+        otherwise each part of v read through the split tables' row of b's
+        part (needs no logs, so it also serves the exp table's build)."""
         if self.p == 2:
             return tuple(map(operator.xor, codes, itertools.repeat(b)))
         if self._add_table is not None:
@@ -595,26 +595,31 @@ class FieldCtx:
         if self.dim == 1:
             return tuple(map(operator.mod, map(operator.add, codes, itertools.repeat(b)),
                              itertools.repeat(self.p)))
-        split, digits = self._split, self._digit_add
-        size = len(digits)
-        high, low = digits[b // split], digits[b % size]
-        if split == size:
-            return tuple([high[v // split] * split + low[v % split] for v in codes])
-        p, mid = self.p, self._mids[b % split // size]
-        return tuple([high[v // split] * split + mid[v // size % p] + low[v % size]
-                      for v in codes])
+        hi, lo, mid = self._hi, self._lo, self._mid
+        high, low = self._high_add[hi[b]], self._digit_add[lo[b]]
+        if mid is None:
+            return tuple([high[hi[v]] + low[lo[v]] for v in codes])
+        middle = self._mids[mid[b]]
+        return tuple([high[hi[v]] + middle[mid[v]] + low[lo[v]] for v in codes])
 
-    def _add_codes(self, a: Iterable[int], b: Iterable[int]) -> Iterator[int]:
-        """a[i] + b[i] for every i, as an iterator: XOR, add-table rows
-        gathered by a and indexed by b, or on F_p the integer sum mod p, all
-        without a Python frame per element; otherwise the Zech addition."""
+    def _add_codes(self, a: Iterable[int], b: Iterable[int]) -> Iterable[int]:
+        """a[i] + b[i] for every i, without a Python frame per element: XOR,
+        add-table rows gathered by a and indexed by b, or on F_p the integer
+        sum mod p, as iterators; otherwise _add's split-table reads, as a
+        list."""
         if self.p == 2:
             return map(operator.xor, a, b)
         if self._add_table is not None:
             return map(list.__getitem__, gather(self._add_table, a), b)
         if self.dim == 1:
             return map(operator.mod, map(operator.add, a, b), itertools.repeat(self.p))
-        return map(self._add, a, b)
+        hi, lo, high, low, mid = self._hi, self._lo, self._high_add, self._digit_add, self._mid
+        if mid is None:
+            return [high[hi[x]][hi[y]] + low[lo[x]][lo[y]] if x and y else x or y
+                    for x, y in zip(a, b)]
+        mids = self._mids
+        return [high[hi[x]][hi[y]] + mids[mid[x]][mid[y]] + low[lo[x]][lo[y]]
+                if x and y else x or y for x, y in zip(a, b)]
 
     def _mul_row(self, a: int) -> list[int]:
         """v -> a*v on every code: exp[log a + log v], one gather of the
@@ -714,14 +719,13 @@ class FieldCtx:
         parts = [operator.itemgetter(*part)
                  for part in self._linear_parts(image, 1, self.dim - self.dim // 2)]
         high_part, low_part = parts[0], parts[-1]
-        table = []
+        table = code_table(())
         for h, *t, l in zip(*self._linear_parts(image, self._split, self.dim // 2)):
-            block = map(operator.add, high_part(gather(self._high_codes, digits[h])),
-                        low_part(digits[l]))
+            block = map(operator.add, high_part(self._high_add[h]), low_part(digits[l]))
             if t:  # an odd dim's middle digit
                 block = map(operator.add, block, parts[1](self._mids[t[0]]))
-            table += block
-        return code_table(table)
+            table.extend(block)
+        return table
 
     def _linear_parts(self, image: Callable[[int], int], unit: int,
                       count: int) -> list[list[int]]:

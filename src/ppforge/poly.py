@@ -3,9 +3,7 @@
 Coefficients are stored constant term first with no trailing zeros; the
 zero polynomial is the empty vector.  Division requires a nonzero divisor
 and gcds are normalized monic, so the coprimality test used by the
-linearized permutation criterion is exact equality with 1.  The module
-also holds modular powering and Rabin's irreducibility test over any field
-context; `gf` builds its fields without them, on coefficient lists over F_p.
+linearized permutation criterion is exact equality with 1.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from .gf import (
     Elem,
     FieldCtx,
     code_table,
-    prime_factors,
 )
 
 
@@ -242,37 +239,6 @@ def gcd(f: Poly, g: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def powmod(f: Poly, k: int, m: Poly) -> Poly:
-    """f^k modulo m, by left-to-right square-and-multiply."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    f = f % m
-    result = Poly.one(f.ctx) % m
-    for bit in bin(k)[2:]:
-        result = result * result % m
-        if bit == "1":
-            result = result * f % m
-    return result
-
-
-def is_irreducible(m: Poly) -> bool:
-    """Rabin's test (Rabin 1980, "Probabilistic algorithms in finite
-    fields"): m of degree d >= 1 over F_q is irreducible exactly when
-    x^(q^d) = x mod m and gcd(x^(q^(d/r)) - x, m) = 1 for every prime r
-    dividing d."""
-    d, q = m.degree, m.ctx.order
-    if d < 1:
-        return False
-    x = Poly.x(m.ctx) % m
-    powers = [x]  # x^(q^i) mod m
-    for _ in range(d):
-        powers.append(powmod(powers[-1], q, m))
-    if powers[d] != x:
-        return False
-    one = Poly.one(m.ctx)
-    return all(gcd(powers[d // r] - x, m) == one for r in prime_factors(d))
 
 
 # ---------------------------------------------------------------------------

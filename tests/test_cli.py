@@ -149,6 +149,19 @@ def test_census_default_grid_bytes(family, field, tmp_path):
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == CENSUS_DIGESTS[family, field]
 
 
+def test_census_bytes_on_an_odd_dim_field(tmp_path):
+    # 3^1:7 is past the add table with an odd dim, so its codes add a middle
+    # digit between the high and the low halves; the additive_g default grid,
+    # narrowed to deltas with low, middle, high and all digits set (36 rows),
+    # against the bytes written when it still added by Zech logarithms
+    params = dict(fam.DEFAULT_GRIDS["additive_g"], delta=[0, 1, 27, 40, 81, 2186])
+    out_csv = tmp_path / "census.csv"
+    assert main(["census", "additive_g", "3^1:7", "--params", json.dumps(params),
+                 "-o", str(out_csv)]) == 0
+    assert (hashlib.sha256(out_csv.read_bytes()).hexdigest()
+            == "986fe5ef43b332bde1c8b7437058e2e9e0b366ef58d66177493c3d71f9926f43")
+
+
 # sha256 of agw-check's stdout on every family's default grid, on small
 # fields where the grid resolves (alpha_beta_gamma and half_power only on
 # 3^1:2: their 3^1:4 grids hold 26,244 and 518,400 squares), and on q6 3^1:6,

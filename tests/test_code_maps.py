@@ -8,6 +8,7 @@ import functools
 import json
 import random
 import tracemalloc
+from array import array
 from unittest import mock
 
 import pytest
@@ -466,6 +467,20 @@ def test_fields_above_a_gather_chunk_build_no_reader():
         assert values[x] == ctx._add(outer[ctx._add(inner[x], 3)], lin[x])
 
 
+def test_split_table_value_lists_above_a_gather_chunk():
+    # 3^1:11 adds through the split tables with a middle digit, a chunk at a
+    # time, against the Elem-only reference on a sample of points; the value
+    # list is a code table, which keeps no int object per sum
+    ctx = make_field(3, 1, 11)
+    inst = fam.family_additive_g(ctx, fam.trace_of_h(Poly.x(ctx)), LinPoly.identity(ctx),
+                                 ctx.elem(ctx.order - 5))
+    values = inst.code_values()
+    assert isinstance(values, array) and values.itemsize == 4 and len(values) == ctx.order
+    ref = reference(inst)
+    for x in [0, 1, ctx.order - 1] + random.Random(5).sample(range(ctx.order), 200):
+        assert values[x] == ref(ctx.elem(x)).code
+
+
 def test_half_power_tables_follow_field_k_a_and_b():
     # half_power keeps its linear tables in each field's cache by (k, a, b):
     # compiles interleaved across two fields with equal codes, and across k,
@@ -494,8 +509,8 @@ def ref_values(ctx, composition):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_values_read_shift_views_like_the_reference(spec, data, cold_caches):
-    # XOR, add-table and Zech fields; each request is a composition of one or
-    # two terms over a few outer tables (lists and code tables) and a delta
+    # XOR, add-table and split-table fields; each request is a composition of
+    # one or two terms over a few outer tables (lists and code tables) and a delta
     # from a small pool, so (table, delta) pairs repeat and delta = 0 occurs.
     # Under a budget of 3q the cache evicts mid-sequence; a view entry holds
     # 2q codes, so under q - 1 and q the field records nothing
@@ -519,7 +534,7 @@ def test_values_read_shift_views_like_the_reference(spec, data, cold_caches):
             assert ctx._charged <= budget
 
 
-# an add-table, an XOR and a Zech field; each L sweeps the deltas over the
+# an add-table, an XOR and a split-table field; each L sweeps the deltas over the
 # same g, so the field builds views from the second L on
 EVICTION_GRIDS = [("3^1:4", "all"), ("2^1:8", list(range(0, 256, 9))),
                   ("3^1:6", list(range(0, 729, 61)))]
@@ -665,7 +680,7 @@ def outer_tables(family, ctx, variant, h=None):
     return [outer for outer, _ in fam.COMPOSITIONS[family](ctx, P)[0]]
 
 
-# an XOR field, an add-table field and three Zech fields
+# an XOR field, an add-table field and three split-table fields
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_power_sum_tables_match_elem_powers(data):

@@ -126,7 +126,7 @@ def test_field_axioms_random_triples(ctx):
 
 
 def test_add_fallback_above_table_threshold():
-    # 3^6 = 729 exceeds the add-table bound, exercising the Zech path
+    # 3^6 = 729 exceeds the add-table bound, exercising the split tables
     ctx = make_field(3, 1, 6)
     assert ctx._add_table is None
     rng = random.Random(3)
@@ -445,9 +445,9 @@ def test_field_of_order_2_20_builds_in_seconds(run_python):
     assert float(seconds) < 10.0
 
 
-# Addition above the add table (Zech logarithms for _add, digit add rows or
-# integers mod p for _shift) and the add table itself, against digit-by-digit
-# references.
+# Addition above the add table (the split tables of high and low digits, or
+# integers mod p on a prime field) and the add table itself, against
+# digit-by-digit references.
 
 def _digit_add(a, b, p):
     out, shift = 0, 1
@@ -459,6 +459,26 @@ def _digit_add(a, b, p):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _zech_add(ctx):
+    """Addition on logs, a reference independent of the digit tables: a + b
+    = g^(log a + z[log b - log a]) with the Zech logarithm z[d] = log(1 +
+    g^d), one pass over the exp table (1 + c only bumps the lowest digit of
+    c).  1 + g^d = 0 only at d = (q^n - 1)/2, where z holds log[0] = 0, so
+    z[d] = 0 means b = -a; a negative index log b - log a wraps by itself."""
+    p, exp, log = ctx.p, ctx._exp, ctx._log
+    zech = [log[c - c % p + (c + 1) % p] for c in exp[:ctx.order - 1]]
+
+    def add(a, b):
+        if a == 0 or b == 0:
+            return a or b
+        la = log[a]
+        d = zech[log[b] - la]
+        return exp[la + d] if d else 0
+
+    return add
+
+
 def _digit_neg(a, p):
     out, shift = 0, 1
     while a:
@@ -468,13 +488,13 @@ def _digit_neg(a, p):
     return out
 
 
-ZECH_FIELDS = [(3, 6), (3, 7), (3, 8), (5, 4), (7, 4)]
+EXTENSION_FIELDS = [(3, 6), (3, 7), (3, 8), (5, 4), (7, 4)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_zech_addition_matches_digit_reference(data):
-    p, d = data.draw(st.sampled_from(ZECH_FIELDS))
+def test_split_addition_matches_digit_reference(data):
+    p, d = data.draw(st.sampled_from(EXTENSION_FIELDS))
     ctx = make_field(p, 1, d)
     assert ctx._add_table is None
     code = st.integers(0, ctx.order - 1)
@@ -494,7 +514,7 @@ def test_zech_addition_matches_digit_reference(data):
     assert mul(c, add(a, b)) == add(mul(c, a), mul(c, b))
 
 
-def test_zech_addition_edge_cases_exhaustive_on_3_6():
+def test_split_addition_edge_cases_exhaustive_on_3_6():
     ctx = make_field(3, 1, 6)
     for a in range(ctx.order):
         neg = _digit_neg(a, 3)
@@ -515,7 +535,7 @@ def test_add_table_matches_digit_reference(p, d):
     assert ctx._add_table == expected
 
 
-ZECH_UNDER_O = """
+SPLIT_UNDER_O = """
 import sys
 from ppforge.gf import make_field
 ctx = make_field(3, 1, 6)
@@ -529,8 +549,8 @@ print("zero_zero", ctx._add(0, 0), ctx._sub(0, 0), *ctx._shift([0], 0))
 """
 
 
-def test_zech_zero_and_negation_cases_under_python_O(run_python):
-    proc = run_python(ZECH_UNDER_O, "-O")
+def test_split_zero_and_negation_cases_under_python_O(run_python):
+    proc = run_python(SPLIT_UNDER_O, "-O")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[:2] == ["optimize 1", "table True"]
@@ -541,8 +561,8 @@ def test_zech_zero_and_negation_cases_under_python_O(run_python):
 
 
 # Constant shifts and linear tables above the add table, against the Zech
-# addition and the scalar linear map: digit add rows on even and odd
-# dimensions, integers mod p on a prime field.
+# addition (a log-based reference, see _zech_add) and the scalar linear map:
+# split tables on even and odd dimensions, integers mod p on a prime field.
 
 DIGIT_FIELDS = [(3, 6), (7, 4), (3, 7), (5, 5), (11, 3), (1009, 1)]
 
@@ -564,19 +584,20 @@ def test_digit_shifts_and_linear_tables_match_zech_addition(data):
     b = data.draw(st.one_of(st.sampled_from([0, ctx.order - 1]), code,
                             st.integers(0, ctx.order // split - 1).map(split.__mul__),
                             st.integers(0, split - 1)), label="b")
-    assert ctx._shifted(table, b) == tuple([table[ctx._add(y, b)] for y in range(ctx.order)])
+    add = _zech_add(ctx)
+    assert ctx._shifted(table, b) == tuple([table[add(y, b)] for y in range(ctx.order)])
     codes = data.draw(st.one_of(st.lists(code, max_size=40), st.just(range(ctx.order))),
                       label="codes")
-    assert ctx._shift(codes, b) == tuple([ctx._add(v, b) for v in codes])
+    assert ctx._shift(codes, b) == tuple([add(v, b) for v in codes])
 
 
 @pytest.mark.parametrize("p", [1009, 65521])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_prime_fields_past_the_add_table_add_value_lists_like_zech(p, data):
-    # value lists on F_p past the add table add as integers mod p; the Zech
-    # _add is the reference, and a = 0, b = 0 and b = -a, the cases the
-    # Zech addition special-cases, are drawn on purpose
+    # value lists and the scalar _add on F_p past the add table add as
+    # integers mod p; the Zech addition is the reference, and a = 0, b = 0
+    # and b = -a, the cases it special-cases, are drawn on purpose
     ctx = make_field(p)
     assert ctx._add_table is None and ctx.dim == 1
     code = st.integers(0, p - 1)
@@ -584,7 +605,41 @@ def test_prime_fields_past_the_add_table_add_value_lists_like_zech(p, data):
         st.tuples(code, code), st.tuples(st.just(0), code), st.tuples(code, st.just(0)),
         code.map(lambda a: (a, -a % p))), max_size=60), label="pairs")
     a, b = [x for x, _ in pairs], [y for _, y in pairs]
-    assert list(ctx._add_codes(a, b)) == [ctx._add(x, y) for x, y in pairs]
+    expected = list(map(_zech_add(ctx), a, b))
+    assert list(ctx._add_codes(a, b)) == expected
+    assert list(map(ctx._add, a, b)) == expected
+
+
+# every odd field class past the add table: even dims, odd dims (a middle
+# digit between the high and the low halves) and a prime field
+SPLIT_FIELDS = [(3, 6), (3, 8), (3, 7), (5, 5), (11, 3), (1009, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_list_and_scalar_addition_match_digit_reference(data):
+    # value lists are often dense in zeros (a kernel, a trace), so lists draw
+    # 0 on either side and b = -a on purpose; a whole-field list is added to
+    # its multiple by m, which is the zero list for m = 0 and -a for m = -1
+    p, d = data.draw(st.sampled_from(SPLIT_FIELDS), label="field")
+    ctx = make_field(p, 1, d)
+    assert ctx._add_table is None
+    code = st.integers(0, ctx.order - 1)
+    if data.draw(st.booleans(), label="whole field"):
+        m = data.draw(st.one_of(st.sampled_from([0, 1, ctx.order - 1]), code), label="m")
+        m = ctx._neg(1) if m == ctx.order - 1 else m
+        a = list(range(ctx.order))
+        b = [ctx._mul(m, x) for x in a]
+    else:
+        entry = st.one_of(st.just(0), code)
+        pairs = data.draw(st.lists(st.one_of(
+            st.tuples(entry, entry), code.map(lambda x: (x, _digit_neg(x, p)))),
+            max_size=80), label="pairs")
+        a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    expected = [_digit_add(x, y, p) for x, y in zip(a, b)]
+    assert list(ctx._add_codes(a, b)) == expected
+    assert list(ctx._add_codes(iter(a), tuple(b))) == expected
+    assert list(map(ctx._add, a, b)) == expected
 
 
 @pytest.mark.parametrize("p, d", [(3, 6), (3, 7), (3, 10), (5, 5), (7, 4), (11, 3)])
@@ -617,7 +672,7 @@ def test_a_constant_shift_reads_the_digit_rows_in_place(p, d):
 
 
 # Whole-table passes (_add_codes, _mul_row) against the scalar _add and _mul,
-# on XOR, add-table and Zech fields.
+# on XOR, add-table and split-table fields.
 
 PASS_FIELDS = [(2, 8), (3, 4), (3, 6), (5, 4)]
 
@@ -831,26 +886,40 @@ def _poly_product(f, g, p):
     return tuple(out)
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_field_helpers_match_poly(data):
-    from ppforge import gf
-    from ppforge.poly import Poly, is_irreducible, powmod
-
-    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
-    if data.draw(st.booleans(), label="product"):
-        left, right = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
-        m = _poly_product(data.draw(_monic(p, left)), data.draw(_monic(p, right)), p)
-    else:
-        m = data.draw(st.integers(1, 16).flatmap(lambda d: _monic(p, d)), label="m")
-    fp = make_field(p)
-    assert gf._is_irreducible(m, p) == is_irreducible(Poly(fp, m))
-    a = data.draw(st.lists(st.integers(0, p - 1), max_size=len(m) - 1), label="a")
+def _trimmed(a):
+    a = list(a)
     while a and not a[-1]:
         a.pop()
-    k = data.draw(st.integers(1, 1 << 20), label="k")
-    expected = powmod(Poly(fp, a), k, Poly(fp, m)).codes
-    assert tuple(gf._fp_powmod(a, k, m, p)) == expected
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_field_helpers_match_trial_division_and_repeated_products(data):
+    # Rabin's test against trial division, on degrees whose trial division
+    # stays short (p^(d/2) <= 3125), products of two monics among them; the
+    # modular power a^k against k - 1 products, and a^(j * p^d + k) against
+    # a^(j + k) when m is irreducible of degree d, since a^(p^d) = a there
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    top = max(d for d in range(1, 17) if p ** (d // 2) <= 3125)
+    if data.draw(st.booleans(), label="product"):
+        left = data.draw(st.integers(1, top - 1), label="left")
+        right = data.draw(st.integers(1, top - left), label="right")
+        m = _poly_product(data.draw(_monic(p, left)), data.draw(_monic(p, right)), p)
+    else:
+        m = data.draw(st.integers(1, top).flatmap(lambda d: _monic(p, d)), label="m")
+    irreducible = not _has_factor(m, p)
+    assert gf._is_irreducible(m, p) == irreducible
+    a = _trimmed(data.draw(st.lists(st.integers(0, p - 1), max_size=len(m) - 1), label="a"))
+    k = data.draw(st.integers(1, 40), label="k")
+    expected = a
+    for _ in range(k - 1):
+        expected = _trimmed(_remainder(_poly_product(expected, a, p) if expected else [], m, p))
+    assert gf._fp_powmod(a, k, m, p) == expected
+    if irreducible and a:
+        j = data.draw(st.integers(1, 3), label="j")
+        big = j * p ** (len(m) - 1) + k
+        assert gf._fp_powmod(a, big, m, p) == gf._fp_powmod(a, j + k, m, p)
 
 
 # Building a field runs on plain integers: no Poly is made, nothing is
@@ -885,7 +954,7 @@ def test_building_a_field_makes_no_poly_and_three_elements(monkeypatch):
     monkeypatch.setattr(gf.FieldCtx, "__init__", counted_ctx)
     monkeypatch.setattr(gf, "_FIELD_CACHE", {})
     gf.first_irreducible_coeffs.cache_clear()
-    fields = [make_field(3, 1, 6),  # Zech addition, modulus searched afresh
+    fields = [make_field(3, 1, 6),  # split tables, modulus searched afresh
               make_field(2, 1, 8, modulus=(1, 1, 0, 1, 1, 0, 0, 0, 1)),
               make_field(5, 1, 3)]
     assert built == fields  # an extension field no longer builds F_p first

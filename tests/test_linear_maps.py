@@ -14,7 +14,7 @@ from ppforge.gf import make_field
 from ppforge.linearized import LinPoly
 from ppforge.poly import Poly
 
-# XOR addition, the add table, and Zech logarithms (3^6 is above the table)
+# XOR addition, the add table, and the split tables (3^6 is above the table)
 LINEAR_FIELDS = [(2, 1, 6), (3, 1, 4), (3, 1, 6)]
 EIGEN_FIELDS = [(2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (3, 1, 6)]
 EVEN_FIELDS = [(2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 1, 4), (5, 1, 2), (3, 1, 6)]

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -10,9 +9,7 @@ from ppforge.poly import (
     Poly,
     format_poly,
     gcd,
-    is_irreducible,
     parse_poly,
-    powmod,
 )
 
 F3 = make_field(3)
@@ -100,29 +97,6 @@ def test_eval_is_ring_homomorphism():
             assert (f * g).eval(x) == f.eval(x) * g.eval(x)
 
 
-def test_powmod_matches_repeated_multiplication():
-    rng = random.Random(41)
-    for ctx in (F5, F9):
-        for _ in range(5):
-            m = rand_poly(ctx, rng, 5) + Poly.monomial(ctx, 6)
-            f = rand_poly(ctx, rng, 8)
-            acc = Poly.one(ctx)
-            for k in range(12):
-                assert powmod(f, k, m) == acc
-                acc = acc * f % m
-    with pytest.raises(ValueError):
-        powmod(f, -1, m)
-
-
-def test_is_irreducible_over_an_extension_field():
-    # a quadratic over F_9 is irreducible exactly when it has no root there
-    for b, c in itertools.product(range(F9.order), repeat=2):
-        f = Poly(F9, [c, b, 1])
-        has_root = any(f.eval(x).is_zero for x in F9.elements())
-        assert is_irreducible(f) == (not has_root)
-    assert not is_irreducible(Poly.one(F9))
-
-
 def test_text_round_trip_prime():
     f = Poly(F5, [1, 2, 3])
     assert format_poly(f) == "1,2,3"
@@ -144,13 +118,14 @@ def test_str_form():
 
 
 @pytest.mark.parametrize("ctx", [make_field(2, 1, 6), make_field(3, 1, 4), make_field(3, 1, 6)],
-                         ids=["xor", "add_table", "zech"])
+                         ids=["xor", "add_table", "split_tables"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_tabulate_matches_eval_code(ctx, data):
-    # the fields add by XOR, by the add table (up to 512 elements) and by Zech
-    # logarithms; terms reach degree q^n - 1 on the two small fields, and the
-    # constant term, drawn on its own, is the value at x = 0
+    # the fields add by XOR, by the add table (up to 512 elements) and by the
+    # split tables of high and low digits; terms reach degree q^n - 1 on the
+    # two small fields, and the constant term, drawn on its own, is the value
+    # at x = 0
     top = min(ctx.order - 1, 80)
     terms = data.draw(st.dictionaries(st.integers(1, top), st.integers(1, ctx.order - 1),
                                       max_size=4), label="terms")
