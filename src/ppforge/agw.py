@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .gf import gather
+from .gf import _GATHER_CHUNK, gather
 
 _ADDITIVITY_EXHAUSTIVE_MAX = 256
 _ADDITIVITY_SAMPLES = 10_000
@@ -374,25 +374,33 @@ def check_fiber_shift(A: Sequence, psi: MapLike, psibar: MapLike,
 
 
 def wrap_family_instance(instance) -> AGWInstance:
-    """Lift a family instance onto its commuting square.
-
-    One composition call gives the value list f and (psibar, fiber delta);
-    the fiber table of psibar is built once per field and psibar table (the
-    tables are the field's cached linear tables, and the fiber table holds
-    its own, so the id key stays unique while the entry lives).  Families
-    without a natural fiber map fall back to the identity square, for which
-    the fiber criterion still applies (trivially: h is the map itself and
-    all fibers are singletons).
+    """Lift a family instance onto its commuting square (see _wrap_codes).
+    Families without a natural fiber map fall back to the identity square,
+    for which the fiber criterion still applies (trivially: h is the map
+    itself and all fibers are singletons).
     """
-    ctx = instance.ctx
-    f, fiber = instance.square_codes()
+    return _wrap_codes(instance.ctx, *instance.square_codes())
+
+
+def _wrap_codes(ctx, f: Sequence[int],
+                fiber: Optional[tuple[Sequence[int], int]]) -> AGWInstance:
+    """The commuting square of a value list f with its (psibar, fiber
+    delta), or with None for the identity square.  The fiber table of
+    psibar is built once per field and psibar table (the tables are the
+    field's cached linear tables, and the fiber table holds its own, so the
+    id key stays unique while the entry lives).  g = psibar . f is one
+    gather: on fields of up to _GATHER_CHUNK elements through the code
+    tuple of psibar's reader (FieldCtx.reader), whose ints are the field's
+    own, and above that through psibar itself.
+    """
     if fiber is None:
         key, psibar, delta = "identity", range(ctx.order), 0
     else:
         (psibar, delta), key = fiber, id(fiber[0])
     fibers = ctx.derived(("fibers", key), lambda: FiberTable(psibar))
+    table = fibers.values if ctx.order > _GATHER_CHUNK else ctx.reader(fibers.values)[1]
     label = ctx._wrap if delta == 0 else (lambda s: ctx._wrap(ctx._add(s, delta)))
     inst = AGWInstance.__new__(AGWInstance)
-    inst._build(ctx.elements(), f, gather(fibers.values, f), fibers,
+    inst._build(ctx.elements(), f, gather(table, f), fibers,
                 fibers.points, len(fibers.points), label)
     return inst

@@ -1,7 +1,8 @@
 """Command-line surface: field inspection, grid verification, census output
 and the commuting-square audit.  `verify`, `census` and `agw-check` run
 their grid through one loop into one report, checking each point by brute
-force (`check_iff`) or by the fiber criterion of its commuting square.
+force (its value list scanned, as `check_iff` scans an instance's) or by
+the fiber criterion of its commuting square.
 
 Exit codes: 0 when every checked instance agrees with brute force (for
 `agw-check`, every square satisfies the fiber criterion), 1 when one does
@@ -21,17 +22,20 @@ import os
 import sys
 import time
 
-from .agw import NotCommutingError, check_fiber_criterion, wrap_family_instance
+from .agw import NotCommutingError, _wrap_codes, check_fiber_criterion
 from .families import (
     DEFAULT_GRIDS,
     FAMILY_BUILDERS,
     PARAM_ORDER,
+    FamilyInstance,
     SkippedInstance,
+    _compile,
+    _grid_points,
+    _square_codes,
     describe_value,
-    instantiate_grid,
 )
 from .gf import FieldError, field_spec_parts, parse_field_spec
-from .oracle import DEFAULT_CAP, FieldTooLargeError, check_iff, format_cycle_type
+from .oracle import DEFAULT_CAP, FieldTooLargeError, IffRecord, format_cycle_type, scan_codes
 
 SCHEMA_VERSION = 1
 
@@ -54,15 +58,17 @@ class RunReport:
     def __init__(self, family_id: str, field_spec: str):
         self.family_id = family_id
         self.field_spec = field_spec
-        self.grid_size = 0
         self.agreements = 0
         self.disagreements: list = []
         self.skipped: list = []
         self.wall_time = 0.0
 
+    @property
+    def grid_size(self) -> int:
+        return self.agreements + len(self.disagreements) + len(self.skipped)
+
     def add(self, item, record) -> None:
         """Fold one checked grid point in; record is None for a skipped one."""
-        self.grid_size += 1
         if record is None:
             self.skipped.append(item)
         elif record.agree:
@@ -97,14 +103,23 @@ class RunReport:
 SquareRecord = collections.namedtuple("SquareRecord", "agree problem detail")
 
 
-def _audit_square(item, cap: int) -> SquareRecord:
-    """The fiber criterion on the instance's commuting square; the cap was
-    applied when the field was built."""
+def _brute_force(family_id: str, ctx, params: dict, predicted: bool):
+    """The scan of the point's value list, as check_iff scans an
+    instance's, with the IffRecord of a disagreement."""
+    verdict = scan_codes(_compile(family_id, ctx, params), ctx)
+    observed = verdict.bijective
+    return verdict, (None if observed == predicted
+                     else IffRecord(family_id, predicted, observed, verdict))
+
+
+def _audit_square(family_id: str, ctx, params: dict, predicted: bool):
+    """The fiber criterion on the point's commuting square, with the
+    SquareRecord of a square without it."""
     try:
-        report = check_fiber_criterion(wrap_family_instance(item))
+        report = check_fiber_criterion(_wrap_codes(ctx, *_square_codes(family_id, ctx, params)))
     except NotCommutingError as exc:
-        return SquareRecord(False, "no_diagram", str(exc))
-    return SquareRecord(report.equivalence_holds, "violated", report)
+        return None, SquareRecord(False, "no_diagram", str(exc))
+    return report, None if report.equivalence_holds else SquareRecord(False, "violated", report)
 
 
 def _load_spec(arg: str) -> dict:
@@ -174,29 +189,45 @@ def _build_field(spec_text: str, cap: int):
 
 
 def _run_grid(spec: dict, cap: int, seed: int, check, csv_path=None) -> RunReport:
-    """Check every grid point with check(instance, cap), a record with
-    `agree`, folding each into the report and, with csv_path, writing its
-    row (a check_iff record's) as soon as it is checked.  The file is opened
-    only once the field is built and the grid's parameters resolve."""
+    """Check every point of the grid (families._grid_points) with
+    check(family_id, ctx, params, predicted), _brute_force or _audit_square,
+    which returns what the point's CSV row shows and the record of a
+    disagreement, None when the point agrees.  The report counts the
+    agreements and keeps each disagreement as its FamilyInstance and record
+    and each skip as its SkippedInstance: an agreeing point builds neither.
+    With csv_path, a point's row (of a brute-force verdict) is written as
+    soon as it is checked.  The cap is applied when the field is built, and
+    the file is opened only once the field is built and the grid's
+    parameters resolve."""
     start = time.perf_counter()
-    ctx = _build_field(spec["field"], cap)
-    report = RunReport(family_id=spec["family"], field_spec=spec["field"])
-    items = instantiate_grid(spec["family"], [ctx], spec["params"], seed=seed)
-    first = next(items, None)  # a malformed grid raises here, before any file is opened
+    family_id, ctx = spec["family"], _build_field(spec["field"], cap)
+    report = RunReport(family_id=family_id, field_spec=spec["field"])
+    points = _grid_points(family_id, ctx, spec["params"], seed)
+    first = next(points, None)  # a malformed grid raises here, before any file is opened
     with (open(csv_path, "w", encoding="utf-8", newline="") if csv_path
           else contextlib.nullcontext()) as fh:
-        write_row = _row_writer(spec["family"], fh) if fh else None
-        for item in itertools.chain([] if first is None else [first], items):
-            record = None if isinstance(item, SkippedInstance) else check(item, cap)
-            report.add(item, record)
+        write_row, write_skip = _row_writer(family_id, fh) if fh else (None, None)
+        for params, predicted, reason in itertools.chain([] if first is None else [first],
+                                                         points):
+            if reason is not None:
+                report.add(SkippedInstance(family_id, ctx, params, reason), None)
+                if write_skip:
+                    write_skip(params, reason)
+                continue
+            observed, record = check(family_id, ctx, params, predicted)
+            if record is None:
+                report.agreements += 1
+            else:
+                report.add(FamilyInstance(family_id, ctx, params, predicted), record)
             if write_row:
-                write_row(item, record)
+                write_row(params, predicted, observed)
     report.wall_time = time.perf_counter() - start
     return report
 
 
 def _row_writer(family_id: str, out):
-    """Write the CSV header to out; return the function writing one row.
+    """Write the CSV header to out; return the functions writing one row:
+    write_row(params, predicted, verdict) and write_skip(params, reason).
 
     Each row is one write of cells rendered once per grid.  A grid's rows
     share a few parameter objects, so each is rendered once, as its final
@@ -235,17 +266,15 @@ def _row_writer(family_id: str, out):
             text = cells[id(value)] = quote(describe_value(value))
         return text
 
-    def write_row(item, record) -> None:
-        nonlocal room
-        params = item.params
+    def param_cells(params: dict) -> str:
         try:
-            row = ",".join(map(cells.__getitem__, map(id, map(params.__getitem__, names))))
+            return ",".join(map(cells.__getitem__, map(id, map(params.__getitem__, names))))
         except KeyError:  # an object the memo does not hold yet
-            row = ",".join(map(cell, map(params.__getitem__, names)))
-        if record is None:
-            out.write(f"{row},,,{quote(f'skipped:{item.reason}')},\n")
-            return
-        cycle_type = record.verdict.cycle_type
+            return ",".join(map(cell, map(params.__getitem__, names)))
+
+    def write_row(params: dict, predicted: bool, verdict) -> None:
+        nonlocal room
+        cycle_type = verdict.cycle_type
         if cycle_type is None:
             text = ""
         else:
@@ -255,9 +284,12 @@ def _row_writer(family_id: str, out):
                 if len(cycle_type) <= room:
                     room -= len(cycle_type)
                     cycle_types[cycle_type] = text
-        out.write(row + verdicts[record.predicted, record.observed] + text + "\n")
+        out.write(param_cells(params) + verdicts[predicted, verdict.bijective] + text + "\n")
 
-    return write_row
+    def write_skip(params: dict, reason: str) -> None:
+        out.write(f"{param_cells(params)},,,{quote(f'skipped:{reason}')},\n")
+
+    return write_row, write_skip
 
 
 def _print_report(report: RunReport) -> None:
@@ -307,7 +339,7 @@ def do_field_info(args) -> int:
 
 def do_verify(args) -> int:
     spec = _load_spec(args.spec)
-    report = _run_grid(spec, _resolve_cap(args), args.seed, check_iff, args.csv)
+    report = _run_grid(spec, _resolve_cap(args), args.seed, _brute_force, args.csv)
     if args.json:
         doc = report.to_dict()
         doc["spec"] = spec
@@ -323,7 +355,7 @@ def do_census(args) -> int:
         doc["params"] = json.loads(args.params)
         if not isinstance(doc["params"], dict):
             raise SchemaError("'--params' must be a JSON object")
-    report = _run_grid(_normalize_spec(doc), _resolve_cap(args), args.seed, check_iff,
+    report = _run_grid(_normalize_spec(doc), _resolve_cap(args), args.seed, _brute_force,
                        args.output)
     print(f"wrote {report.grid_size} rows to {args.output} "
           f"({report.agreements} agree, {len(report.disagreements)} disagree, "

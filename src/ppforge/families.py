@@ -16,9 +16,10 @@ table and psi is psibar plus the fiber delta.
 Huge monomials such as x^((q^n+1)/2) are never materialized as coefficient
 vectors: they are power maps on logs.
 
-A grid (`instantiate_grid`) is the product of its parameters' entries, each
-resolved by `_resolve_param`, the one place that walks a list of values;
-the resolver of each kind of parameter reads a single value.
+A grid (`_grid_points`, and `instantiate_grid` over it) is the product of
+its parameters' entries, each resolved by `_resolve_param`, the one place
+that walks a list of values; the resolver of each kind of parameter reads
+a single value.
 """
 
 from __future__ import annotations
@@ -104,13 +105,8 @@ class FamilyInstance:
 
     def square_codes(self) -> tuple[Sequence[int], Optional[tuple[Sequence[int], int]]]:
         """The value list and (psibar, fiber delta) of the family's
-        commuting square, from one composition call: psibar is the first
-        term's inner table and psi = psibar + fiber delta; None in place of
-        the pair for a family without fiber maps."""
-        composition = COMPOSITIONS[self.family_id](self.ctx, self.params)
-        terms, _, _, fiber_delta = composition
-        fiber = None if fiber_delta is None else (terms[0][1], fiber_delta)
-        return _values(self.ctx, composition), fiber
+        commuting square (see _square_codes)."""
+        return _square_codes(self.family_id, self.ctx, self.params)
 
     describe_params = _describe_params
 
@@ -308,12 +304,15 @@ def _generic_L(ctx: FieldCtx, P: dict) -> Composition:
 
 
 def _half_power(ctx: FieldCtx, P: dict) -> Composition:
-    """y^((q^n+1)/2), a*x^(q^k) - b*x and a*x^(q^k) + b*x, kept together by (k, a, b)."""
+    """y^((q^n+1)/2), a*x^(q^k) - b*x and a*x^(q^k) + b*x, kept together by
+    (k, a, b).  The two linear tables are the field's linear maps, so the
+    inner table of (a, b) is the lin table of (a, -b)."""
     k, a, b = P["k"], P["a"].code, P["b"].code
 
     def table(c: int) -> Sequence[int]:
-        return ctx.linear_table(lambda x: ctx._add(ctx._mul(a, ctx._frob(x, k)),
-                                                   ctx._mul(c, x)))
+        coeffs = [c] + [0] * (ctx.n - 1)
+        coeffs[k % ctx.n] = ctx._add(coeffs[k % ctx.n], a)
+        return ctx.linear_map(coeffs)
 
     outer, inner, lin = ctx.derived(("half_power", k, a, b), lambda: (
         ctx.power_table((ctx.order + 1) // 2), table(ctx._neg(b)), table(b)))
@@ -323,6 +322,18 @@ def _half_power(ctx: FieldCtx, P: dict) -> Composition:
 def _compile(family_id: str, ctx: FieldCtx, params: dict) -> Sequence[int]:
     """The value list of the family's composition."""
     return _values(ctx, COMPOSITIONS[family_id](ctx, params))
+
+
+def _square_codes(family_id: str, ctx: FieldCtx,
+                  params: dict) -> tuple[Sequence[int], Optional[tuple[Sequence[int], int]]]:
+    """The value list and (psibar, fiber delta) of the family's commuting
+    square, from one composition call: psibar is the first term's inner
+    table and psi = psibar + fiber delta; None in place of the pair for a
+    family without fiber maps."""
+    composition = COMPOSITIONS[family_id](ctx, params)
+    terms, _, _, fiber_delta = composition
+    fiber = None if fiber_delta is None else (terms[0][1], fiber_delta)
+    return _values(ctx, composition), fiber
 
 
 def _values(ctx: FieldCtx, composition: Composition) -> Sequence[int]:
@@ -800,25 +811,39 @@ def _expand_params(family_id: str, ctx: FieldCtx, params: dict,
 GridItem = Union[FamilyInstance, SkippedInstance]
 
 
+def _grid_points(family_id: str, ctx: FieldCtx, params: dict,
+                 seed: int) -> Iterator[tuple[dict, Optional[bool], Optional[str]]]:
+    """The points of the parameter grid on ctx, in grid order: each as
+    (params, predicted verdict, None), or as (params, None, reason) when
+    its hypotheses cannot hold.  The one place a grid is expanded and its
+    predictions made; no instance is built."""
+    if family_id not in _PREDICTIONS:
+        raise ValueError(f"unknown family {family_id!r}")
+    predict = _PREDICTIONS[family_id]
+    for concrete in _expand_params(family_id, ctx, dict(params), seed):
+        try:
+            predicted = predict(ctx, **concrete)
+        except FamilyParameterError as exc:
+            yield concrete, None, exc.reason
+        except RecipeContractError as exc:
+            yield concrete, None, f"recipe_contract: {exc}"
+        else:
+            yield concrete, predicted, None
+
+
 def instantiate_grid(family_id: str, ctxs: Iterable[FieldCtx], params: dict,
                      seed: int = 0, limit: Optional[int] = None) -> Iterator[GridItem]:
-    """Deterministic stream of family instances over the parameter grid.
+    """Deterministic stream of family instances over the parameter grid
+    on each field of ctxs in turn, at most limit of them: the points of
+    _grid_points as FamilyInstance records.
 
     Grid points whose hypotheses cannot hold are not dropped: they are
     emitted as SkippedInstance records carrying the reason.
     """
-    if family_id not in _PREDICTIONS:
-        raise ValueError(f"unknown family {family_id!r}")
-    predict = _PREDICTIONS[family_id]
-    count = 0
-    for ctx in ctxs:
-        for concrete in _expand_params(family_id, ctx, dict(params), seed):
-            if limit is not None and count >= limit:
-                return
-            count += 1
-            try:
-                yield FamilyInstance(family_id, ctx, concrete, predict(ctx, **concrete))
-            except FamilyParameterError as exc:
-                yield SkippedInstance(family_id, ctx, concrete, exc.reason)
-            except RecipeContractError as exc:
-                yield SkippedInstance(family_id, ctx, concrete, f"recipe_contract: {exc}")
+    points = ((ctx, *point) for ctx in ctxs
+              for point in _grid_points(family_id, ctx, params, seed))
+    for ctx, concrete, predicted, reason in itertools.islice(points, limit):
+        if reason is None:
+            yield FamilyInstance(family_id, ctx, concrete, predicted)
+        else:
+            yield SkippedInstance(family_id, ctx, concrete, reason)

@@ -223,14 +223,21 @@ ENTRY_POINT_GRIDS = [(family, field, fam.DEFAULT_GRIDS[family])
 @pytest.mark.parametrize("family, field, params", ENTRY_POINT_GRIDS)
 def test_constructor_agrees_with_the_grid(family, field, params):
     # the grid calls the prediction on its resolved parameters; the public
-    # constructor binds them and checks the elements first
+    # constructor binds them and checks the elements first; instantiate_grid
+    # gives the points of _grid_points, which the command line checks
     ctx, build = parse_field_spec(field), fam.FAMILY_BUILDERS[family]
-    for item in fam.instantiate_grid(family, [ctx], params):
+    items = list(fam.instantiate_grid(family, [ctx], params))
+    points = list(fam._grid_points(family, ctx, params, 0))
+    assert len(items) == len(points)
+    for item, (point, predicted, reason) in zip(items, points):
+        assert item.params == point and item.ctx is ctx
         if isinstance(item, fam.SkippedInstance):
+            assert (predicted, reason) == (None, item.reason)
             with pytest.raises(fam.FamilyParameterError) as raised:
                 build(ctx, **item.params)
             assert raised.value.reason == item.reason
         else:
+            assert (predicted, reason) == (item.predicted_pp, None)
             assert build(ctx, **item.params).predicted_pp == item.predicted_pp
 
 
@@ -381,24 +388,50 @@ def test_verify_reports_the_witness_of_a_disagreement(capsys):
     assert line.endswith(f"; collision={'/'.join(Q6_COLLISION)} missed={Q6_MISSED}")
 
 
-def test_grid_points_are_not_kept_once_written(tmp_path, monkeypatch):
-    import weakref
+def test_grid_points_are_not_kept_once_written(tmp_path, cold_caches):
+    # the half_power 3^1:2 grid repeated 20 times over k = 1 reads the same
+    # tables as the grid itself, so a point kept once its row is written
+    # (an instance, a record, a row) would raise the peak by at least an
+    # object per point, some 16 bytes each, over the 10,944 extra points
+    import tracemalloc
 
+    ctx = parse_field_spec("3^1:2")
+    out_csv = tmp_path / "rows.csv"
+    peaks = []
+    for repeats in (1, 1, 20):  # the first run warms what a process builds once
+        spec = json.dumps({"family": "half_power", "field": "3^1:2",
+                           "params": {"k": [1] * repeats, "a": "nonzero", "b": "nonzero",
+                                      "delta": "all"}})
+        cold_caches(ctx)
+        tracemalloc.start()
+        try:
+            assert main(["verify", spec, "--csv", str(out_csv)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out_csv.read_text().count("\n") == 1 + 576 * repeats
+    assert peaks[2] - peaks[1] < 10 * 576 * 19
+
+
+def test_only_disagreements_build_instances(tmp_path, capsys, monkeypatch):
+    # an agreeing point is scanned and written without a FamilyInstance or
+    # a record: the half_power 5^1:2 census builds none, and verify of the
+    # q6 3^1:6 grid one for each of its 3 disagreements
     import ppforge.cli
 
-    out_csv = tmp_path / "rows.csv"
-    refs, alive = [], []
-    check_iff = ppforge.cli.check_iff
-
-    def spy(item, cap):
-        alive.append(sum(ref() is not None for ref in refs))
-        refs.append(weakref.ref(item))
-        return check_iff(item, cap=cap)
-
-    monkeypatch.setattr(ppforge.cli, "check_iff", spy)
-    assert main(["verify", HALF_POWER_SPEC, "--csv", str(out_csv)]) == 0
-    assert len(refs) == 576 and max(alive) <= 2
-    assert out_csv.read_text().count("\n") == 577
+    built, records = [], []
+    init, record = fam.FamilyInstance.__init__, ppforge.cli.IffRecord
+    monkeypatch.setattr(fam.FamilyInstance, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    monkeypatch.setattr(ppforge.cli, "IffRecord",
+                        lambda *args: records.append(args) or record(*args))
+    assert main(["census", "half_power", "5^1:2", "-o", str(tmp_path / "census.csv")]) == 0
+    assert built == [] and records == []
+    assert main(["verify", json.dumps({"family": "q6", "field": "3^1:6"}), "--json"]) == 1
+    _, report = capsys.readouterr().out.split("\n", 1)  # the census line, then the JSON
+    disagreements = json.loads(report)["disagreements"]
+    assert len(disagreements) == len(records) == 3
+    assert [inst.describe_params() for inst in built] == [d["params"] for d in disagreements]
 
 
 def test_malformed_grid_leaves_no_csv(tmp_path, capsys):

@@ -496,6 +496,25 @@ def test_half_power_tables_follow_field_k_a_and_b():
             f"{ctx.label} {inst.describe_params()}"
 
 
+def test_half_power_tables_are_the_fields_linear_maps():
+    # a*x^(q^k) -+ b*x are the linear maps of (c, 0, ...) with a added at
+    # k mod n, so the inner table of (a, b) is the lin table of (a, -b)
+    for ctx, k, a, b in [(make_field(5, 1, 2), 1, 3, 2), (make_field(3, 1, 4), 2, 1, 2),
+                         (make_field(5, 1, 2), 2, 1, 4), (make_field(3, 1, 3), 4, 2, 1)]:
+        P = {"k": k, "a": ctx.elem(a), "b": ctx.elem(b), "delta": ctx.zero}
+        [(_, inner)], _, lin, _ = fam.COMPOSITIONS["half_power"](ctx, P)
+
+        def linear_map(c):
+            coeffs = [c] + [0] * (ctx.n - 1)
+            coeffs[k % ctx.n] = ctx._add(coeffs[k % ctx.n], a)
+            return ctx.linear_map(coeffs)
+
+        assert inner is linear_map(ctx._neg(b)) and lin is linear_map(b)
+        [(_, other_inner)], _, _, _ = fam.COMPOSITIONS["half_power"](
+            ctx, {**P, "b": ctx.elem(ctx._neg(b))})
+        assert other_inner is lin
+
+
 def ref_values(ctx, composition):
     """sum(outer[inner[x] + delta]) + lin[x] for every code x, added by ctx._add."""
     terms, delta, lin, _ = composition

@@ -375,15 +375,20 @@ def test_only_two_classes_are_dataclasses():
 
 def test_the_command_line_expands_grids_in_one_loop():
     # verify, census and agw-check run every grid through cli._run_grid: no
-    # other top-level definition of the command line names instantiate_grid
+    # other top-level definition of the command line names _grid_points,
+    # and none names instantiate_grid, which builds an instance per point
     import ast
     import pathlib
 
     import ppforge.cli
 
     tree = ast.parse(pathlib.Path(ppforge.cli.__file__).read_text())
-    users = [getattr(top, "name", f"line {top.lineno}") for top in tree.body
-             for node in ast.walk(top)
-             if isinstance(node, ast.Name) and node.id == "instantiate_grid"
-             or isinstance(node, ast.Attribute) and node.attr == "instantiate_grid"]
-    assert users == ["_run_grid"]
+
+    def users(name: str) -> list:
+        return [getattr(top, "name", f"line {top.lineno}") for top in tree.body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name]
+
+    assert users("_grid_points") == ["_run_grid"]
+    assert users("instantiate_grid") == []
