@@ -1,8 +1,9 @@
 """Command-line surface: field inspection, grid verification, census output
 and the commuting-square audit.  `verify`, `census` and `agw-check` run
 their grid through one loop into one report, checking each point by brute
-force (its value list scanned, as `check_iff` scans an instance's) or by
-the fiber criterion of its commuting square.
+force (an exhaustive check of its value list, with the witness of
+`check_iff`'s scan for a disagreement) or by the fiber criterion of its
+commuting square.
 
 Exit codes: 0 when every checked instance agrees with brute force (for
 `agw-check`, every square satisfies the fiber criterion), 1 when one does
@@ -34,8 +35,15 @@ from .families import (
     _square_codes,
     describe_value,
 )
-from .gf import FieldError, field_spec_parts, parse_field_spec
-from .oracle import DEFAULT_CAP, FieldTooLargeError, IffRecord, format_cycle_type, scan_codes
+from .gf import _GATHER_CHUNK, FieldError, field_spec_parts, parse_field_spec
+from .oracle import (
+    DEFAULT_CAP,
+    FieldTooLargeError,
+    IffRecord,
+    cycle_type,
+    format_cycle_type,
+    scan_codes,
+)
 
 SCHEMA_VERSION = 1
 
@@ -104,12 +112,25 @@ SquareRecord = collections.namedtuple("SquareRecord", "agree problem detail")
 
 
 def _brute_force(family_id: str, ctx, params: dict, predicted: bool):
-    """The scan of the point's value list, as check_iff scans an
-    instance's, with the IffRecord of a disagreement."""
-    verdict = scan_codes(_compile(family_id, ctx, params), ctx)
-    observed = verdict.bijective
-    return verdict, (None if observed == predicted
-                     else IffRecord(family_id, predicted, observed, verdict))
+    """The cycle type of the point's value list, None for a non-bijection,
+    with the IffRecord of a disagreement.  Each decision is exhaustive: a
+    point predicted not to permute is first checked by counting its
+    distinct values, so an agreeing one needs no walk; any other point is
+    walked (oracle.cycle_type).  Only a disagreement is scanned as check_iff
+    scans an instance's, for the witness its record carries: an agreeing
+    point builds no Verdict."""
+    values = _compile(family_id, ctx, params)
+    # a value list holds the field's codes by construction, so fewer than q^n
+    # distinct values is a repeat.  Above a gather chunk the value list is a
+    # code table, whose set would raise the command's peak memory, so it is walked
+    if predicted or ctx.order > _GATHER_CHUNK or len(set(values)) == ctx.order:
+        lengths = cycle_type(values, ctx)
+    else:
+        lengths = None
+    if (lengths is not None) == predicted:
+        return lengths, None
+    verdict = scan_codes(values, ctx)
+    return lengths, IffRecord(family_id, predicted, verdict.bijective, verdict)
 
 
 def _audit_square(family_id: str, ctx, params: dict, predicted: bool):
@@ -191,7 +212,8 @@ def _build_field(spec_text: str, cap: int):
 def _run_grid(spec: dict, cap: int, seed: int, check, csv_path=None) -> RunReport:
     """Check every point of the grid (families._grid_points) with
     check(family_id, ctx, params, predicted), _brute_force or _audit_square,
-    which returns what the point's CSV row shows and the record of a
+    which returns what the point's CSV row shows (for _brute_force its
+    cycle type, None for a non-bijection) and the record of a
     disagreement, None when the point agrees.  The report counts the
     agreements and keeps each disagreement as its FamilyInstance and record
     and each skip as its SkippedInstance: an agreeing point builds neither.
@@ -214,20 +236,22 @@ def _run_grid(spec: dict, cap: int, seed: int, check, csv_path=None) -> RunRepor
                 if write_skip:
                     write_skip(params, reason)
                 continue
-            observed, record = check(family_id, ctx, params, predicted)
+            shown, record = check(family_id, ctx, params, predicted)
             if record is None:
                 report.agreements += 1
             else:
                 report.add(FamilyInstance(family_id, ctx, params, predicted), record)
             if write_row:
-                write_row(params, predicted, observed)
+                write_row(params, predicted, shown)
     report.wall_time = time.perf_counter() - start
     return report
 
 
 def _row_writer(family_id: str, out):
     """Write the CSV header to out; return the functions writing one row:
-    write_row(params, predicted, verdict) and write_skip(params, reason).
+    write_row(params, predicted, cycle_type) and write_skip(params, reason),
+    where cycle_type is the scan's, None for a non-bijection: an agreeing
+    point's row needs no Verdict.
 
     Each row is one write of cells rendered once per grid.  A grid's rows
     share a few parameter objects, so each is rendered once, as its final
@@ -272,9 +296,8 @@ def _row_writer(family_id: str, out):
         except KeyError:  # an object the memo does not hold yet
             return ",".join(map(cell, map(params.__getitem__, names)))
 
-    def write_row(params: dict, predicted: bool, verdict) -> None:
+    def write_row(params: dict, predicted: bool, cycle_type) -> None:
         nonlocal room
-        cycle_type = verdict.cycle_type
         if cycle_type is None:
             text = ""
         else:
@@ -284,7 +307,7 @@ def _row_writer(family_id: str, out):
                 if len(cycle_type) <= room:
                     room -= len(cycle_type)
                     cycle_types[cycle_type] = text
-        out.write(param_cells(params) + verdicts[predicted, verdict.bijective] + text + "\n")
+        out.write(param_cells(params) + verdicts[predicted, cycle_type is not None] + text + "\n")
 
     def write_skip(params: dict, reason: str) -> None:
         out.write(f"{param_cells(params)},,,{quote(f'skipped:{reason}')},\n")

@@ -3,9 +3,10 @@
 A map is scanned as the list of its values on the codes 0, 1, ...,
 q^n - 1: bijective exactly when the list holds q^n distinct codes.  One
 walk along the map's orbits decides this and gives a bijection's cycle
-type; a non-bijection is then scanned in the canonical element order, so
-the reported first collision and missed value are reproducible bit for
-bit.
+type (:func:`cycle_type`).  The witness of a non-bijection is a second
+scan, in the canonical element order, so the reported first collision and
+missed value are reproducible bit for bit; :func:`scan_codes` gives both,
+and a caller that needs only the decision stops after the walk.
 """
 
 from __future__ import annotations
@@ -37,21 +38,22 @@ def _check_cap(ctx: FieldCtx, cap: int) -> None:
         raise FieldTooLargeError(f"field order {ctx.order} exceeds cap {cap}")
 
 
-def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
-    """Verdict on the map x -> codes[x].
+def cycle_type(codes: Sequence[int], ctx: FieldCtx) -> Optional[tuple[int, ...]]:
+    """The sorted cycle lengths of the map x -> codes[x] when it is a
+    bijection, else None.
 
     One walk follows x, codes[x], codes[codes[x]], ... from every point not
     yet seen and marks the points it passes.  For a bijection every walk
     closes at its start, and the walks are the cycles.  A walk that meets a
-    marked point before it closes proves a repeated value; the map is then
-    scanned in canonical order (:func:`_first_collision`).  The marks are a
-    list of booleans, whose subscripts CPython specializes (a ``bytearray``'s
-    it does not), at 8 bytes per element while the scan runs.
+    marked point before it closes proves a repeated value, and the walk
+    stops there.  The marks are a list of booleans, whose subscripts CPython
+    specializes (a ``bytearray``'s it does not), at 8 bytes per element
+    while the walk runs.
 
-    Codes outside [0, q^n) are refused with ValueError.  Every value is
-    used as an index of the marks, by the walk or by the canonical scan, so
-    a code of q^n or more raises IndexError there; a negative one would
-    index them from the end, so one C-level ``min`` pass refuses those first.
+    Codes outside [0, q^n) that the walk meets are refused with ValueError:
+    a code of q^n or more raises IndexError as an index of the marks, and a
+    negative one would index them from the end, so one C-level ``min`` pass
+    refuses those first.
     """
     if len(codes) != ctx.order:
         raise ValueError(f"expected {ctx.order} values, got {len(codes)}")
@@ -68,7 +70,7 @@ def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
             length = 1
             while c != start:
                 if seen[c]:
-                    return _first_collision(codes, ctx)
+                    return None
                 seen[c] = True
                 c = codes[c]
                 length += 1
@@ -76,7 +78,25 @@ def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
     except IndexError:
         raise ValueError(f"values must be codes in [0, {ctx.order})") from None
     lengths.sort()
-    return Verdict(True, None, None, tuple(lengths))
+    return tuple(lengths)
+
+
+def scan_codes(codes: Sequence[int], ctx: FieldCtx) -> Verdict:
+    """Verdict on the map x -> codes[x]: the cycle type of a bijection
+    (:func:`cycle_type`), and for a non-bijection the witness of a second
+    scan in canonical order (:func:`_first_collision`).
+
+    Codes outside [0, q^n) are refused with ValueError.  Every value is
+    used as an index, of the walk's marks or of the canonical scan's, so
+    each such code is refused by one of the two scans.
+    """
+    lengths = cycle_type(codes, ctx)
+    if lengths is not None:
+        return Verdict(True, None, None, lengths)
+    try:
+        return _first_collision(codes, ctx)
+    except IndexError:
+        raise ValueError(f"values must be codes in [0, {ctx.order})") from None
 
 
 def _first_collision(codes: Sequence[int], ctx: FieldCtx) -> Verdict:

@@ -434,6 +434,79 @@ def test_only_disagreements_build_instances(tmp_path, capsys, monkeypatch):
     assert [inst.describe_params() for inst in built] == [d["params"] for d in disagreements]
 
 
+def test_only_disagreements_get_witnesses(tmp_path, capsys, monkeypatch):
+    # an agreeing point gets no Verdict and no canonical scan: the half_power
+    # 5^1:2 census (7,200 non-bijections) runs neither, and verify of the q6
+    # 3^1:6 grid one of each for each of its 3 disagreements
+    import ppforge.cli
+    import ppforge.oracle
+
+    scans, collisions = [], []
+    scan_codes, first_collision = ppforge.cli.scan_codes, ppforge.oracle._first_collision
+    monkeypatch.setattr(ppforge.cli, "scan_codes",
+                        lambda *args: scans.append(args) or scan_codes(*args))
+    monkeypatch.setattr(ppforge.oracle, "_first_collision",
+                        lambda *args: collisions.append(args) or first_collision(*args))
+    assert main(["census", "half_power", "5^1:2", "-o", str(tmp_path / "census.csv")]) == 0
+    assert scans == [] and collisions == []
+    assert main(["verify", json.dumps({"family": "q6", "field": "3^1:6"}), "--json"]) == 1
+    _, report = capsys.readouterr().out.split("\n", 1)  # the census line, then the JSON
+    disagreements = json.loads(report)["disagreements"]
+    assert len(scans) == len(collisions) == len(disagreements) == 3
+    assert all(d["collision"] == Q6_COLLISION and d["missed"] == Q6_MISSED
+               for d in disagreements)
+
+
+# grids whose points, their predictions negated, disagree with brute force in
+# both ways; the q6 'plus' refutations then agree
+NEGATED_GRIDS = [
+    ("half_power", "5^1:2", {"k": 1, "a": [1, 7], "b": "nonzero", "delta": [0, 6]}),
+    ("n4k", "2^1:8", {"variant": ["plain", "qtwist"], "delta": [0, 1, 2, 3, 8, 9],
+                      "a": "base_nonzero"}),
+    ("q6", "3^1:6", fam.DEFAULT_GRIDS["q6"]),
+]
+
+
+@pytest.mark.parametrize("family, field, params", NEGATED_GRIDS)
+def test_negated_predictions_disagree_as_check_iff_does(family, field, params, tmp_path,
+                                                        capsys, monkeypatch):
+    # a point predicted not to permute that does (its distinct values
+    # counted, then walked) and one predicted to permute that does not (its
+    # witness from the canonical scan) are reported as check_iff reports them
+    from ppforge.oracle import check_iff, format_cycle_type
+
+    predict = fam._PREDICTIONS[family]
+    monkeypatch.setitem(fam._PREDICTIONS, family,
+                        lambda ctx, **point: not predict(ctx, **point))
+    ctx = parse_field_spec(field)
+    checked = [(inst, check_iff(inst)) for inst in fam.instantiate_grid(family, [ctx], params)]
+    outcomes = [(record.predicted, record.observed) for _, record in checked]
+    assert (False, True) in outcomes and (True, False) in outcomes
+    agreeing = [inst.params["variant"] for inst, record in checked if record.agree]
+    assert agreeing == (["plus"] * 3 if family == "q6" else [])
+
+    out_csv = tmp_path / "rows.csv"
+    spec = json.dumps({"family": family, "field": field, "params": params})
+    assert main(["verify", spec, "--json", "--csv", str(out_csv)]) == 1
+    assert json.loads(capsys.readouterr().out)["disagreements"] == [
+        {"params": inst.describe_params(), "predicted": record.predicted,
+         "observed": record.observed,
+         "collision": None if record.verdict.collision is None
+         else [str(x) for x in record.verdict.collision],
+         "missed": None if record.verdict.missed is None else str(record.verdict.missed)}
+        for inst, record in checked if not record.agree]
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    names = fam.PARAM_ORDER[family]
+    assert rows == [
+        [fam.describe_value(inst.params[name]) for name in names]
+        + [str(record.predicted).lower(), str(record.observed).lower(),
+           "agree" if record.agree else "disagree",
+           "" if record.verdict.cycle_type is None
+           else format_cycle_type(record.verdict.cycle_type)]
+        for inst, record in checked]
+
+
 def test_malformed_grid_leaves_no_csv(tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     assert main(["census", "half_power", "3^1:2", "-o", str(out_csv),

@@ -14,6 +14,7 @@ from ppforge.oracle import (
     Verdict,
     check_bijective,
     check_iff,
+    cycle_type,
     scan_codes,
     format_cycle_type,
 )
@@ -206,6 +207,35 @@ def test_scan_codes_matches_a_two_pass_scan(case):
     ctx, codes = case
     v = scan_codes(codes, ctx)
     assert (v.bijective, v.collision, v.missed, v.cycle_type) == _reference_scan(codes, ctx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_lists())
+def test_cycle_type_matches_a_two_pass_scan(case):
+    # the walk alone: a bijection's sorted cycle lengths, None for every
+    # non-bijection (the reference gives a non-bijection no cycle type)
+    ctx, codes = case
+    bijective, _, _, expected = _reference_scan(codes, ctx)
+    assert cycle_type(codes, ctx) == expected
+    assert (expected is None) == (not bijective)
+
+
+@pytest.mark.parametrize("codes, order", [
+    ([-1, 0], 2),        # a negative code, wherever it is: refused by the min pass
+    ([0, 1, -2], 3),
+    ([1, 2], 2),         # q^n met by the walk
+    ([0, 3, 1], 3),      # q^n met by the walk after a closed cycle
+])
+def test_cycle_type_refuses_codes_outside_the_field(codes, order):
+    ctx = {2: make_field(2), 3: make_field(3)}[order]
+    with pytest.raises(ValueError, match="codes in"):
+        cycle_type(codes, ctx)
+
+
+def test_cycle_type_stops_at_the_first_repeat():
+    # 0 closes, then 1 -> 0 meets the mark on 0 before the walk reaches the 5
+    # that only scan_codes' canonical scan reads and refuses
+    assert cycle_type([0, 0, 5], make_field(3)) is None
 
 
 # codes past CPython's small-int cache (256), so marks are indexed by ints that
