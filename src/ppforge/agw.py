@@ -22,7 +22,9 @@ fiber):
 A family's square takes f and (psibar, fiber delta) from one composition
 call and the fiber table of psibar, built once per field and psibar table:
 psi = psibar + delta has the same fibers, and S is Sbar shifted by delta,
-point by point and in the same order.
+point by point and in the same order.  A grid's square is decided from the
+same counts (_square_holds), with no instance, report or witness; only a
+square that fails is wrapped (_wrap_codes) and reported.
 """
 
 from __future__ import annotations
@@ -382,16 +384,16 @@ def wrap_family_instance(instance) -> AGWInstance:
     return _wrap_codes(instance.ctx, *instance.square_codes())
 
 
-def _wrap_codes(ctx, f: Sequence[int],
-                fiber: Optional[tuple[Sequence[int], int]]) -> AGWInstance:
-    """The commuting square of a value list f with its (psibar, fiber
-    delta), or with None for the identity square.  The fiber table of
-    psibar is built once per field and psibar table (the tables are the
-    field's cached linear tables, and the fiber table holds its own, so the
-    id key stays unique while the entry lives).  g = psibar . f is one
-    gather: on fields of up to _GATHER_CHUNK elements through the code
-    tuple of psibar's reader (FieldCtx.reader), whose ints are the field's
-    own, and above that through psibar itself.
+def _square_tables(ctx, f: Sequence[int],
+                   fiber: Optional[tuple[Sequence[int], int]]) -> tuple:
+    """The fiber table, g = psibar . f and the fiber delta of the square of
+    a value list f with its (psibar, fiber delta), or with None for the
+    identity square.  The fiber table of psibar is built once per field and
+    psibar table (the tables are the field's cached linear tables, and the
+    fiber table holds its own, so the id key stays unique while the entry
+    lives).  g is one gather: on fields of up to _GATHER_CHUNK elements
+    through the code tuple of psibar's reader (FieldCtx.reader), whose ints
+    are the field's own, and above that through psibar itself.
     """
     if fiber is None:
         key, psibar, delta = "identity", range(ctx.order), 0
@@ -399,8 +401,34 @@ def _wrap_codes(ctx, f: Sequence[int],
         (psibar, delta), key = fiber, id(fiber[0])
     fibers = ctx.derived(("fibers", key), lambda: FiberTable(psibar))
     table = fibers.values if ctx.order > _GATHER_CHUNK else ctx.reader(fibers.values)[1]
+    return fibers, gather(table, f), delta
+
+
+def _wrap_codes(ctx, f: Sequence[int],
+                fiber: Optional[tuple[Sequence[int], int]]) -> AGWInstance:
+    """The commuting square of a value list f with its (psibar, fiber
+    delta), or with None for the identity square (see _square_tables)."""
+    fibers, g, delta = _square_tables(ctx, f, fiber)
     label = ctx._wrap if delta == 0 else (lambda s: ctx._wrap(ctx._add(s, delta)))
     inst = AGWInstance.__new__(AGWInstance)
-    inst._build(ctx.elements(), f, gather(table, f), fibers,
-                fibers.points, len(fibers.points), label)
+    inst._build(ctx.elements(), f, g, fibers, fibers.points, len(fibers.points), label)
     return inst
+
+
+def _square_holds(ctx, f: Sequence[int],
+                  fiber: Optional[tuple[Sequence[int], int]]) -> bool:
+    """Whether the square of f (as _wrap_codes wraps it) commutes and
+    satisfies the fiber criterion: check_fiber_criterion(_wrap_codes(ctx,
+    f, fiber)).equivalence_holds, False where the wrap raises
+    NotCommutingError, decided from counts with no instance, report or
+    witness.  An injective f collides in no fiber, so it holds exactly when
+    h is bijective; a non-injective f holds when h is not bijective, and
+    otherwise exactly when it collides in some fiber, that is when fewer
+    than q^n (fiber, value) pairs are distinct."""
+    fibers, g, _ = _square_tables(ctx, f, fiber)
+    if gather(g, fibers.rep) != g:
+        return False
+    h_bijective = len(set(g)) == len(fibers.points)
+    if len(set(f)) == len(f):
+        return h_bijective
+    return not h_bijective or len(set(zip(fibers.rep, f))) != len(f)

@@ -23,7 +23,7 @@ import os
 import sys
 import time
 
-from .agw import NotCommutingError, _wrap_codes, check_fiber_criterion
+from .agw import NotCommutingError, _square_holds, _wrap_codes, check_fiber_criterion
 from .families import (
     DEFAULT_GRIDS,
     FAMILY_BUILDERS,
@@ -135,9 +135,15 @@ def _brute_force(family_id: str, ctx, params: dict, predicted: bool):
 
 def _audit_square(family_id: str, ctx, params: dict, predicted: bool):
     """The fiber criterion on the point's commuting square, with the
-    SquareRecord of a square without it."""
+    SquareRecord of a square without it.  The square is decided from its
+    counts (agw._square_holds); only a square that fails is wrapped and
+    reported (check_fiber_criterion), for its record and witness, so an
+    agreeing square builds no AGWInstance or FiberReport."""
+    f, fiber = _square_codes(family_id, ctx, params)
+    if _square_holds(ctx, f, fiber):
+        return None, None
     try:
-        report = check_fiber_criterion(_wrap_codes(ctx, *_square_codes(family_id, ctx, params)))
+        report = check_fiber_criterion(_wrap_codes(ctx, f, fiber))
     except NotCommutingError as exc:
         return None, SquareRecord(False, "no_diagram", str(exc))
     return report, None if report.equivalence_holds else SquareRecord(False, "violated", report)
@@ -213,7 +219,8 @@ def _run_grid(spec: dict, cap: int, seed: int, check, csv_path=None) -> RunRepor
     """Check every point of the grid (families._grid_points) with
     check(family_id, ctx, params, predicted), _brute_force or _audit_square,
     which returns what the point's CSV row shows (for _brute_force its
-    cycle type, None for a non-bijection) and the record of a
+    cycle type, None for a non-bijection; for _audit_square, which writes
+    no row, the report of a square that fails) and the record of a
     disagreement, None when the point agrees.  The report counts the
     agreements and keeps each disagreement as its FamilyInstance and record
     and each skip as its SkippedInstance: an agreeing point builds neither.

@@ -828,7 +828,9 @@ class FieldCtx:
         entry = self._tables.get(("codes",))
         if entry is None:
             ints = list(range(self.order))
-            held = sys.getsizeof(ints) + sum(map(sys.getsizeof, ints))
+            # a reader's field has at most _GATHER_CHUNK elements, so every int
+            # past 0 has one digit: the ints are charged with no call apiece
+            held = sys.getsizeof(ints) + sys.getsizeof(0) + (self.order - 1) * sys.getsizeof(1)
             self._store(("codes",), ints, -(-held // 4))
         else:
             ints = entry[0]

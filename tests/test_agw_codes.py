@@ -1,14 +1,19 @@
 """The commuting-square checkers on integer codes: the additivity
 hypothesis adds in the field, the error paths hold with assertions
-stripped (python -O), and a family square costs one composition call and
-shares its fiber table with the other squares over the same psibar."""
+stripped (python -O), a family square costs one composition call and
+shares its fiber table with the other squares over the same psibar, and
+agw-check decides each square from its counts as its report would."""
 
+import itertools
+import random
 import re
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppforge import agw
+from ppforge import agw, cli
 from ppforge import families as fam
 from ppforge.agw import (
     AGWInstance,
@@ -128,6 +133,8 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
     families.COMPOSITIONS["even_t"] = even_t
     violated = agw.FiberReport(f_bijective=True, h_bijective=False, fiber_injective=True)
     print("report_violated", not violated.equivalence_holds)
+    # agw-check reports only a square its decision fails, so both are rebound
+    cli._square_holds = lambda ctx, f, fiber: False
     cli.check_fiber_criterion = lambda inst: violated
     print("cli_exit", cli.main(["agw-check", '{"family": "even_t", "field": "3^1:2"}']))
 """)
@@ -225,3 +232,93 @@ def test_family_square_makes_elements_only_when_read(monkeypatch):
     assert list(square.A) == list(elements) == list(map(ctx.elem, range(ctx.order)))
     fibers = square.fibers
     assert sorted(x.code for fiber in fibers.values() for x in fiber) == list(range(ctx.order))
+
+def _report_holds(ctx, f, fiber) -> bool:
+    """The fiber criterion's equivalence on the wrapped square, False for a
+    square that does not commute."""
+    try:
+        return check_fiber_criterion(agw._wrap_codes(ctx, f, fiber)).equivalence_holds
+    except agw.NotCommutingError:
+        return False
+
+
+# a grid past this many points is checked at a stride, to as many points
+_DECIDED_POINTS = 20_000
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 4), (3, 1, 2), (3, 1, 4), (5, 1, 2)])
+@pytest.mark.parametrize("family", sorted(fam.FAMILY_BUILDERS))
+def test_square_decision_matches_the_report_on_default_grids(family, spec):
+    ctx, grid = make_field(*spec), fam.DEFAULT_GRIDS[family]
+    size = sum(1 for _ in fam._grid_points(family, ctx, grid, 0))
+    stride = 1 + size // _DECIDED_POINTS
+    for params, _, reason in itertools.islice(fam._grid_points(family, ctx, grid, 0),
+                                              0, None, stride):
+        if reason is None:
+            f, fiber = fam._square_codes(family, ctx, params)
+            assert agw._square_holds(ctx, f, fiber) == _report_holds(ctx, f, fiber), params
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_square_decision_matches_the_report_on_random_squares(data):
+    # f sends each fiber of psibar into the fiber over h of its point, with h
+    # a permutation or not and f injective on each fiber or not, so every
+    # branch of the decision is met; a free f rarely commutes
+    ctx = make_field(*data.draw(st.sampled_from([(3, 1, 2), (2, 1, 4), (5, 1, 2), (3, 1, 3)])))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    if data.draw(st.booleans(), label="identity"):
+        psibar, fiber = list(range(ctx.order)), None
+    else:
+        coeffs = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=ctx.n))
+        psibar = ctx.linear_map(coeffs)
+        fiber = (psibar, data.draw(st.integers(0, ctx.order - 1), label="delta"))
+    kind = data.draw(st.sampled_from(["free", "h_bijective", "h_any"]))
+    if kind == "free":
+        f = [rng.randrange(ctx.order) for _ in range(ctx.order)]
+    else:
+        over = {}
+        for x, s in enumerate(psibar):
+            over.setdefault(s, []).append(x)
+        points = list(over)
+        h = dict(zip(points, rng.sample(points, len(points)) if kind == "h_bijective"
+                     else rng.choices(points, k=len(points))))
+        injective = data.draw(st.booleans(), label="fiber_injective")
+        f = [0] * ctx.order
+        for s, xs in over.items():  # every fiber of a linear map has the same size
+            ys = over[h[s]]
+            for x, y in zip(xs, rng.sample(ys, len(ys)) if injective
+                            else rng.choices(ys, k=len(xs))):
+                f[x] = y
+    assert agw._square_holds(ctx, f, fiber) == _report_holds(ctx, f, fiber)
+
+
+def _not_commuting(ctx, P):
+    # the composition of the -O script's family square that does not commute
+    return ([([0] * ctx.order, ctx.linear_map([ctx.p - 1, 1])),
+             (ctx.power_table(2), ctx.linear_map([1]))], 0, [0] * ctx.order, 1)
+
+
+def test_a_square_that_does_not_commute_keeps_its_record(monkeypatch, capsys):
+    monkeypatch.setitem(fam.COMPOSITIONS, "even_t", _not_commuting)
+    assert cli.main(["agw-check", '{"family": "even_t", "field": "3^1:2"}']) == 1
+    first, *problems = capsys.readouterr().out.splitlines()
+    assert first == "checked 18 instances: 0 satisfy the fiber criterion, 0 skipped, 18 problems"
+    detail = ("(no induced map: psibar(f(.)) not constant on the fiber over "
+              "Elem(3^1:2|1,1))")
+    assert len(problems) == 18
+    assert all(line.startswith("  no_diagram: ") and line.endswith(detail) for line in problems)
+
+
+def test_agreeing_squares_are_neither_wrapped_nor_reported(monkeypatch, capsys):
+    calls = []
+    for name in ("check_fiber_criterion", "_wrap_codes"):
+        def spy(*args, _real=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, spy)
+    assert cli.main(["agw-check", '{"family": "n4k", "field": "2^1:8"}']) == 0
+    assert capsys.readouterr().out == (
+        "checked 512 instances: 512 satisfy the fiber criterion, 0 skipped, 0 problems\n")
+    assert calls == []

@@ -7,6 +7,7 @@ import collections
 import functools
 import json
 import random
+import sys
 import tracemalloc
 from array import array
 from unittest import mock
@@ -628,6 +629,17 @@ def test_a_reader_is_charged_at_least_what_it_holds(spec, monkeypatch, cold_cach
     assert [key for key, _ in charged] == ["codes", "reader", "reader"]
     assert 4 * (ints + first) >= held[0]
     assert held[1] >= 8 * ctx.order and 4 * second >= held[1]
+
+
+@pytest.mark.parametrize("spec", [(5, 1, 2), (3, 1, 6), (2, 1, 12), (3, 1, 8), (2, 1, 16)])
+def test_the_code_ints_are_charged_every_int(spec, cold_caches):
+    # the field's list of code ints is charged its own bytes and those of
+    # each of its ints, which are counted without a getsizeof call apiece
+    ctx = cold_caches(make_field(*spec))
+    ctx.reader(ctx.linear_map([1]))
+    ints, charge = ctx._tables[("codes",)]
+    assert ints == list(range(ctx.order))
+    assert charge == -(-(sys.getsizeof(ints) + sum(map(sys.getsizeof, ints))) // 4)
 
 
 def test_a_rebuilt_table_never_reads_a_stale_view():
