@@ -30,9 +30,10 @@ from .families import (
     PARAM_ORDER,
     FamilyInstance,
     SkippedInstance,
-    _compile,
+    _fiber,
     _grid_points,
-    _square_codes,
+    _point_compositions,
+    _values,
     describe_value,
 )
 from .gf import _GATHER_CHUNK, FieldError, field_spec_parts, parse_field_spec
@@ -111,15 +112,16 @@ class RunReport:
 SquareRecord = collections.namedtuple("SquareRecord", "agree problem detail")
 
 
-def _brute_force(family_id: str, ctx, params: dict, predicted: bool):
-    """The cycle type of the point's value list, None for a non-bijection,
-    with the IffRecord of a disagreement.  Each decision is exhaustive: a
-    point predicted not to permute is first checked by counting its
-    distinct values, so an agreeing one needs no walk; any other point is
-    walked (oracle.cycle_type).  Only a disagreement is scanned as check_iff
-    scans an instance's, for the witness its record carries: an agreeing
-    point builds no Verdict."""
-    values = _compile(family_id, ctx, params)
+def _brute_force(family_id: str, ctx, composition, delta: int, predicted: bool):
+    """The cycle type of the point's value list (of the compiled
+    composition at delta), None for a non-bijection, with the IffRecord of
+    a disagreement.  Each decision is exhaustive: a point predicted not to
+    permute is first checked by counting its distinct values, so an
+    agreeing one needs no walk; any other point is walked
+    (oracle.cycle_type).  Only a disagreement is scanned as check_iff scans
+    an instance's, for the witness its record carries: an agreeing point
+    builds no Verdict."""
+    values = _values(ctx, composition, delta)
     # a value list holds the field's codes by construction, so fewer than q^n
     # distinct values is a repeat.  Above a gather chunk the value list is a
     # code table, whose set would raise the command's peak memory, so it is walked
@@ -133,13 +135,14 @@ def _brute_force(family_id: str, ctx, params: dict, predicted: bool):
     return lengths, IffRecord(family_id, predicted, verdict.bijective, verdict)
 
 
-def _audit_square(family_id: str, ctx, params: dict, predicted: bool):
-    """The fiber criterion on the point's commuting square, with the
-    SquareRecord of a square without it.  The square is decided from its
-    counts (agw._square_holds); only a square that fails is wrapped and
-    reported (check_fiber_criterion), for its record and witness, so an
-    agreeing square builds no AGWInstance or FiberReport."""
-    f, fiber = _square_codes(family_id, ctx, params)
+def _audit_square(family_id: str, ctx, composition, delta: int, predicted: bool):
+    """The fiber criterion on the point's commuting square (of the compiled
+    composition at delta), with the SquareRecord of a square without it.
+    The square is decided from its counts (agw._square_holds); only a
+    square that fails is wrapped and reported (check_fiber_criterion), for
+    its record and witness, so an agreeing square builds no AGWInstance or
+    FiberReport."""
+    f, fiber = _values(ctx, composition, delta), _fiber(composition, delta)
     if _square_holds(ctx, f, fiber):
         return None, None
     try:
@@ -217,48 +220,55 @@ def _build_field(spec_text: str, cap: int):
 
 def _run_grid(spec: dict, cap: int, seed: int, check, csv_path=None) -> RunReport:
     """Check every point of the grid (families._grid_points) with
-    check(family_id, ctx, params, predicted), _brute_force or _audit_square,
-    which returns what the point's CSV row shows (for _brute_force its
-    cycle type, None for a non-bijection; for _audit_square, which writes
-    no row, the report of a square that fails) and the record of a
-    disagreement, None when the point agrees.  The report counts the
-    agreements and keeps each disagreement as its FamilyInstance and record
-    and each skip as its SkippedInstance: an agreeing point builds neither.
-    With csv_path, a point's row (of a brute-force verdict) is written as
-    soon as it is checked.  The cap is applied when the field is built, and
-    the file is opened only once the field is built and the grid's
-    parameters resolve."""
+    check(family_id, ctx, composition, delta, predicted), _brute_force or
+    _audit_square, which returns what the point's CSV row shows (for
+    _brute_force its cycle type, None for a non-bijection; for
+    _audit_square, which writes no row, the report of a square that fails)
+    and the record of a disagreement, None when the point agrees.  Each
+    point's composition is compiled once per combination of its non-delta
+    values and kept in the field's cache (families._point_compositions).
+    The report counts the agreements and keeps each disagreement as its
+    FamilyInstance and record and each skip as its SkippedInstance: an
+    agreeing point builds neither, nor a params dict.  With csv_path, a
+    point's row (of a brute-force verdict) is written as soon as it is
+    checked.  The cap is applied when the field is built, and the file is
+    opened only once the field is built and the grid's parameters resolve."""
     start = time.perf_counter()
     family_id, ctx = spec["family"], _build_field(spec["field"], cap)
     report = RunReport(family_id=family_id, field_spec=spec["field"])
     points = _grid_points(family_id, ctx, spec["params"], seed)
     first = next(points, None)  # a malformed grid raises here, before any file is opened
+    names = PARAM_ORDER[family_id]
+    at, compiled = names.index("delta"), _point_compositions(family_id, ctx)
     with (open(csv_path, "w", encoding="utf-8", newline="") if csv_path
           else contextlib.nullcontext()) as fh:
         write_row, write_skip = _row_writer(family_id, fh) if fh else (None, None)
-        for params, predicted, reason in itertools.chain([] if first is None else [first],
-                                                         points):
+        for combo, predicted, reason in itertools.chain([] if first is None else [first],
+                                                        points):
             if reason is not None:
-                report.add(SkippedInstance(family_id, ctx, params, reason), None)
+                report.add(SkippedInstance(family_id, ctx, dict(zip(names, combo)), reason),
+                           None)
                 if write_skip:
-                    write_skip(params, reason)
+                    write_skip(combo, reason)
                 continue
-            shown, record = check(family_id, ctx, params, predicted)
+            shown, record = check(family_id, ctx, compiled(combo), combo[at].code, predicted)
             if record is None:
                 report.agreements += 1
             else:
-                report.add(FamilyInstance(family_id, ctx, params, predicted), record)
+                report.add(FamilyInstance(family_id, ctx, dict(zip(names, combo)), predicted),
+                           record)
             if write_row:
-                write_row(params, predicted, shown)
+                write_row(combo, predicted, shown)
     report.wall_time = time.perf_counter() - start
     return report
 
 
 def _row_writer(family_id: str, out):
     """Write the CSV header to out; return the functions writing one row:
-    write_row(params, predicted, cycle_type) and write_skip(params, reason),
-    where cycle_type is the scan's, None for a non-bijection: an agreeing
-    point's row needs no Verdict.
+    write_row(combo, predicted, cycle_type) and write_skip(combo, reason),
+    where combo is the point's values in PARAM_ORDER and cycle_type is the
+    scan's, None for a non-bijection: an agreeing point's row needs no
+    Verdict.
 
     Each row is one write of cells rendered once per grid.  A grid's rows
     share a few parameter objects, so each is rendered once, as its final
@@ -297,13 +307,13 @@ def _row_writer(family_id: str, out):
             text = cells[id(value)] = quote(describe_value(value))
         return text
 
-    def param_cells(params: dict) -> str:
+    def param_cells(combo: tuple) -> str:
         try:
-            return ",".join(map(cells.__getitem__, map(id, map(params.__getitem__, names))))
+            return ",".join(map(cells.__getitem__, map(id, combo)))
         except KeyError:  # an object the memo does not hold yet
-            return ",".join(map(cell, map(params.__getitem__, names)))
+            return ",".join(map(cell, combo))
 
-    def write_row(params: dict, predicted: bool, cycle_type) -> None:
+    def write_row(combo: tuple, predicted: bool, cycle_type) -> None:
         nonlocal room
         if cycle_type is None:
             text = ""
@@ -314,10 +324,10 @@ def _row_writer(family_id: str, out):
                 if len(cycle_type) <= room:
                     room -= len(cycle_type)
                     cycle_types[cycle_type] = text
-        out.write(param_cells(params) + verdicts[predicted, cycle_type is not None] + text + "\n")
+        out.write(param_cells(combo) + verdicts[predicted, cycle_type is not None] + text + "\n")
 
-    def write_skip(params: dict, reason: str) -> None:
-        out.write(f"{param_cells(params)},,,{quote(f'skipped:{reason}')},\n")
+    def write_skip(combo: tuple, reason: str) -> None:
+        out.write(f"{param_cells(combo)},,,{quote(f'skipped:{reason}')},\n")
 
     return write_row, write_skip
 

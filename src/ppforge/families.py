@@ -4,14 +4,15 @@ Each family is declared once, by a prediction registered with `_family`
 together with the family's composition.  The prediction validates the
 hypotheses and computes the predicted verdict from the family's stated
 bijectivity condition alone; brute force never feeds it.  Its signature
-gives the family's parameters and their kinds.  The map is a composition
-of field tables, x -> sum(outer[inner[x] + delta]) + L(x), over the field's
-tables (exp/log/add, the log-Frobenius, the trace) and tables of the
-parameters (g, h, L), each built once per field.  The one composition
-gives both the value list, the code of f(x) for every code x, built in
-whole-table passes (``map`` over lists, no Python frame per element), and
-the fiber maps of the family's commuting square: psibar is the first inner
-table and psi is psibar plus the fiber delta.
+gives the family's parameters and their kinds.  The map is a shifted
+composition of field tables, x -> sum(outer[inner[x] + delta]) + L(x), over
+the field's tables (exp/log/add, the log-Frobenius, the trace) and tables of
+the parameters (g, h, L), each built once per field; no table depends on
+delta.  The one composition gives both the value list at each delta, the
+code of f(x) for every code x, built in whole-table passes (``map`` over
+lists, no Python frame per element), and the fiber maps of the family's
+commuting square: psibar is the first inner table and psi is psibar or
+psibar plus delta.
 
 Huge monomials such as x^((q^n+1)/2) are never materialized as coefficient
 vectors: they are power maps on logs.
@@ -19,7 +20,7 @@ vectors: they are power maps on logs.
 A grid (`_grid_points`, and `instantiate_grid` over it) is the product of
 its parameters' entries, each resolved by `_resolve_param`, the one place
 that walks a list of values; the resolver of each kind of parameter reads
-a single value.
+a single value.  A grid point is the tuple of its values in PARAM_ORDER.
 """
 
 from __future__ import annotations
@@ -30,7 +31,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .gf import _GATHER_CHUNK, CtxMismatchError, Elem, FieldCtx, ResidueClass, code_table, gather
+from .gf import (
+    _GATHER_CHUNK,
+    CtxMismatchError,
+    Elem,
+    FieldCtx,
+    ResidueClass,
+    _bytes_in_codes,
+    _codes_held,
+    code_table,
+    gather,
+)
 from .linearized import (
     CriteriaDisagreeError,
     LinPoly,
@@ -195,30 +206,33 @@ def _gcd_permutes(L: LinPoly) -> bool:
 # ---------------------------------------------------------------------------
 # compositions: each family's map declared once, as field tables.
 #
-# A composition is the tuple (terms, delta, lin, fiber_delta) of the map
-#     x -> sum(outer[inner[x] + delta] for outer, inner in terms) + lin[x]
-# with every inner and lin F_p-linear.  Its value list is the code of f(x)
-# for every code x (see _compile).  The first term's inner table is psibar of
-# the family's commuting square and psi is psibar + fiber_delta; fiber_delta
-# is None for a family without fiber maps.
+# A composition is the tuple (terms, lin, fiber_shift) of the maps
+#     f_delta: x -> sum(outer[inner[x] + delta] for outer, inner in terms) + lin[x]
+# with every inner and lin F_p-linear, one for each delta: no table depends
+# on delta, so a composition is built from a point's other parameters.  Its
+# value list at delta is the code of f_delta(x) for every code x (see
+# _values).  The first term's inner table is psibar of the family's
+# commuting square, and psi is psibar (fiber_shift 0) or psibar + delta
+# (fiber_shift 1); fiber_shift is None for a family without fiber maps.
 #
 # Every table of a composition is kept in the field's one bounded cache
 # (FieldCtx.derived): the grid-wide ones (g and h tables, powers, the n4k and
 # q6 sums of Frobenius powers, each one linear map of one power, y ->
 # Lambda(y^e), kept without its ingredients), every linear table by its
 # coefficient vector, and the ones of an instance's elements (an outer table
-# scaled by a, half_power's tables by (k, a, b)).  A value list is
-# built by whole-table passes: `map` over the tables with the lookups,
-# the add-table rows and the XOR as the mapped functions, so that on fields
-# with XOR or an add table no Python frame runs per element.  Grids sweep delta
-# over the same few outer tables, so each term reads its outer table through
-# the field's shift view y -> outer[y + delta] (see FieldCtx.shift_view) and
-# adds delta on the fly only where the field has no view yet; the inner and
-# lin tables, shared by a grid's points, are read through their cached
-# readers (FieldCtx.reader).
+# scaled by a, half_power's tables by (k, a, b)).  A compiled composition
+# (_compiled) adds the readers of its inner and lin tables (FieldCtx.reader),
+# and a grid keeps one in the same cache for each combination of its
+# non-delta values (_point_compositions).  A value list is built by
+# whole-table passes: `map` over the tables with the lookups, the add-table
+# rows and the XOR as the mapped functions, so that on fields with XOR or an
+# add table no Python frame runs per element.  Grids sweep delta over the
+# same few outer tables, so each term reads its outer table through the
+# field's shift view y -> outer[y + delta] (see FieldCtx.shift_view) and adds
+# delta on the fly only where the field has no view yet.
 
-Composition = tuple[Sequence[tuple[Sequence[int], Sequence[int]]], int,
-                    Sequence[int], Optional[int]]
+Composition = tuple[Sequence[tuple[Sequence[int], Sequence[int]]], Sequence[int],
+                    Optional[int]]
 
 
 def _linear_part(ctx: FieldCtx, P: dict) -> Sequence[int]:
@@ -244,45 +258,38 @@ def _scaled(ctx: FieldCtx, a: int, table: Sequence[int]) -> tuple[int, ...]:
 
 
 def _additive_g(ctx: FieldCtx, P: dict) -> Composition:
-    delta = P["delta"].code
-    return ([(g_codes(P["g"], ctx), ctx.frob_shift(1, -1))], delta,
-            P["L"].tabulate(), delta)
+    return [(g_codes(P["g"], ctx), ctx.frob_shift(1, -1))], P["L"].tabulate(), 1
 
 
 def _even_t(ctx: FieldCtx, P: dict) -> Composition:
     """even_t, and trace_gamma with L = beta*Tr(x) + gamma*x^(q^s)."""
     return ([(ctx.power_table(P["t"]), ctx.frob_shift(ctx.n // 2, -1))],
-            P["delta"].code, _linear_part(ctx, P), 0)
+            _linear_part(ctx, P), 0)
 
 
 def _alpha_beta(ctx: FieldCtx, P: dict) -> Composition:
     """alpha_beta, and alpha_beta_gamma with L = gamma*x^(q^s)."""
     outer = _scaled(ctx, P["alpha"].code, ctx.power_table(P["t"]))
-    return ([(outer, ctx.frob_shift(ctx.n // 2, 1))], P["delta"].code,
-            _linear_part(ctx, P), 0)
+    return [(outer, ctx.frob_shift(ctx.n // 2, 1))], _linear_part(ctx, P), 0
 
 
 def _anti_g(ctx: FieldCtx, P: dict) -> Composition:
-    delta = P["delta"].code
-    return ([(g_codes(P["g"], ctx), ctx.frob_shift(1, 1))], delta,
-            _linear_part(ctx, P), delta)
+    return [(g_codes(P["g"], ctx), ctx.frob_shift(1, 1))], _linear_part(ctx, P), 1
 
 
 def _n4k(ctx: FieldCtx, P: dict) -> Composition:
     # g(y) = sum of y^(q^u + q^(u+2k)) = Lambda(y^(1 + q^(2k))) with Lambda the
     # sum of x^(q^u), over u = 2i + first < 2k
-    k, delta = ctx.n // 4, P["delta"].code
-    first = 0 if P["variant"] == "plain" else 1
+    k, first = ctx.n // 4, 0 if P["variant"] == "plain" else 1
     g = ctx.derived(("n4k", first), lambda: code_table(ctx.linear_of_power(
         [0] * first + [1, 0] * k, 1 + ctx.q ** (2 * k))))
-    return ([(g, ctx.frob_shift(1, -1))], delta,
-            ctx.linear_map([P["a"].code]), delta)
+    return [(g, ctx.frob_shift(1, -1))], ctx.linear_map([P["a"].code]), 1
 
 
 def _q6(ctx: FieldCtx, P: dict) -> Composition:
     """Outer tables w -> Lambda(h(w)) on the shifts x^(q^2) -+ x^q + x; plus
     leads with its w_+ term, whose shift is its psibar."""
-    h, delta = P["h"], P["delta"].code
+    h = P["h"]
 
     def build() -> list[tuple[Sequence[int], Sequence[int]]]:
         table, m1 = h.tabulate(), ctx.p - 1  # the code p - 1 is the element -1
@@ -294,13 +301,12 @@ def _q6(ctx: FieldCtx, P: dict) -> Composition:
 
     # the terms depend on the variant and h only: built once per field and pair
     terms = ctx.derived(("q6", P["variant"], h.codes), build)
-    return terms, delta, P["L"].tabulate(), delta
+    return terms, P["L"].tabulate(), 1
 
 
 def _generic_L(ctx: FieldCtx, P: dict) -> Composition:
-    delta = P["delta"].code
     outer = _scaled(ctx, P["a"].code, symmetric_codes(ctx, P["h"]))
-    return [(outer, P["L"].tabulate())], delta, P["L1"].tabulate(), delta
+    return [(outer, P["L"].tabulate())], P["L1"].tabulate(), 1
 
 
 def _half_power(ctx: FieldCtx, P: dict) -> Composition:
@@ -316,65 +322,124 @@ def _half_power(ctx: FieldCtx, P: dict) -> Composition:
 
     outer, inner, lin = ctx.derived(("half_power", k, a, b), lambda: (
         ctx.power_table((ctx.order + 1) // 2), table(ctx._neg(b)), table(b)))
-    return [(outer, inner)], P["delta"].code, lin, None
+    return [(outer, inner)], lin, None
+
+
+class Compiled(NamedTuple):
+    """A composition with what its value lists read at every delta: on
+    fields of up to a gather chunk, for each term its outer table and the
+    code tuple and getter of its inner table's reader, and lin's code tuple
+    and add rows (FieldCtx.reader); above a gather chunk only the tables."""
+
+    terms: Sequence[tuple[Sequence[int], Sequence[int]]]
+    lin: Sequence[int]
+    fiber_shift: Optional[int]
+    reads: Optional[tuple[tuple[Sequence[int], tuple, Callable], ...]]
+    lin_codes: Optional[tuple[int, ...]]
+    lin_rows: Optional[tuple]
+
+
+def _compiled(ctx: FieldCtx, composition: Composition) -> Compiled:
+    """The composition with the readers of its tables, each built once per
+    field and table and shared with every composition that reads it."""
+    terms, lin, fiber_shift = composition
+    if ctx.order > _GATHER_CHUNK:
+        return Compiled(terms, lin, fiber_shift, None, None, None)
+    reads = tuple((outer, *ctx.reader(inner)[1:3]) for outer, inner in terms)
+    _, lin_codes, _, lin_rows = ctx.reader(lin)
+    return Compiled(terms, lin, fiber_shift, reads, lin_codes, lin_rows)
+
+
+def _composition(family_id: str, ctx: FieldCtx, params: dict) -> Compiled:
+    """The compiled composition of one instance's parameters."""
+    return _compiled(ctx, COMPOSITIONS[family_id](ctx, params))
 
 
 def _compile(family_id: str, ctx: FieldCtx, params: dict) -> Sequence[int]:
-    """The value list of the family's composition."""
-    return _values(ctx, COMPOSITIONS[family_id](ctx, params))
+    """The value list of the family's composition at the instance's delta."""
+    return _values(ctx, _composition(family_id, ctx, params), params["delta"].code)
+
+
+def _fiber(compiled: Compiled, delta: int) -> Optional[tuple[Sequence[int], int]]:
+    """(psibar, fiber delta) of the square at delta: psibar is the first
+    term's inner table and psi = psibar + fiber delta; None for a family
+    without fiber maps."""
+    if compiled.fiber_shift is None:
+        return None
+    return compiled.terms[0][1], delta if compiled.fiber_shift else 0
 
 
 def _square_codes(family_id: str, ctx: FieldCtx,
                   params: dict) -> tuple[Sequence[int], Optional[tuple[Sequence[int], int]]]:
     """The value list and (psibar, fiber delta) of the family's commuting
-    square, from one composition call: psibar is the first term's inner
-    table and psi = psibar + fiber delta; None in place of the pair for a
-    family without fiber maps."""
-    composition = COMPOSITIONS[family_id](ctx, params)
-    terms, _, _, fiber_delta = composition
-    fiber = None if fiber_delta is None else (terms[0][1], fiber_delta)
-    return _values(ctx, composition), fiber
+    square (see _fiber), from one composition call."""
+    compiled, delta = _composition(family_id, ctx, params), params["delta"].code
+    return _values(ctx, compiled, delta), _fiber(compiled, delta)
 
 
-def _values(ctx: FieldCtx, composition: Composition) -> Sequence[int]:
-    """The value list of a composition: the code of f(x) for every code x.
-    Each table is read through its reader (FieldCtx.reader), so a point
-    unpacks no table the grid's earlier points read; on add-table fields
-    lin is added through its add rows, lin[x] + t = rows[x][t].  Above a
-    gather chunk it is built a chunk of codes at a time into a code table
-    (_chunked_values)."""
-    terms, delta, lin, _ = composition
-    if ctx.order > _GATHER_CHUNK:
-        return _chunked_values(ctx, composition)
-    _, lin_codes, _, lin_rows = ctx.reader(lin)
+def _point_compositions(family_id: str, ctx: FieldCtx) -> Callable[[tuple], Compiled]:
+    """compiled(combo): the compiled composition of a grid point given in
+    PARAM_ORDER, fetched from the field's cache, where the first point of
+    each combination of non-delta values stores it under ("composition",
+    the composition, the ids of those values).  The entry holds the values,
+    so no id in its key is reused while it lives, and is charged the codes
+    of its tables and the bytes of the reader parts it holds: they stay
+    alive while it does, also once their own entries are evicted."""
+    compose, names = COMPOSITIONS[family_id], PARAM_ORDER[family_id]
+    at = names.index("delta")
+    others = names[:at] + names[at + 1:]
+
+    def compiled(combo: tuple) -> Compiled:
+        rest = combo[:at] + combo[at + 1:]
+        key = ("composition", compose, *map(id, rest))
+        entry = ctx._tables.get(key)
+        if entry is not None:
+            return entry[0][0]
+        made = _compiled(ctx, compose(ctx, dict(zip(others, rest))))
+        charge = _codes_held((made.terms, made.lin))
+        if made.reads is not None:
+            charge += _bytes_in_codes(made.lin_codes, made.lin_rows,
+                                      *itertools.chain.from_iterable(r[1:] for r in made.reads))
+        ctx._store(key, (made, rest), charge)
+        return made
+
+    return compiled
+
+
+def _values(ctx: FieldCtx, compiled: Compiled, delta: int) -> Sequence[int]:
+    """The value list of a composition at delta: the code of f_delta(x) for
+    every code x.  Each inner table is read through its reader's getter, so
+    a point unpacks no table; on add-table fields lin is added through its
+    add rows, lin[x] + t = rows[x][t].  Above a gather chunk it is built a
+    chunk of codes at a time into a code table (_chunked_values)."""
+    if compiled.reads is None:
+        return _chunked_values(ctx, compiled, delta)
     values = None
-    for outer, inner in terms:
-        _, codes, read, _ = ctx.reader(inner)
+    for outer, codes, read in compiled.reads:
         view = ctx.shift_view(outer, delta)
         term = gather(outer, ctx._shift(codes, delta)) if view is None else read(view)
         if values is not None:
             values = ctx._add_codes(term, values)
-        elif lin_rows is not None:
-            values = map(list.__getitem__, lin_rows, term)
+        elif compiled.lin_rows is not None:
+            values = map(list.__getitem__, compiled.lin_rows, term)
         else:
-            values = ctx._add_codes(term, lin_codes)
+            values = ctx._add_codes(term, compiled.lin_codes)
     return list(values)
 
 
-def _chunked_values(ctx: FieldCtx, composition: Composition) -> Sequence[int]:
+def _chunked_values(ctx: FieldCtx, compiled: Compiled, delta: int) -> Sequence[int]:
     """_values a chunk of codes at a time: each term reads its table
     through the shift view, or adds delta on the fly where the field has
     no view yet, one gather per term and chunk.  The chunks go into a code
     table, so no gathered tuple of the whole field is alive beside it and
     it keeps no int object of a sum (XOR and the split tables make a new
     int per sum): on 3^1:12 a list of the sums held 7 MB more."""
-    terms, delta, lin, _ = composition
     # each term as (the table it reads, the shift still to add, its inner table)
     reads = []
-    for outer, inner in terms:
+    for outer, inner in compiled.terms:
         view = ctx.shift_view(outer, delta)
         reads.append((outer, delta, inner) if view is None else (view, 0, inner))
-    values = code_table(())
+    values, lin = code_table(()), compiled.lin
     for lo in range(0, ctx.order, _GATHER_CHUNK):
         part = slice(lo, lo + _GATHER_CHUNK)
         chunk = lin[part]
@@ -395,12 +460,13 @@ PARAM_ORDER: dict[str, tuple[str, ...]] = {}
 # each parameter's kind, its annotation: Elem, LinPoly, GRecipe, Poly,
 # Union[Poly, GRecipe], int or str
 PARAM_KINDS: dict[str, dict[str, object]] = {}
-# what a grid point calls: the prediction on the resolved parameters
+# what a grid point calls: the prediction, on the point's values in
+# PARAM_ORDER as positional arguments
 _PREDICTIONS: dict[str, Callable[..., bool]] = {}
 
 
 def _family(family_id: str, composition: Callable[[FieldCtx, dict], Composition]):
-    """Register the decorated prediction predict(ctx, **params) -> bool,
+    """Register the decorated prediction predict(ctx, <parameters>) -> bool,
     which checks the hypotheses and returns the predicted verdict, with
     the family's composition; return the public constructor, which takes
     the same arguments, checks that each element is in ctx and returns the
@@ -766,16 +832,22 @@ def _resolve_param(ctx: FieldCtx, family_id: str, name: str, value, seed: int,
     if kind is Elem:
         return _resolve_elem(ctx, value, family_id, name, kernel_of)
     if kind is LinPoly:
-        return [_resolve_lin(ctx, value, seed, name)]
-    if kind is GRecipe:
-        return [_resolve_recipe(ctx, value, name)]
-    if kind is Poly:
-        return [_poly_from_spec(ctx, value, name)]
-    if kind == Union[Poly, GRecipe]:
-        return [_resolve_poly_or_recipe(ctx, value, name)]
-    if kind is int and not _is_int(value):  # floats, strings and booleans are refused
-        raise ValueError(f"parameter {name!r} takes integers, got {value!r}")
-    return [value]
+        value = _resolve_lin(ctx, value, seed, name)
+    elif kind is GRecipe:
+        value = _resolve_recipe(ctx, value, name)
+    elif kind is Poly:
+        value = _poly_from_spec(ctx, value, name)
+    elif kind == Union[Poly, GRecipe]:
+        value = _resolve_poly_or_recipe(ctx, value, name)
+    else:
+        if kind is int and not _is_int(value):  # floats, strings and booleans are refused
+            raise ValueError(f"parameter {name!r} takes integers, got {value!r}")
+        return [value]
+    # equal maps, recipes and polynomials resolve to one object while the
+    # field's cache keeps it, as the field's interned elements do, so that a
+    # grid point's compiled composition, keyed by the ids of its values,
+    # serves every grid that names them
+    return [ctx.derived(("value", value), lambda: value)]
 
 
 def _names_kernel(value) -> bool:
@@ -786,7 +858,8 @@ def _names_kernel(value) -> bool:
 
 
 def _expand_params(family_id: str, ctx: FieldCtx, params: dict,
-                   seed: int) -> Iterator[dict]:
+                   seed: int) -> Iterator[tuple]:
+    """The grid's points, each the tuple of its values in PARAM_ORDER."""
     order = PARAM_ORDER[family_id]
     missing = [name for name in order if name not in params]
     if missing:
@@ -802,33 +875,32 @@ def _expand_params(family_id: str, ctx: FieldCtx, params: dict,
             yield from _expand_params(family_id, ctx, {**params, "L": L, "a": a}, seed)
         return
 
-    lists = [_resolve_param(ctx, family_id, name, params[name], seed)
-             for name in order]
-    for combo in itertools.product(*lists):
-        yield dict(zip(order, combo))
+    yield from itertools.product(*[_resolve_param(ctx, family_id, name, params[name], seed)
+                                   for name in order])
 
 
 GridItem = Union[FamilyInstance, SkippedInstance]
 
 
 def _grid_points(family_id: str, ctx: FieldCtx, params: dict,
-                 seed: int) -> Iterator[tuple[dict, Optional[bool], Optional[str]]]:
+                 seed: int) -> Iterator[tuple[tuple, Optional[bool], Optional[str]]]:
     """The points of the parameter grid on ctx, in grid order: each as
-    (params, predicted verdict, None), or as (params, None, reason) when
-    its hypotheses cannot hold.  The one place a grid is expanded and its
-    predictions made; no instance is built."""
+    (combo, predicted verdict, None), or as (combo, None, reason) when its
+    hypotheses cannot hold, combo the point's values in PARAM_ORDER.  The
+    one place a grid is expanded and its predictions made, each called as
+    predict(ctx, *combo); no instance or params dict is built."""
     if family_id not in _PREDICTIONS:
         raise ValueError(f"unknown family {family_id!r}")
     predict = _PREDICTIONS[family_id]
-    for concrete in _expand_params(family_id, ctx, dict(params), seed):
+    for combo in _expand_params(family_id, ctx, dict(params), seed):
         try:
-            predicted = predict(ctx, **concrete)
+            predicted = predict(ctx, *combo)
         except FamilyParameterError as exc:
-            yield concrete, None, exc.reason
+            yield combo, None, exc.reason
         except RecipeContractError as exc:
-            yield concrete, None, f"recipe_contract: {exc}"
+            yield combo, None, f"recipe_contract: {exc}"
         else:
-            yield concrete, predicted, None
+            yield combo, predicted, None
 
 
 def instantiate_grid(family_id: str, ctxs: Iterable[FieldCtx], params: dict,
@@ -840,10 +912,11 @@ def instantiate_grid(family_id: str, ctxs: Iterable[FieldCtx], params: dict,
     Grid points whose hypotheses cannot hold are not dropped: they are
     emitted as SkippedInstance records carrying the reason.
     """
+    names = PARAM_ORDER.get(family_id, ())
     points = ((ctx, *point) for ctx in ctxs
               for point in _grid_points(family_id, ctx, params, seed))
-    for ctx, concrete, predicted, reason in itertools.islice(points, limit):
+    for ctx, combo, predicted, reason in itertools.islice(points, limit):
         if reason is None:
-            yield FamilyInstance(family_id, ctx, concrete, predicted)
+            yield FamilyInstance(family_id, ctx, dict(zip(names, combo)), predicted)
         else:
-            yield SkippedInstance(family_id, ctx, concrete, reason)
+            yield SkippedInstance(family_id, ctx, dict(zip(names, combo)), reason)

@@ -102,6 +102,12 @@ def _codes_held(value) -> int:
     return len(value)
 
 
+def _bytes_in_codes(*parts) -> int:
+    """The bytes of the objects parts (None counting nothing), as a charge
+    against _TABLE_CODES in 4-byte codes, rounded up."""
+    return -(-sum(sys.getsizeof(part) for part in parts if part is not None) // 4)
+
+
 class FieldError(Exception):
     """Base class for field construction and arithmetic errors."""
 
@@ -701,11 +707,23 @@ class FieldCtx:
         low through an add row of high[h]'s part, and their sum.  Otherwise
         the codes in [j*p^i, (j+1)*p^i) are those in [0, p^i) plus j*p^i
         digit by digit, so each block is the previous one shifted by
-        image(p^i)."""
+        image(p^i), which on XOR fields is one XOR of the previous table's
+        bytes, read as one integer, with image(2^i) laid in each 4-byte lane."""
         if self.dim == 1:
             return code_table(map(operator.mod, map(operator.mul, range(self.p),
                                                     itertools.repeat(image(1))),
                                   itertools.repeat(self.p)))
+        if self.p == 2:
+            width, order = code_table(()).itemsize, sys.byteorder
+            raw = bytearray(width)  # the code 0 and its image 0
+            for i in range(self.dim):
+                # one expression, so that its operands are freed before the append
+                raw += (int.from_bytes(raw, order)
+                        ^ int.from_bytes(image(1 << i).to_bytes(width, order) * (1 << i),
+                                         order)).to_bytes(len(raw), order)
+            table = code_table(())
+            table.frombytes(raw)
+            return table
         if self._digit_add is None:
             table = [0]
             for _ in range(self.dim):
@@ -837,8 +855,7 @@ class FieldCtx:
         codes = gather(ints, table)
         rows = None if self._add_table is None else gather(self._add_table, codes)
         reader = (table, codes, operator.itemgetter(*codes), rows)
-        held = sum(sys.getsizeof(part) for part in (reader, *reader[1:]) if part is not None)
-        self._store(key, reader, -(-held // 4))
+        self._store(key, reader, _bytes_in_codes(*reader[1:], reader))
         return reader
 
     def zero_set(self, table: Sequence[int]) -> tuple[Elem, ...]:

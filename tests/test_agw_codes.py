@@ -117,11 +117,11 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
               A9, psi, psi, lambda x: x, lambda x: F9.subfield_elements()[x.code % 3]),
               agw.HypothesisViolatedError, "fiber_constant"))
     # a family square that does not commute: a test-only composition whose
-    # first term (the zero table on x^3 - x) makes psibar = x^3 - x and
-    # psi = psibar + 1, while its second term adds x^2, which does not descend
+    # term (the zero table on x^3 - x + 1) makes psi = psibar = x^3 - x + 1,
+    # while its lin table adds x^2, which does not descend
     def squares(ctx, P):
-        return ([([0] * ctx.order, ctx.linear_map([ctx.p - 1, 1])),
-                 (ctx.power_table(2), ctx.linear_map([1]))], 0, [0] * ctx.order, 1)
+        return ([([0] * ctx.order, ctx._shift(ctx.linear_map([ctx.p - 1, 1]), 1))],
+                ctx.power_table(2), 0)
 
     even_t = families.COMPOSITIONS["even_t"]
     families.COMPOSITIONS["even_t"] = squares
@@ -252,9 +252,10 @@ def test_square_decision_matches_the_report_on_default_grids(family, spec):
     ctx, grid = make_field(*spec), fam.DEFAULT_GRIDS[family]
     size = sum(1 for _ in fam._grid_points(family, ctx, grid, 0))
     stride = 1 + size // _DECIDED_POINTS
-    for params, _, reason in itertools.islice(fam._grid_points(family, ctx, grid, 0),
-                                              0, None, stride):
+    for combo, _, reason in itertools.islice(fam._grid_points(family, ctx, grid, 0),
+                                             0, None, stride):
         if reason is None:
+            params = dict(zip(fam.PARAM_ORDER[family], combo))
             f, fiber = fam._square_codes(family, ctx, params)
             assert agw._square_holds(ctx, f, fiber) == _report_holds(ctx, f, fiber), params
 
@@ -295,8 +296,8 @@ def test_square_decision_matches_the_report_on_random_squares(data):
 
 def _not_commuting(ctx, P):
     # the composition of the -O script's family square that does not commute
-    return ([([0] * ctx.order, ctx.linear_map([ctx.p - 1, 1])),
-             (ctx.power_table(2), ctx.linear_map([1]))], 0, [0] * ctx.order, 1)
+    return ([([0] * ctx.order, ctx._shift(ctx.linear_map([ctx.p - 1, 1]), 1))],
+            ctx.power_table(2), 0)
 
 
 def test_a_square_that_does_not_commute_keeps_its_record(monkeypatch, capsys):

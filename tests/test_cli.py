@@ -230,7 +230,7 @@ def test_constructor_agrees_with_the_grid(family, field, params):
     points = list(fam._grid_points(family, ctx, params, 0))
     assert len(items) == len(points)
     for item, (point, predicted, reason) in zip(items, points):
-        assert item.params == point and item.ctx is ctx
+        assert item.params == dict(zip(fam.PARAM_ORDER[family], point)) and item.ctx is ctx
         if isinstance(item, fam.SkippedInstance):
             assert (predicted, reason) == (None, item.reason)
             with pytest.raises(fam.FamilyParameterError) as raised:
@@ -477,7 +477,7 @@ def test_negated_predictions_disagree_as_check_iff_does(family, field, params, t
 
     predict = fam._PREDICTIONS[family]
     monkeypatch.setitem(fam._PREDICTIONS, family,
-                        lambda ctx, **point: not predict(ctx, **point))
+                        lambda ctx, *point: not predict(ctx, *point))
     ctx = parse_field_spec(field)
     checked = [(inst, check_iff(inst)) for inst in fam.instantiate_grid(family, [ctx], params)]
     outcomes = [(record.predicted, record.observed) for _, record in checked]
@@ -551,6 +551,33 @@ def test_census_shares_scaled_tables_and_makes_no_edges(tmp_path, monkeypatch, c
     for family, field in [("n4k", "2^1:8"), ("half_power", "3^1:2"), ("generic_L", "3^1:2")]:
         assert main(["census", family, field, "-o", str(out_csv)]) == 0
     assert edges == []
+
+
+@pytest.mark.parametrize("family, field, combinations, digest", [
+    ("half_power", "5^1:2", 576,
+     "abd73a415ac4d6e6957bc53c0ea80cf38d10c1130aabcd447dfb79a15e972171"),
+    ("alpha_beta", "3^1:4", 324,
+     "dcdae2da203dfad6836a88b73dd0f51816df55e562512aedef454fac6eaa5a4c"),
+    ("n4k", "2^1:8", 2, "9ae1d1868114bf7984000218ab8597fe5daf7d934aec3caee434e75a5870a693"),
+])
+def test_a_census_compiles_each_combination_of_non_delta_values_once(
+        family, field, combinations, digest, tmp_path, monkeypatch):
+    # the grid sweeps delta over every combination of the other parameters'
+    # values: 14,400, 2,916 and 512 points.  Each combination's composition
+    # is compiled by its first point and kept in the field's cache, so a
+    # second census of the same grid, whose maps resolve to the same
+    # objects, compiles none
+    calls = []
+    composition = fam.COMPOSITIONS[family]
+    monkeypatch.setitem(fam.COMPOSITIONS, family,
+                        lambda *args: calls.append(args) or composition(*args))
+    out_csv = tmp_path / "census.csv"
+    for expected in (combinations, 0):
+        calls.clear()
+        assert main(["census", family, field, "-o", str(out_csv)]) == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+        assert len(calls) == expected
+        assert all("delta" not in P for _, P in calls)
 
 
 @pytest.mark.parametrize("memo_cycles", [0, 1 << 16])

@@ -13,9 +13,10 @@ from array import array
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from ppforge import agw
 from ppforge import families as fam
 from ppforge.cli import main
 from ppforge.agw import (
@@ -503,7 +504,7 @@ def test_half_power_tables_are_the_fields_linear_maps():
     for ctx, k, a, b in [(make_field(5, 1, 2), 1, 3, 2), (make_field(3, 1, 4), 2, 1, 2),
                          (make_field(5, 1, 2), 2, 1, 4), (make_field(3, 1, 3), 4, 2, 1)]:
         P = {"k": k, "a": ctx.elem(a), "b": ctx.elem(b), "delta": ctx.zero}
-        [(_, inner)], _, lin, _ = fam.COMPOSITIONS["half_power"](ctx, P)
+        [(_, inner)], lin, _ = fam.COMPOSITIONS["half_power"](ctx, P)
 
         def linear_map(c):
             coeffs = [c] + [0] * (ctx.n - 1)
@@ -511,14 +512,14 @@ def test_half_power_tables_are_the_fields_linear_maps():
             return ctx.linear_map(coeffs)
 
         assert inner is linear_map(ctx._neg(b)) and lin is linear_map(b)
-        [(_, other_inner)], _, _, _ = fam.COMPOSITIONS["half_power"](
+        [(_, other_inner)], _, _ = fam.COMPOSITIONS["half_power"](
             ctx, {**P, "b": ctx.elem(ctx._neg(b))})
         assert other_inner is lin
 
 
-def ref_values(ctx, composition):
+def ref_values(ctx, composition, delta):
     """sum(outer[inner[x] + delta]) + lin[x] for every code x, added by ctx._add."""
-    terms, delta, lin, _ = composition
+    terms, lin, _ = composition
     return [functools.reduce(ctx._add, [outer[ctx._add(inner[x], delta)]
                                         for outer, inner in terms], lin[x])
             for x in range(ctx.order)]
@@ -549,8 +550,9 @@ def test_values_read_shift_views_like_the_reference(spec, data, cold_caches):
         st.sampled_from(deltas)), min_size=1, max_size=30), label="requests")
     with mock.patch.object(gf, "_TABLE_CODES", budget):
         for picks, delta in requests:
-            composition = ([(outers[i], inners[j]) for i, j in picks], delta, lin, None)
-            assert fam._values(ctx, composition) == ref_values(ctx, composition)
+            composition = ([(outers[i], inners[j]) for i, j in picks], lin, None)
+            assert (fam._values(ctx, fam._compiled(ctx, composition), delta)
+                    == ref_values(ctx, composition, delta))
             assert ctx._charged <= budget
 
 
@@ -586,8 +588,8 @@ def test_readers_evicted_mid_grid_change_no_output(field, deltas, tmp_path, monk
         return grid, values, reports, out_csv.read_bytes()
 
     grid, reference, reports, census = run(0)
-    assert reference == [ref_values(ctx, fam.COMPOSITIONS["additive_g"](ctx, inst.params))
-                         for inst in grid]
+    assert reference == [ref_values(ctx, fam.COMPOSITIONS["additive_g"](ctx, inst.params),
+                                    inst.params["delta"].code) for inst in grid]
     evicted = collections.Counter()
     store = gf.FieldCtx._store
 
@@ -652,10 +654,10 @@ def test_a_rebuilt_table_never_reads_a_stale_view():
     for _ in range(200):
         outer, inner, lin = ([rng.randrange(ctx.order) for _ in range(ctx.order)]
                              for _ in range(3))
-        composition = ([(outer, inner)], 4, lin, None)
-        expected = ref_values(ctx, composition)
-        assert fam._values(ctx, composition) == expected
-        assert fam._values(ctx, composition) == expected
+        composition = ([(outer, inner)], lin, None)
+        expected = ref_values(ctx, composition, 4)
+        assert fam._values(ctx, fam._compiled(ctx, composition), 4) == expected
+        assert fam._values(ctx, fam._compiled(ctx, composition), 4) == expected
         del outer, inner, lin, composition
 
 
@@ -942,3 +944,88 @@ def test_audit_matches_element_reference(data):
     A, psi, psibar, f, extra = draw_square(data)
     assert (outcome(lambda: check_fiber_criterion(AGWInstance(A, psi, psibar, f, **extra)))
             == outcome(lambda: ref_audit(A, psi, psibar, f, **extra)))
+
+
+# a field past a gather chunk, whose value lists are built a chunk at a time,
+# and one with odd-dim split tables, each with the families some point on it
+# satisfies
+COMPILED_POINTS = [((2, 1, 17), "additive_g"), ((2, 1, 17), "generic_L"),
+                   ((3, 1, 7), "additive_g"), ((3, 1, 7), "generic_L"),
+                   ((3, 1, 7), "half_power")]
+
+
+def draw_non_delta(data, family, ctx):
+    """A point's parameters but delta, drawn as draw_params draws them."""
+    if family == "additive_g":
+        return {"g": invariant_recipe(data, ctx), "L": base_lin(data, ctx)}
+    if family == "generic_L":
+        L = LinPoly.trace_map(ctx)
+        h = pick(data, [invariant_recipe(data, ctx), Poly(ctx, [1]),
+                        Poly(ctx, [ctx.subfield_elements()[-1]])], "h")
+        return {"L": L, "a": pick(data, ctx.zero_set(L.tabulate())[1:], "a"), "h": h,
+                "L1": base_lin(data, ctx)}
+    return {"k": data.draw(st.integers(1, 2 * ctx.n), label="k"),
+            "a": ctx.elem(data.draw(st.integers(1, ctx.order - 1), label="a")),
+            "b": ctx.elem(data.draw(st.integers(1, ctx.order - 1), label="b"))}
+
+
+# an example past a gather chunk takes about half a second, and shrinking a
+# failing one ran for minutes, so a failure is reported as it was drawn
+@pytest.mark.parametrize("spec, family", COMPILED_POINTS)
+@settings(max_examples=3, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_compiled_composition_matches_the_element_reference_at_every_delta(spec, family,
+                                                                              data):
+    # one point's composition is compiled once, as a grid compiles it, and
+    # its value list and square at several deltas are compared with the
+    # element reference: on 3^1:7 at every element, with the audit of the
+    # whole square; past a gather chunk at a sample of elements that takes
+    # both sides of each chunk boundary, with the fiber maps there and the
+    # square's decision against its report
+    ctx = make_field(*spec)
+    params = draw_non_delta(data, family, ctx)
+    deltas = data.draw(st.lists(st.sampled_from([0, 1, ctx.order - 1])
+                                | st.integers(0, ctx.order - 1), min_size=2, max_size=3),
+                       label="deltas")
+    if ctx.order > gf._GATHER_CHUNK:
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        sample = sorted({0, 1, ctx.order - 1, *rng.sample(range(ctx.order), 150),
+                         *(c + d for c in range(gf._GATHER_CHUNK, ctx.order, gf._GATHER_CHUNK)
+                           for d in (-1, 0))})
+    else:
+        sample = range(ctx.order)
+    calls, composition = [], fam.COMPOSITIONS[family]
+    with mock.patch.dict(fam.COMPOSITIONS,
+                         {family: lambda *args: calls.append(args) or composition(*args)}):
+        compiled = fam._point_compositions(family, ctx)
+        for delta in deltas:
+            P = {**params, "delta": ctx.elem(delta)}
+            try:
+                inst = fam.FAMILY_BUILDERS[family](ctx, **P)
+            except (FamilyParameterError, RecipeContractError):
+                assume(False)
+            point = compiled(tuple(P[name] for name in fam.PARAM_ORDER[family]))
+            values, fiber = fam._values(ctx, point, delta), fam._fiber(point, delta)
+            assert isinstance(values, array) == (ctx.order > gf._GATHER_CHUNK)
+            ref, maps = reference(inst), ref_fiber_maps(inst)
+            for x in sample:
+                assert values[x] == ref(ctx.elem(x)).code, f"{inst.describe_params()} at {x}"
+            assert (fiber is None) == (maps is None)
+            if maps is not None:
+                psibar, shift = fiber
+                for x in sample:
+                    assert (ctx._add(psibar[x], shift), psibar[x]) == tuple(
+                        m(ctx.elem(x)).code for m in maps), f"{inst.describe_params()} at {x}"
+            square = agw._wrap_codes(ctx, values, fiber)
+            holds = agw._square_holds(ctx, values, fiber)
+            if ctx.order > gf._GATHER_CHUNK:
+                assert holds == check_fiber_criterion(square).equivalence_holds
+            else:
+                A = ctx.elements()
+                maps = maps or (lambda x: x, lambda x: x)
+                expected = ref_audit(A, *maps, lambda x: ctx.elem(values[x.code]))
+                assert check_fiber_criterion(square) == expected
+                assert holds == expected.equivalence_holds
+    assert len(calls) == 1

@@ -89,7 +89,7 @@ def test_kernel_nonzero_token_matches_brute_force(data):
     Ls = [LinPoly(ctx, v) for v in vectors] + [LinPoly.trace_map(ctx)]
     params = {"L": Ls, "a": "kernel_nonzero", "h": [Poly.monomial(ctx, 1)],
               "L1": ["identity"], "delta": "zero"}
-    got = [(P["L"], P["a"]) for P in fam._expand_params("generic_L", ctx, params, 0)]
+    got = [(L, a) for L, a, *_ in fam._expand_params("generic_L", ctx, params, 0)]
     want = [(L, x) for L in Ls for x in ctx.elements()
             if x and brute_linear(ctx, L.codes, x).is_zero]
     assert got == want
